@@ -13,9 +13,7 @@ from .controllability import (
 from .dynamics import (
     ControlVectorFields,
     GeneralizedForce,
-    MobilityMatrix,
     assemble_generalized_force,
-    build_mobility_matrix,
     control_vector_fields,
     equilibrium_state,
     state_derivative,

@@ -150,30 +150,6 @@ def mobility_entries(
 
 
 @dataclass(frozen=True)
-class MobilityMatrix:
-    """The 5x5 drag matrix M(alpha1, alpha2) and its determinant."""
-
-    m: np.ndarray
-    det_m: float
-
-
-def build_mobility_matrix(
-    alpha1: float, alpha2: float, params: SwimmerParams
-) -> MobilityMatrix:
-    rows = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta)
-    lu = [row[:] for row in rows]
-    perm, parity = lu_factor(lu)
-    det = lu_det(lu, parity)
-    if abs(det) < DET_WARN_FLOOR:
-        warnings.warn(
-            f"near-singular drag matrix: det = {det:.3e} at "
-            f"({alpha1}, {alpha2})",
-            RuntimeWarning,
-        )
-    return MobilityMatrix(m=np.array(rows), det_m=det)
-
-
-@dataclass(frozen=True)
 class GeneralizedForce:
     """Right-hand side Y of the balance equations, split by origin.
 
@@ -298,6 +274,11 @@ def _raw_state_derivative(
 ) -> list[float]:
     """Zdot for z = [x, y, theta, alpha1, alpha2] as a list. Hot path."""
     f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
+    return _combine_fields(z, h_par, h_perp, f0, f1, f2)
+
+
+def _combine_fields(z, h_par, h_perp, f0, f1, f2) -> list[float]:
+    """R_theta (F0 + H_par F1 + H_perp F2) at orientation z[2], as a list."""
     w0 = f0[0] + h_par * f1[0] + h_perp * f2[0]
     w1 = f0[1] + h_par * f1[1] + h_perp * f2[1]
     c = math.cos(z[2])
@@ -331,11 +312,9 @@ def equilibrium_state(
 
 
 __all__ = [
-    "MobilityMatrix",
     "GeneralizedForce",
     "ControlVectorFields",
     "mobility_entries",
-    "build_mobility_matrix",
     "assemble_generalized_force",
     "control_vector_fields",
     "state_derivative",

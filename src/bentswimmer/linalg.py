@@ -73,15 +73,3 @@ def lu_solve(a: list[list[float]], perm: list[int], b: list[float]) -> list[floa
         x[r] = s / ar[r]
     return x
 
-
-def solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """One-shot convenience solve; copies a."""
-    lu = [row[:] for row in a]
-    perm, _ = lu_factor(lu)
-    return lu_solve(lu, perm, b)
-
-
-def unit_vector(n: int, k: int) -> list[float]:
-    e = [0.0] * n
-    e[k] = 1.0
-    return e

@@ -36,7 +36,7 @@ from .integrators import (
     METHOD_TRAPEZOIDAL,
     METHODS,
     STATUS_COMPLETED,
-    STATUS_SIGNAL,
+    IntegrationResult,
     IntegratorOptions,
     integrate,
 )
@@ -44,17 +44,17 @@ from .model import SwimmerParams, SwimmerState, joint_points
 from .records import SimRecord, write_csv
 from .tracking import (
     DEFAULT_EPS_D,
+    INITIAL_POSITION_TOL,
     OUTCOME_COMPLETED,
     OUTCOME_FAILURE,
     OUTCOME_SINGULAR,
     ShapeRangeSignal,
     Trajectory,
     TrackingStatus,
-    _record_from_samples,
-    _sample_times,
     circle_trajectory,
     constant_trajectory,
     line_trajectory,
+    record_run,
     scan_determinant,
     simulate_closed_loop,
     tracking_determinant,
@@ -164,9 +164,12 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], path: str):
 
 
 def _number(d: dict, key: str, path: str) -> float:
-    v = d[key]
+    return _as_number(d[key], f"{path}.{key}")
+
+
+def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioValidationError(f"{path}.{key}: expected a number, got {v!r}")
+        raise ScenarioValidationError(f"{path}: expected a number, got {v!r}")
     return float(v)
 
 
@@ -319,7 +322,9 @@ def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
     if "snapshot_times_s" in d:
         v = d["snapshot_times_s"]
         _require(isinstance(v, list), f"{path}.snapshot_times_s", "expected a list")
-        kwargs["snapshot_times_s"] = tuple(float(x) for x in v)
+        kwargs["snapshot_times_s"] = tuple(
+            _as_number(x, f"{path}.snapshot_times_s[{i}]") for i, x in enumerate(v)
+        )
     return OutputSpec(**kwargs)
 
 
@@ -365,7 +370,7 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
         trajectory = _parse_trajectory(doc["trajectory"], "trajectory")
         fx0, gy0 = trajectory.start()
         _require(
-            math.hypot(initial.x - fx0, initial.y - gy0) <= 1e-9,
+            math.hypot(initial.x - fx0, initial.y - gy0) <= INITIAL_POSITION_TOL,
             "initial",
             f"closed-loop initial position ({initial.x}, {initial.y}) must equal "
             f"the trajectory start ({fx0}, {gy0}); runs are rejected, not shifted",
@@ -444,16 +449,14 @@ def simulate_open_loop(
     """Integrate the free dynamics under the body-frame field program.
 
     Integration restarts at the program's piece boundaries so the adaptive
-    steppers never straddle a field discontinuity.
+    steppers never straddle a field discontinuity; the pieces' accepted
+    nodes are then joined into one run.
     """
     if opts is None:
         opts = IntegratorOptions(method=METHOD_TRAPEZOIDAL)
     z = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
-    status = STATUS_COMPLETED
-    detail = ""
-    n_steps = n_rej = n_evals = 0
     t_prev = 0.0
-    pieces_results = []
+    pieces = []
     for until, hp, hq in program.pieces:
         def rhs(t, zz, _hp=hp, _hq=hq):
             if not (-math.pi < zz[3] < math.pi and -math.pi < zz[4] < math.pi):
@@ -461,54 +464,31 @@ def simulate_open_loop(
             return _raw_state_derivative(zz, _hp, _hq, params)
 
         res = integrate(rhs, z, (t_prev, until), opts)
-        pieces_results.append(res)
-        n_steps += res.n_steps
-        n_rej += res.n_rejected
-        n_evals += res.n_evals
+        pieces.append(res)
         z = list(res.z_final)
         t_prev = res.t_stop
         if res.status != STATUS_COMPLETED:
-            status = res.status
-            detail = str(res.signal) if res.signal is not None else res.status
             break
-
-    t_stop = t_prev
-    times = _sample_times(t_stop, samples, snapshot_times)
-    states = np.empty((times.size, 5))
-    for i, tau in enumerate(times):
-        for res in pieces_results:
-            if tau <= res.t_stop or res is pieces_results[-1]:
-                states[i] = res.sample([tau])[0]
-                break
-    h_pairs = [program.field_at(float(t)) for t in times]
-    d_vals = [tracking_determinant(row[3], row[4], params) for row in states]
-    record = _record_from_samples(times, states, h_pairs, d_vals)
-
-    if status == STATUS_COMPLETED:
-        outcome = OUTCOME_COMPLETED
-    elif status == STATUS_SIGNAL:
-        outcome = OUTCOME_FAILURE
-        detail = f"signal: {detail}"
-    else:
-        outcome = OUTCOME_FAILURE
-    tracking_status = TrackingStatus(
-        outcome=outcome,
-        t_stop=t_stop,
-        min_abs_d=float(min(abs(d) for d in d_vals)),
-        max_field_norm=max(math.hypot(hp, hq) for hp, hq in h_pairs),
-        detail=detail,
+    # each piece starts on the previous piece's last node; sample() resolves
+    # the repeated time to the later piece, which holds the same state
+    last = pieces[-1]
+    joined = IntegrationResult(
+        status=last.status,
+        t=np.concatenate([r.t for r in pieces]),
+        z=np.concatenate([r.z for r in pieces]),
+        f=np.concatenate([r.f for r in pieces]),
+        t_stop=last.t_stop,
+        signal=last.signal,
+        n_steps=sum(r.n_steps for r in pieces),
+        n_rejected=sum(r.n_rejected for r in pieces),
+        n_evals=sum(r.n_evals for r in pieces),
     )
-    record = record.with_metadata(
-        termination=outcome,
-        t_stop=t_stop,
-        integrator={
-            "method": opts.method,
-            "n_steps": n_steps,
-            "n_rejected": n_rej,
-            "n_evals": n_evals,
-        },
-    )
-    return record, tracking_status
+
+    def fields_at(t, zz):
+        hp, hq = program.field_at(t)
+        return hp, hq, tracking_determinant(zz[3], zz[4], params)
+
+    return record_run(joined, fields_at, opts.method, samples, snapshot_times)
 
 
 @dataclass(frozen=True)

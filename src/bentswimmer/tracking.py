@@ -26,11 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _raw_fields
+from .dynamics import _combine_fields, _raw_fields
 from .integrators import (
     METHOD_RK45,
     STATUS_COMPLETED,
     STATUS_SIGNAL,
+    IntegrationResult,
     IntegrationSignal,
     IntegratorOptions,
     integrate,
@@ -70,32 +71,17 @@ class ShapeRangeSignal(IntegrationSignal):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """C^1 demand (f, g) on [0, horizon] with derivative evaluators.
-
-    If df/dg are omitted they are built by central differences with step
-    1e-6 * horizon.
-    """
+    """C^1 demand (f, g) on [0, horizon] with derivative evaluators df, dg."""
 
     f: Callable[[float], float]
     g: Callable[[float], float]
     horizon: float
-    df: Callable[[float], float] | None = None
-    dg: Callable[[float], float] | None = None
+    df: Callable[[float], float]
+    dg: Callable[[float], float]
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        step = 1e-6 * self.horizon
-        if self.df is None:
-            fref = self.f
-            object.__setattr__(
-                self, "df", lambda t, _f=fref, _h=step: (_f(t + _h) - _f(t - _h)) / (2 * _h)
-            )
-        if self.dg is None:
-            gref = self.g
-            object.__setattr__(
-                self, "dg", lambda t, _g=gref, _h=step: (_g(t + _h) - _g(t - _h)) / (2 * _h)
-            )
 
     def start(self) -> tuple[float, float]:
         return (self.f(0.0), self.g(0.0))
@@ -219,8 +205,10 @@ class TrackingStatus:
     """Bookkeeping of a closed-loop run.
 
     outcome is one of OUTCOME_COMPLETED / OUTCOME_SINGULAR / OUTCOME_FAILURE;
-    min_abs_d and max_field_norm are extrema over every right-hand-side
-    evaluation, max_feedback_residual the worst 2x2 residual seen.
+    min_abs_d is the extremum over every right-hand-side evaluation in closed
+    loop and over the emitted samples in open loop; max_field_norm is taken
+    over the emitted samples; max_feedback_residual is the worst 2x2
+    residual seen (0 in open loop).
     """
 
     outcome: str
@@ -336,15 +324,12 @@ def solve_tracking_controls(
 @dataclass
 class _RunStats:
     min_abs_d: float = math.inf
-    max_field_norm: float = 0.0
     max_residual: float = 0.0
 
 
-def _closed_loop_rhs(params, traj, eps_d, stats, check_shape=True):
+def _closed_loop_rhs(params, traj, eps_d, stats):
     def rhs(t, z):
-        if check_shape and not (
-            -math.pi < z[3] < math.pi and -math.pi < z[4] < math.pi
-        ):
+        if not (-math.pi < z[3] < math.pi and -math.pi < z[4] < math.pi):
             raise ShapeRangeSignal(z[3], z[4])
         try:
             h_par, h_perp, d, resid, f0, f1, f2 = _solve_controls_raw(
@@ -356,22 +341,9 @@ def _closed_loop_rhs(params, traj, eps_d, stats, check_shape=True):
         ad = abs(d)
         if ad < stats.min_abs_d:
             stats.min_abs_d = ad
-        hn = math.hypot(h_par, h_perp)
-        if hn > stats.max_field_norm:
-            stats.max_field_norm = hn
         if resid > stats.max_residual:
             stats.max_residual = resid
-        w0 = f0[0] + h_par * f1[0] + h_perp * f2[0]
-        w1 = f0[1] + h_par * f1[1] + h_perp * f2[1]
-        c = math.cos(z[2])
-        s = math.sin(z[2])
-        return [
-            c * w0 - s * w1,
-            s * w0 + c * w1,
-            f0[2] + h_par * f1[2] + h_perp * f2[2],
-            f0[3] + h_par * f1[3] + h_perp * f2[3],
-            f0[4] + h_par * f1[4] + h_perp * f2[4],
-        ]
+        return _combine_fields(z, h_par, h_perp, f0, f1, f2)
 
     return rhs
 
@@ -383,15 +355,69 @@ def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
     return np.unique(base)
 
 
-def _record_from_samples(times, states, h_pairs, d_vals) -> SimRecord:
-    n = len(times)
-    data = np.full((n, len(CSV_COLUMNS)), np.nan)
+def record_run(
+    result: IntegrationResult,
+    fields_at: Callable[[float, list], tuple[float, float, float]],
+    method: str,
+    samples: int,
+    snapshot_times=(),
+    min_abs_d: float | None = None,
+    max_feedback_residual: float = 0.0,
+) -> tuple[SimRecord, TrackingStatus]:
+    """Sample a finished run into a record and map its status to an outcome.
+
+    fields_at(t, z) gives (h_par, h_perp, d) at a sampled state; a NaN field
+    marks a state where it is undefined. min_abs_d defaults to the smallest
+    |d| over the samples.
+    """
+    if result.status == STATUS_COMPLETED:
+        outcome, detail = OUTCOME_COMPLETED, ""
+    elif result.status == STATUS_SIGNAL:
+        if isinstance(result.signal, TrackingSingularity):
+            outcome, detail = OUTCOME_SINGULAR, str(result.signal)
+        else:
+            outcome, detail = OUTCOME_FAILURE, f"shape_out_of_range: {result.signal}"
+    else:
+        outcome, detail = OUTCOME_FAILURE, result.status
+
+    times = _sample_times(result.t_stop, samples, snapshot_times)
+    states = result.sample(times)
+    rows = [fields_at(float(t), list(z)) for t, z in zip(times, states)]
+    data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
     data[:, 0] = times
     data[:, 1:6] = states
-    data[:, 6] = [h[0] for h in h_pairs]
-    data[:, 7] = [h[1] for h in h_pairs]
-    data[:, 10] = d_vals
-    return emit_lab_frame_controls(SimRecord(data=data))
+    data[:, 6] = [r[0] for r in rows]
+    data[:, 7] = [r[1] for r in rows]
+    data[:, 10] = [r[2] for r in rows]
+    record = emit_lab_frame_controls(SimRecord(data=data))
+    if min_abs_d is None:
+        min_abs_d = float(min(abs(r[2]) for r in rows))
+    # the reported field extremum comes from the emitted series: internal
+    # evaluations include Jacobian probe states that are never visited
+    max_field = 0.0
+    for hp, hq, _ in rows:
+        hn = math.hypot(hp, hq)
+        if not math.isnan(hn) and hn > max_field:
+            max_field = hn
+    status = TrackingStatus(
+        outcome=outcome,
+        t_stop=result.t_stop,
+        min_abs_d=min_abs_d,
+        max_field_norm=max_field,
+        max_feedback_residual=max_feedback_residual,
+        detail=detail,
+    )
+    record = record.with_metadata(
+        termination=outcome,
+        t_stop=result.t_stop,
+        integrator={
+            "method": method,
+            "n_steps": result.n_steps,
+            "n_rejected": result.n_rejected,
+            "n_evals": result.n_evals,
+        },
+    )
+    return record, status
 
 
 def simulate_closed_loop(
@@ -422,62 +448,29 @@ def simulate_closed_loop(
     z0 = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
-    if result.status == STATUS_COMPLETED:
-        outcome, detail = OUTCOME_COMPLETED, ""
-    elif result.status == STATUS_SIGNAL:
-        if isinstance(result.signal, TrackingSingularity):
-            outcome, detail = OUTCOME_SINGULAR, str(result.signal)
-        else:
-            outcome, detail = OUTCOME_FAILURE, f"shape_out_of_range: {result.signal}"
-    else:
-        outcome, detail = OUTCOME_FAILURE, result.status
-
-    times = _sample_times(result.t_stop, samples, snapshot_times)
-    states = result.sample(times)
-    h_pairs = []
-    d_vals = []
-    for t, zrow in zip(times, states):
-        z = list(zrow)
+    def fields_at(t, z):
         try:
             h_par, h_perp, d, _, _, _, _ = _solve_controls_raw(
-                z, traj.df(float(t)), traj.dg(float(t)), params, eps_d
+                z, traj.df(t), traj.dg(t), params, eps_d
             )
-            h_pairs.append((h_par, h_perp))
-            d_vals.append(d)
         except TrackingSingularity as sig:
-            h_pairs.append((math.nan, math.nan))
-            d_vals.append(sig.d_value)
-    record = _record_from_samples(times, states, h_pairs, d_vals)
-    # the reported field extremum comes from the emitted series: internal
-    # evaluations include Jacobian probe states that are never visited
-    max_field = 0.0
-    for hp, hq in h_pairs:
-        hn = math.hypot(hp, hq)
-        if not math.isnan(hn) and hn > max_field:
-            max_field = hn
-    status = TrackingStatus(
-        outcome=outcome,
-        t_stop=result.t_stop,
+            return math.nan, math.nan, sig.d_value
+        return h_par, h_perp, d
+
+    return record_run(
+        result,
+        fields_at,
+        opts.method,
+        samples,
+        snapshot_times,
         min_abs_d=stats.min_abs_d,
-        max_field_norm=max_field,
         max_feedback_residual=stats.max_residual,
-        detail=detail,
     )
-    record = record.with_metadata(
-        termination=status.outcome,
-        t_stop=status.t_stop,
-        integrator={
-            "method": opts.method,
-            "n_steps": result.n_steps,
-            "n_rejected": result.n_rejected,
-            "n_evals": result.n_evals,
-        },
-    )
-    return record, status
 
 
 __all__ = [
     "DEFAULT_EPS_D",
+    "INITIAL_POSITION_TOL",
     "OUTCOME_COMPLETED",
     "OUTCOME_SINGULAR",
     "OUTCOME_FAILURE",
@@ -494,4 +487,5 @@ __all__ = [
     "scan_determinant",
     "solve_tracking_controls",
     "simulate_closed_loop",
+    "record_run",
 ]

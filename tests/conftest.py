@@ -2,10 +2,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from bentswimmer.dynamics import mobility_entries
 from bentswimmer.model import SwimmerParams
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,6 +25,11 @@ def table1(alpha0: float = math.pi / 3) -> SwimmerParams:
         kappa_N_um=8.3e-7,
         alpha0_rad=alpha0,
     )
+
+
+def drag_matrix(alpha1: float, alpha2: float, params: SwimmerParams) -> np.ndarray:
+    """The closed-form drag matrix M(alpha1, alpha2) as an array."""
+    return np.array(mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta))
 
 
 @pytest.fixture

@@ -1,0 +1,49 @@
+"""The benchmark (perfbench/) reaches into the package by attribute name.
+
+Its traced run wraps module attributes that callers look up, and its
+microbenchmarks call kernel entry points directly. A refactor that drops or
+renames one of those names must fail here, not crash the benchmark.
+"""
+import importlib.util
+from pathlib import Path
+
+import bentswimmer
+import bentswimmer.cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_install_and_restore():
+    tracer = _load("tracer")
+    targets = [(getattr(bentswimmer, module), attr)
+               for module, attr, _ in tracer.FUNCTION_TARGETS]
+    targets += [(getattr(bentswimmer, module), "integrate")
+                for module, _ in tracer.INTEGRATE_TARGETS]
+    targets.append((bentswimmer.integrators.IntegrationResult, "sample"))
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    with tracer.Tracer().installed(bentswimmer):
+        for (owner, attr), original in zip(targets, originals):
+            assert getattr(owner, attr) is not original, attr
+    for (owner, attr), original in zip(targets, originals):
+        assert getattr(owner, attr) is original, attr
+
+
+def test_microbenchmarks_run():
+    micro = _load("micro")
+    cases = _load("cases")
+    report = micro.run(1, cases.TABLE1)
+    assert set(report) == {
+        "dynamics.fields_us",
+        "dynamics.state_derivative_us",
+        "tracking.solve_tracking_controls_us",
+        "controllability.check_us",
+    }
+    for stats in report.values():
+        assert stats["n"] > 0 and stats["p50"] > 0.0

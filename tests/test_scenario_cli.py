@@ -20,6 +20,7 @@ from bentswimmer.scenario import (
     run_scenario,
     save_scenario,
     scenario_from_dict,
+    simulate_open_loop,
 )
 
 A0 = math.pi / 3
@@ -103,6 +104,18 @@ def test_validation_errors_name_the_field():
     doc["field_program"] = [{"until_t_s": 1.0, "h_par_uT": 0.0, "h_perp_uT": 0.0}]
     with pytest.raises(ScenarioValidationError, match="field_program"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["abc", None, True])
+def test_snapshot_time_must_be_a_number(entry, tmp_path, capsys):
+    doc = short_line_doc()
+    doc["outputs"]["snapshot_times_s"] = [0.0, entry]
+    with pytest.raises(ScenarioValidationError, match=r"outputs\.snapshot_times_s\[1\]"):
+        scenario_from_dict(doc)
+    p = tmp_path / "bad_snapshot.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
+    assert "outputs.snapshot_times_s[1]" in capsys.readouterr().err
 
 
 def test_open_loop_requires_field_program():
@@ -243,6 +256,15 @@ def test_run_open_loop_piecewise_field(tmp_path):
     assert (hq[t >= 2e-4] == -2e4).all()
     # a perpendicular pulse turns the swimmer
     assert abs(rec.column("theta")[-1]) > 1e-4
+    # the pieces join without a seam: the state sampled at the boundary is
+    # the end state of the first piece integrated on its own
+    first = FieldProgram(pieces=(scn.field_program.pieces[0],))
+    alone, _ = simulate_open_loop(scn.initial, first, scn.params, scn.integrator, samples=2)
+    t_b = alone.metadata["t_stop"]
+    both, _ = simulate_open_loop(scn.initial, scn.field_program, scn.params, scn.integrator,
+                                 samples=80, snapshot_times=(t_b,))
+    at_b = both.data[both.column("t") == t_b]
+    np.testing.assert_array_equal(at_b[:, 1:6], alone.data[-1:, 1:6])
 
 
 def test_run_integrator_failure_exit_code(tmp_path):
@@ -262,7 +284,6 @@ def test_open_loop_shape_guard_trips():
     # the first joint past pi; the run must stop, not integrate overlap
     from bentswimmer.integrators import IntegratorOptions
     from bentswimmer.model import SwimmerParams, SwimmerState
-    from bentswimmer.scenario import FieldProgram, simulate_open_loop
 
     p = SwimmerParams(ell=10.0, xi=6.2e-3, eta=12.4e-3, m1=1.6, m2=-2.4, m3=3.2,
                       kappa=8.3e5, alpha0=A0)
@@ -272,7 +293,7 @@ def test_open_loop_shape_guard_trips():
         st, prog, p, IntegratorOptions(method="trapezoidal_adaptive"), samples=20
     )
     assert status.outcome == "integrator_failure"
-    assert "joint angles" in status.detail
+    assert status.detail.startswith("shape_out_of_range: joint angles")
     # every emitted row is a genuinely accepted state, still inside the range
     assert (np.abs(rec.column("alpha1")) < math.pi).all()
     assert (np.abs(rec.column("alpha2")) < math.pi).all()

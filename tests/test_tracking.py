@@ -11,7 +11,6 @@ from bentswimmer.tracking import (
     OUTCOME_COMPLETED,
     OUTCOME_SINGULAR,
     TrackingSingularity,
-    Trajectory,
     circle_trajectory,
     constant_trajectory,
     line_trajectory,
@@ -22,6 +21,7 @@ from bentswimmer.tracking import (
     waypoint_trajectory,
 )
 
+from conftest import drag_matrix
 from oracles import cofactor_inverse
 
 
@@ -36,10 +36,8 @@ def test_determinant_nonzero_at_bent_rest(params):
 
 
 def test_determinant_against_cofactor_path(params):
-    from bentswimmer.dynamics import build_mobility_matrix
-
     a1, a2 = 0.4, -0.9
-    minv = cofactor_inverse(build_mobility_matrix(a1, a2, params).m)
+    minv = cofactor_inverse(drag_matrix(a1, a2, params))
     s1, c1 = math.sin(a1), math.cos(a1)
     s12, c12 = math.sin(a1 + a2), math.cos(a1 + a2)
     f1 = (params.m2 * s1 + params.m3 * s12) * (minv[:, 2] + minv[:, 3]) \
@@ -73,13 +71,6 @@ def test_scan_rejects_bad_grid(params):
 
 
 # ---------------------------------------------------------------- trajectories
-
-def test_trajectory_fd_fallback():
-    traj = Trajectory(f=lambda t: t * t, g=lambda t: math.sin(t), horizon=2.0)
-    assert traj.df(0.5) == pytest.approx(1.0, rel=1e-6)
-    assert traj.dg(0.5) == pytest.approx(math.cos(0.5), rel=1e-6)
-    assert traj.max_derivative_mismatch() < 1e-6
-
 
 def test_trajectory_presets_are_consistent():
     line = line_trajectory((1.0, -2.0), math.radians(30), 5.0, 2.0)
