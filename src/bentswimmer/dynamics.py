@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_det, lu_factor, lu_solve
+# lu_* unused here: perfbench/tracer.py wraps them by attribute until it is retargeted.
+from .linalg import SingularMatrixError, lu_det, lu_factor, lu_solve  # noqa: F401
 from .model import ControlField, SwimmerParams, SwimmerState
 
 # |det M| below this (internal units) is treated as an assembly fault: the
@@ -219,24 +220,98 @@ class ControlVectorFields:
 
 
 def _raw_fields(alpha1: float, alpha2: float, params: SwimmerParams):
-    """(f0, f1, f2, x3, x4, x5) as lists. Hot path: no array allocation."""
-    m = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta)
-    try:
-        perm, parity = lu_factor(m)
-    except SingularMatrixError as exc:  # provably unreachable for valid shapes
+    """(f0, f1, f2, x3, x4, x5) as lists. Hot path: no array allocation.
+
+    x3, x4, x5 are columns 3..5 of M^{-1}, i.e. M^{-1}[:, 2:5], by block
+    elimination on M = [[P, Q], [Q^T, R]] with P = M[0:2, 0:2],
+    Q = M[0:2, 2:5] and R = M[2:5, 2:5]. With W = P^{-1} Q and the Schur
+    complement S = R - Q^T W,
+
+        M^{-1}[:, 2:5] = [[-W S^{-1}], [S^{-1}]],  det M = det P * det S.
+
+    -M is symmetric positive definite on the whole shape square, so P and S
+    are too and no pivoting is needed; P and S are inverted by cofactors,
+    fully unrolled.
+    """
+    (
+        (m00, m01, m02, m03, m04),
+        (_, m11, m12, m13, m14),
+        (_, _, m22, m23, m24),
+        (_, _, _, m33, m34),
+        (_, _, _, _, m44),
+    ) = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta)
+    det_p = m00 * m11 - m01 * m01
+    if det_p == 0.0:  # provably unreachable for valid shapes
         raise SingularMatrixError(
-            f"drag matrix singular at shape ({alpha1}, {alpha2}): {exc}"
-        ) from exc
-    det = lu_det(m, parity)
+            f"drag matrix singular at shape ({alpha1}, {alpha2}): "
+            "translation block has zero determinant"
+        )
+    inv_p = 1.0 / det_p
+    p00 = m11 * inv_p
+    p01 = -m01 * inv_p
+    p11 = m00 * inv_p
+    # W = P^{-1} Q, row r of W holding w_r2, w_r3, w_r4
+    w02 = p00 * m02 + p01 * m12
+    w03 = p00 * m03 + p01 * m13
+    w04 = p00 * m04 + p01 * m14
+    w12 = p01 * m02 + p11 * m12
+    w13 = p01 * m03 + p11 * m13
+    w14 = p01 * m04 + p11 * m14
+    # S = R - Q^T W (symmetric, upper triangle)
+    s22 = m22 - m02 * w02 - m12 * w12
+    s23 = m23 - m02 * w03 - m12 * w13
+    s24 = m24 - m02 * w04 - m12 * w14
+    s33 = m33 - m03 * w03 - m13 * w13
+    s34 = m34 - m03 * w04 - m13 * w14
+    s44 = m44 - m04 * w04 - m14 * w14
+    # cofactors of S
+    c22 = s33 * s44 - s34 * s34
+    c23 = s24 * s34 - s23 * s44
+    c24 = s23 * s34 - s33 * s24
+    c33 = s22 * s44 - s24 * s24
+    c34 = s23 * s24 - s22 * s34
+    c44 = s22 * s33 - s23 * s23
+    det_s = s22 * c22 + s23 * c23 + s24 * c24
+    if det_s == 0.0:  # provably unreachable for valid shapes
+        raise SingularMatrixError(
+            f"drag matrix singular at shape ({alpha1}, {alpha2}): "
+            "Schur complement of the translation block has zero determinant"
+        )
+    det = det_p * det_s
     if abs(det) < DET_WARN_FLOOR:
         warnings.warn(
             f"near-singular drag matrix: det = {det:.3e} at "
             f"({alpha1}, {alpha2})",
             RuntimeWarning,
         )
-    x3 = lu_solve(m, perm, [0.0, 0.0, 1.0, 0.0, 0.0])
-    x4 = lu_solve(m, perm, [0.0, 0.0, 0.0, 1.0, 0.0])
-    x5 = lu_solve(m, perm, [0.0, 0.0, 0.0, 0.0, 1.0])
+    inv_s = 1.0 / det_s
+    i22 = c22 * inv_s
+    i23 = c23 * inv_s
+    i24 = c24 * inv_s
+    i33 = c33 * inv_s
+    i34 = c34 * inv_s
+    i44 = c44 * inv_s
+    x3 = [
+        -(w02 * i22 + w03 * i23 + w04 * i24),
+        -(w12 * i22 + w13 * i23 + w14 * i24),
+        i22,
+        i23,
+        i24,
+    ]
+    x4 = [
+        -(w02 * i23 + w03 * i33 + w04 * i34),
+        -(w12 * i23 + w13 * i33 + w14 * i34),
+        i23,
+        i33,
+        i34,
+    ]
+    x5 = [
+        -(w02 * i24 + w03 * i34 + w04 * i44),
+        -(w12 * i24 + w13 * i34 + w14 * i44),
+        i24,
+        i34,
+        i44,
+    ]
     s1 = math.sin(alpha1)
     c1 = math.cos(alpha1)
     s12 = math.sin(alpha1 + alpha2)

@@ -1,9 +1,11 @@
 """Small dense linear algebra on plain Python lists.
 
-The dynamics hot loop factorizes one 5x5 matrix per derivative evaluation
-(hundreds of thousands of times per tracking run), where list-of-floats
-arithmetic beats array round-trips by a wide margin. Partial (row) pivoting
-keeps the solve stable for any shape of the swimmer.
+Used for the 5x5 Newton matrix of the trapezoidal integrator, factorized
+once per Newton solve, where list-of-floats arithmetic beats array
+round-trips by a wide margin. Partial (row) pivoting keeps the solve stable
+for any Newton matrix. The dynamics hot loop does not factorize the drag
+matrix: it solves for the inverse columns by an unrolled block elimination
+(dynamics._raw_fields).
 """
 from __future__ import annotations
 

@@ -398,6 +398,12 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
                 "alpha1_rad must be 0 and alpha2_rad must equal alpha0_rad",
             )
 
+    if mode in ("closed_loop", "open_loop"):
+        horizon = (trajectory or field_program).horizon
+        for i, t in enumerate(outputs.snapshot_times_s):
+            _require(0.0 <= t <= horizon, f"outputs.snapshot_times_s[{i}]",
+                     f"{t} s lies outside the run [0, {horizon}] s")
+
     if "name" in doc:
         _require(isinstance(doc["name"], str), "name", "expected a string")
         name = doc["name"]
@@ -500,12 +506,22 @@ class RunResult:
 
 
 def _write_geometry_snapshots(record, scenario, outdir: Path):
+    """Write one file per distinct snapshot time reached by the run.
+
+    Returns (written paths, requested times after an early stop).
+    """
     gdir = outdir / scenario.outputs.geometry_dir
     gdir.mkdir(parents=True, exist_ok=True)
     times = record.column("t")
-    written = []
+    written, skipped = [], []
     for t_snap in scenario.outputs.snapshot_times_s:
+        if t_snap > times[-1]:
+            skipped.append(t_snap)
+            continue
         idx = int(np.argmin(np.abs(times - t_snap)))
+        path = gdir / f"snapshot_{times[idx]:.6f}.json"
+        if str(path) in written:
+            continue
         row = record.data[idx]
         state = SwimmerState(
             x=row[1], y=row[2], theta=row[3], alpha1=row[4], alpha2=row[5]
@@ -515,10 +531,9 @@ def _write_geometry_snapshots(record, scenario, outdir: Path):
             "t_s": float(times[idx]),
             "points_um": [[float(p[0]), float(p[1])] for p in pts],
         }
-        path = gdir / f"snapshot_{times[idx]:.6f}.json"
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         written.append(str(path))
-    return written
+    return written, skipped
 
 
 def _tracking_error(record: SimRecord, traj: Trajectory) -> float:
@@ -596,9 +611,9 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
         if scenario.mode == "closed_loop":
             summary["tracking_error_um"] = _tracking_error(record, scenario.trajectory)
         if scenario.outputs.geometry_dir:
-            summary["geometry_snapshots"] = _write_geometry_snapshots(
-                record, scenario, outdir
-            )
+            written, skipped = _write_geometry_snapshots(record, scenario, outdir)
+            summary["geometry_snapshots"] = written
+            summary["geometry_snapshots_skipped_s"] = skipped
         exit_code = _exit_code_for(status.outcome)
         result_record, result_status = record, status
 

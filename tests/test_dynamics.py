@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bentswimmer import dynamics
 from bentswimmer.dynamics import (
     assemble_generalized_force,
     control_vector_fields,
@@ -21,7 +22,7 @@ ZERO = ControlField(0.0, 0.0)
 
 
 def lu_determinant(alpha1, alpha2, params):
-    """det M through the same pivoted LU the dynamics uses."""
+    """det M through the pivoted LU, independent of the dynamics' block solve."""
     m = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta)
     _, parity = lu_factor(m)
     return lu_det(m, parity)
@@ -68,10 +69,16 @@ def test_mobility_determinant_negative_straight(params):
 
 
 def test_mobility_determinant_negative_grid(params):
+    """det M < 0 and M negative definite over the shape square.
+
+    Negative definiteness is the precondition of the unpivoted block solve
+    in dynamics._raw_fields.
+    """
     pts = np.linspace(-math.pi + 0.01, math.pi - 0.01, 41)
     for a1 in pts:
         for a2 in pts:
             assert lu_determinant(a1, a2, params) < 0.0
+            assert np.linalg.eigvalsh(drag_matrix(a1, a2, params)).max() < 0.0
 
 
 # ---------------------------------------------------------- generalized force
@@ -193,10 +200,40 @@ def test_f2_nonzero_at_bent_rest(params):
     assert np.linalg.norm(cvf.f2) > 1e-3
 
 
+def test_columns_match_numpy_inverse_grid(params):
+    pts = np.linspace(-math.pi + 0.01, math.pi - 0.01, 41)
+    for a1 in pts:
+        for a2 in pts:
+            cvf = control_vector_fields(a1, a2, params)
+            want = np.linalg.inv(drag_matrix(a1, a2, params))[:, 2:]
+            got = np.column_stack((cvf.x3, cvf.x4, cvf.x5))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_singular_solve_raises():
     singular = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(SingularMatrixError):
         lu_factor([row[:] for row in singular])
+
+
+@pytest.mark.parametrize("m", [
+    # translation block P = M[0:2, 0:2] singular
+    [[1.0, 1.0, 0.0, 0.0, 0.0],
+     [1.0, 1.0, 0.0, 0.0, 0.0],
+     [0.0, 0.0, 1.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0, 0.0],
+     [0.0, 0.0, 0.0, 0.0, 1.0]],
+    # P = I, but the Schur complement R - Q^T P^{-1} Q = diag(0, 1, 1)
+    [[1.0, 0.0, 1.0, 0.0, 0.0],
+     [0.0, 1.0, 0.0, 0.0, 0.0],
+     [1.0, 0.0, 1.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0, 0.0],
+     [0.0, 0.0, 0.0, 0.0, 1.0]],
+], ids=["translation_block", "schur_complement"])
+def test_block_solve_singular_raises(m, params, monkeypatch):
+    monkeypatch.setattr(dynamics, "mobility_entries", lambda *args: [row[:] for row in m])
+    with pytest.raises(SingularMatrixError, match=r"singular at shape \(0\.3, -0\.7\)"):
+        dynamics._raw_fields(0.3, -0.7, params)
 
 
 # ------------------------------------------------------------ state derivative

@@ -2,10 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bentswimmer
 from bentswimmer.cli import main as cli_main
 from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
 from bentswimmer.scenario import (
@@ -109,6 +111,27 @@ def test_validation_errors_name_the_field():
 @pytest.mark.parametrize("entry", ["abc", None, True])
 def test_snapshot_time_must_be_a_number(entry, tmp_path, capsys):
     doc = short_line_doc()
+    doc["outputs"]["snapshot_times_s"] = [0.0, entry]
+    with pytest.raises(ScenarioValidationError, match=r"outputs\.snapshot_times_s\[1\]"):
+        scenario_from_dict(doc)
+    p = tmp_path / "bad_snapshot.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
+    assert "outputs.snapshot_times_s[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,entry", [
+    ("closed_loop", -1e-3),
+    ("closed_loop", 0.011),
+    ("open_loop", -1e-3),
+    ("open_loop", 2e-3 + 1e-9),
+])
+def test_snapshot_time_must_lie_in_the_run(mode, entry, tmp_path, capsys):
+    doc = short_line_doc()  # horizon 0.01 s
+    if mode == "open_loop":
+        del doc["trajectory"]
+        doc["mode"] = "open_loop"
+        doc["field_program"] = [{"until_t_s": 2e-3, "h_par_uT": 0.0, "h_perp_uT": 0.0}]
     doc["outputs"]["snapshot_times_s"] = [0.0, entry]
     with pytest.raises(ScenarioValidationError, match=r"outputs\.snapshot_times_s\[1\]"):
         scenario_from_dict(doc)
@@ -352,6 +375,19 @@ def test_geometry_snapshots_written(tmp_path):
     assert "geometry_snapshots" in result.summary
 
 
+def test_geometry_snapshots_after_abort_are_skipped(tmp_path):
+    doc = short_line_doc(heading=math.pi, duration=0.05)
+    doc["outputs"]["geometry_dir"] = "geom"
+    doc["outputs"]["snapshot_times_s"] = [0.01, 0.03, 0.01, 0.05]
+    result = run_scenario(scenario_from_dict(doc, name="snap_abort"), tmp_path)
+    assert result.exit_code == EXIT_SINGULAR_ABORT
+    assert result.summary["t_stop_s"] < 0.03
+    files = list((tmp_path / "geom").glob("snapshot_*.json"))
+    assert [f.name for f in files] == ["snapshot_0.010000.json"]
+    assert result.summary["geometry_snapshots"] == [str(files[0])]
+    assert result.summary["geometry_snapshots_skipped_s"] == [0.03, 0.05]
+
+
 # ----------------------------------------------------------------------- CLI
 
 def test_cli_validate_ok(scenario_dir, capsys):
@@ -403,11 +439,14 @@ def test_cli_check_controllability_output(tmp_path, capsys):
 
 
 def test_cli_module_invocation(tmp_path, scenario_dir):
+    # run from the directory holding the package under test, so `-m` finds
+    # it without an install
     proc = subprocess.run(
         [sys.executable, "-m", "bentswimmer", "validate",
          str(scenario_dir / "table1_circle.json")],
         capture_output=True,
         text=True,
+        cwd=Path(bentswimmer.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
