@@ -1,11 +1,11 @@
 """Small dense linear algebra on plain Python lists.
 
-Used for the 5x5 Newton matrix of the trapezoidal integrator, factorized
-once per Newton solve, where list-of-floats arithmetic beats array
-round-trips by a wide margin. Partial (row) pivoting keeps the solve stable
-for any Newton matrix. The dynamics hot loop does not factorize the drag
-matrix: it solves for the inverse columns by an unrolled block elimination
-(dynamics._raw_fields).
+No path in the package calls this LU any more: the dynamics hot loop solves
+for the drag-matrix inverse columns by an unrolled block elimination
+(dynamics._raw_fields) and the stiff integrator is scipy's LSODA. It stays
+as the test suite's determinant reference and because the benchmark tracer
+wraps lu_factor / lu_det / lu_solve by attribute. Partial (row) pivoting
+keeps the solve stable for any nonsingular matrix.
 """
 from __future__ import annotations
 

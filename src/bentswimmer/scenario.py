@@ -598,6 +598,9 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                 "detail": status.detail,
                 "t_stop_s": status.t_stop,
                 "min_abs_d": status.min_abs_d,
+                "min_abs_d_state_set": (
+                    "rhs_evaluations" if scenario.mode == "closed_loop" else "samples"
+                ),
                 "max_field_norm_uT": status.max_field_norm,
                 "max_feedback_residual": status.max_feedback_residual,
                 "final_state": {
@@ -655,7 +658,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
         lines = ["alpha1,alpha2,d_value"]
         for i, u in enumerate(scan.grid):
             for j, v in enumerate(scan.grid):
-                lines.append(f"{u!r},{v!r},{scan.values[i, j]!r}")
+                lines.append(f"{float(u)!r},{float(v)!r},{float(scan.values[i, j])!r}")
         grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         summary.update(
             {

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,8 +83,8 @@ def test_exponential_decay_rk45():
 
 
 def test_exponential_decay_trapezoidal():
-    # second order with error-per-step control: the endpoint error is a few
-    # thousand times the local tolerance, not comparable to it
+    # the stiff solver controls the local error per step, so the endpoint
+    # error is not bounded by the tolerance itself
     res = integrate(lambda t, z: [-z[0]], [1.0], (0.0, 1.0), opts(METHOD_TRAPEZOIDAL))
     assert res.status == STATUS_COMPLETED
     assert abs(res.z_final[0] - math.exp(-1.0)) < 1e-5
@@ -121,7 +126,8 @@ def test_determinism_bitwise(method):
     np.testing.assert_array_equal(r1.t, r2.t)
 
 
-def test_signal_terminates_early_not_failure():
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_signal_terminates_early_not_failure(method):
     class Wall(IntegrationSignal):
         pass
 
@@ -130,29 +136,109 @@ def test_signal_terminates_early_not_failure():
             raise Wall("hit the wall")
         return [1.0]
 
-    res = integrate(rhs, [0.0], (0.0, 1.0), opts(METHOD_RK45))
+    res = integrate(rhs, [0.0], (0.0, 1.0), opts(method))
     assert res.status == STATUS_SIGNAL
     assert isinstance(res.signal, Wall)
     assert res.t_stop <= 0.3 + 1e-12
     assert abs(res.z_final[0] - res.t_stop) < 1e-9  # partial solution kept
 
 
-def test_step_collapse_reported():
+def test_signal_at_a_node_keeps_only_nodes_with_their_own_slope():
+    # call 1 is the initial slope, calls 2-6 the stages of the first step and
+    # call 7 the slope at its new node: the run must end at the initial node
+    def rhs(t, z):
+        return [math.cos(t) - z[0], z[0]]
+
+    calls = [0]
+
+    def failing(t, z):
+        calls[0] += 1
+        if calls[0] == 7:
+            raise IntegrationSignal("at the node")
+        return rhs(t, z)
+
+    res = integrate(failing, [1.0, 0.0], (0.0, 1.0), opts(METHOD_RK45))
+    assert res.status == STATUS_SIGNAL
+    assert len(res.t) == len(res.z) == len(res.f)
+    assert res.t_stop == res.t[-1]
+    for t, z, f in zip(res.t, res.z, res.f):
+        assert list(f) == rhs(float(t), list(z))
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_step_collapse_reported(method):
     # force h below h_min via an error estimate that never passes
     def rhs(t, z):
         return [1e12 * math.sin(1e9 * t)]
 
-    o = IntegratorOptions(method=METHOD_RK45, h_min=1e-6, h_init=1e-3, abs_tol=1e-12,
+    o = IntegratorOptions(method=method, h_min=1e-6, h_init=1e-3, abs_tol=1e-12,
                           rel_tol=1e-12)
     res = integrate(rhs, [0.0], (0.0, 1.0), o)
     assert res.status == STATUS_STEP_COLLAPSE
 
 
-def test_max_steps_reported():
-    o = IntegratorOptions(method=METHOD_RK45, max_steps=5)
+@pytest.mark.parametrize("rhs,tol", [
+    (lambda t, z: [-z[0]], 1e-30),  # more accuracy than doubles hold: LSODA fails
+    (lambda t, z: [math.nan], 1e-9),  # NaN passes LSODA's error test
+], ids=["excess_accuracy", "non_finite"])
+def test_stiff_solver_failure_is_step_collapse(rhs, tol):
+    o = IntegratorOptions(method=METHOD_TRAPEZOIDAL, abs_tol=tol, rel_tol=tol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = integrate(rhs, [1.0], (0.0, 2.0), o)
+    assert res.status == STATUS_STEP_COLLAPSE
+    assert np.isfinite(res.z).all() and res.t_stop < 2.0
+    assert not [w for w in caught if str(w.message).startswith("lsoda")]
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_max_steps_reported(method):
+    o = IntegratorOptions(method=method, max_steps=5)
     res = integrate(lambda t, z: [-z[0]], [1.0], (0.0, 10.0), o)
     assert res.status == STATUS_MAX_STEPS
     assert res.t_stop < 10.0
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_n_evals_counts_every_rhs_call(method):
+    calls = [0]
+
+    def rhs(t, z):
+        calls[0] += 1
+        return [math.sin(3 * t) - 0.5 * z[0], z[0] - 1e3 * z[1]]
+
+    res = integrate(rhs, [1.0, 0.0], (0.0, 1.5), opts(method))
+    assert res.status == STATUS_COMPLETED
+    assert res.n_evals == calls[0] > res.n_steps
+
+
+def test_scipy_integrate_loaded_by_stiff_runs_only():
+    # the stiff solver's import costs ~0.7 s cold, so nothing else may pay it
+    script = """
+import sys
+import bentswimmer
+from bentswimmer.dynamics import equilibrium_state
+from bentswimmer.integrators import IntegratorOptions
+from bentswimmer.model import SwimmerParams
+from bentswimmer.tracking import line_trajectory, scan_determinant, simulate_closed_loop
+
+p = SwimmerParams.from_table_units(
+    ell_um=10.0, eta_N_s_m2=12.4e-3, xi_N_s_m2=6.2e-3, m1_A_um2=1.6, m2_A_um2=2.4,
+    m3_A_um2=3.2, kappa_N_um=8.3e-7, alpha0_rad=1.0)
+traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
+def run(method):
+    simulate_closed_loop(equilibrium_state(p), traj, p, IntegratorOptions(method=method),
+                         samples=5)
+run("adaptive_explicit_rk45")
+scan_determinant(p, 5)
+print("scipy.integrate" in sys.modules)
+run("trapezoidal_adaptive")
+print("scipy.integrate" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_methods_agree_on_smooth_problem():
@@ -171,8 +257,8 @@ def test_invalid_span():
 
 def test_methods_agree_on_swimmer_relaxation():
     # zero-field relaxation with both methods: final shapes to 1e-6, whole
-    # endpoint to 2e-6 (second-order global error is n_steps x tolerance,
-    # so 10x tolerance is not attainable here)
+    # endpoint to 2e-6 (both control the local error per step, so their
+    # endpoints need not agree to 10x the tolerance)
     from bentswimmer.dynamics import state_derivative
     from bentswimmer.model import ControlField, SwimmerState
 

@@ -24,6 +24,7 @@ from bentswimmer.scenario import (
     scenario_from_dict,
     simulate_open_loop,
 )
+from bentswimmer.tracking import scan_determinant
 
 A0 = math.pi / 3
 
@@ -216,6 +217,7 @@ def test_run_short_line_writes_outputs(tmp_path):
     summary = json.loads((tmp_path / "s.json").read_text())
     assert summary["termination"] == "completed"
     assert summary["tracking_error_um"] <= 1e-8
+    assert summary["min_abs_d_state_set"] == "rhs_evaluations"
 
 
 def test_rerun_byte_identical_csv(tmp_path):
@@ -249,6 +251,7 @@ def test_run_open_loop_relaxation(tmp_path):
     scn = scenario_from_dict(doc, name="relax")
     result = run_scenario(scn, tmp_path)
     assert result.exit_code == EXIT_COMPLETED
+    assert result.summary["min_abs_d_state_set"] == "samples"
     final = result.summary["final_state"]
     assert abs(final["alpha1"]) < 1e-6
     assert abs(final["alpha2"] - A0) < 1e-6
@@ -330,13 +333,19 @@ def test_run_determinant_scan(tmp_path):
         "grid_n": 41,
         "outputs": {"csv": "grid.csv", "summary": "s.json"},
     }
-    result = run_scenario(scenario_from_dict(doc, name="scan"), tmp_path)
+    scn = scenario_from_dict(doc, name="scan")
+    result = run_scenario(scn, tmp_path)
     assert result.exit_code == EXIT_COMPLETED
     assert abs(result.summary["d_origin"]) <= 1e-12
     assert result.summary["min_abs_d_off_origin"] > 0.0
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == "alpha1,alpha2,d_value"
     assert len(lines) == 1 + 41 * 41
+    grid = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
+    scan = scan_determinant(scn.params, 41)
+    np.testing.assert_array_equal(grid[:, 2], scan.values.ravel())
+    np.testing.assert_array_equal(grid[:, 0], np.repeat(scan.grid, 41))
+    np.testing.assert_array_equal(grid[:, 1], np.tile(scan.grid, 41))
 
 
 def test_run_controllability_report(tmp_path):
