@@ -53,10 +53,13 @@ from .model import ControlField, SwimmerParams, SwimmerState
 DET_WARN_FLOOR = 1e-14
 
 
-def mobility_entries(
-    a1: float, a2: float, ell: float, xi: float, eta: float
-) -> list[list[float]]:
+def mobility_entries(a1, a2, ell: float, xi: float, eta: float, xp=math) -> list[list]:
     """Closed-form 5x5 drag matrix at theta = 0, as a list of row lists.
+
+    With xp=math (the default) the shape is a pair of floats; with xp=numpy
+    it is a pair of arrays and each entry is an array over the shapes (an
+    entry that does not depend on the shape stays a float). Both run the
+    same operations in the same order.
 
     Unrolled over the three segments for speed (this sits inside the ODE
     right-hand side). For a velocity field a + s*b*n on a segment with frame
@@ -70,10 +73,10 @@ def mobility_entries(
     symmetric because each balance row and each generalized velocity pair
     through the same drag inner product.
     """
-    c1 = math.cos(a1)
-    s1 = math.sin(a1)
-    c12 = math.cos(a1 + a2)
-    s12 = math.sin(a1 + a2)
+    c1 = xp.cos(a1)
+    s1 = xp.sin(a1)
+    c12 = xp.cos(a1 + a2)
+    s12 = xp.sin(a1 + a2)
     ca2 = c1 * c12 + s1 * s12  # cos(a2)
     sa2 = c1 * s12 - s1 * c12  # sin(a2)
     l2 = 0.5 * ell * ell
@@ -219,8 +222,14 @@ class ControlVectorFields:
     x5: np.ndarray
 
 
-def _raw_fields(alpha1: float, alpha2: float, params: SwimmerParams):
-    """(f0, f1, f2, x3, x4, x5) as lists. Hot path: no array allocation.
+def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
+    """(f0, f1, f2, x3, x4, x5) as lists of five entries each.
+
+    Hot path: with xp=math (the default) the shape is a pair of floats and
+    nothing is allocated but the lists. With xp=numpy the shape is a pair of
+    arrays and every entry is an array over the shapes, computed by the same
+    operations in the same order; the guards then name the first shape that
+    trips them.
 
     x3, x4, x5 are columns 3..5 of M^{-1}, i.e. M^{-1}[:, 2:5], by block
     elimination on M = [[P, Q], [Q^T, R]] with P = M[0:2, 0:2],
@@ -239,11 +248,14 @@ def _raw_fields(alpha1: float, alpha2: float, params: SwimmerParams):
         (_, _, m22, m23, m24),
         (_, _, _, m33, m34),
         (_, _, _, _, m44),
-    ) = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta)
+    ) = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta, xp)
     det_p = m00 * m11 - m01 * m01
-    if det_p == 0.0:  # provably unreachable for valid shapes
+    # each test below gives a bool for floats and a bool array for arrays
+    zero = det_p == 0.0
+    if zero is not False and np.any(zero):  # provably unreachable for valid shapes
+        a1, a2 = _first_where(zero, alpha1, alpha2)
         raise SingularMatrixError(
-            f"drag matrix singular at shape ({alpha1}, {alpha2}): "
+            f"drag matrix singular at shape ({a1}, {a2}): "
             "translation block has zero determinant"
         )
     inv_p = 1.0 / det_p
@@ -272,16 +284,19 @@ def _raw_fields(alpha1: float, alpha2: float, params: SwimmerParams):
     c34 = s23 * s24 - s22 * s34
     c44 = s22 * s33 - s23 * s23
     det_s = s22 * c22 + s23 * c23 + s24 * c24
-    if det_s == 0.0:  # provably unreachable for valid shapes
+    zero = det_s == 0.0
+    if zero is not False and np.any(zero):  # provably unreachable for valid shapes
+        a1, a2 = _first_where(zero, alpha1, alpha2)
         raise SingularMatrixError(
-            f"drag matrix singular at shape ({alpha1}, {alpha2}): "
+            f"drag matrix singular at shape ({a1}, {a2}): "
             "Schur complement of the translation block has zero determinant"
         )
     det = det_p * det_s
-    if abs(det) < DET_WARN_FLOOR:
+    low = abs(det) < DET_WARN_FLOOR
+    if low is not False and np.any(low):
+        d, a1, a2 = _first_where(low, det, alpha1, alpha2)
         warnings.warn(
-            f"near-singular drag matrix: det = {det:.3e} at "
-            f"({alpha1}, {alpha2})",
+            f"near-singular drag matrix: det = {d:.3e} at ({a1}, {a2})",
             RuntimeWarning,
         )
     inv_s = 1.0 / det_s
@@ -312,10 +327,10 @@ def _raw_fields(alpha1: float, alpha2: float, params: SwimmerParams):
         i34,
         i44,
     ]
-    s1 = math.sin(alpha1)
-    c1 = math.cos(alpha1)
-    s12 = math.sin(alpha1 + alpha2)
-    c12 = math.cos(alpha1 + alpha2)
+    s1 = xp.sin(alpha1)
+    c1 = xp.cos(alpha1)
+    s12 = xp.sin(alpha1 + alpha2)
+    c12 = xp.cos(alpha1 + alpha2)
     g_sin = params.m2 * s1 + params.m3 * s12
     g_cos = params.m2 * c1 + params.m3 * c12
     ka = params.kappa * alpha1
@@ -328,6 +343,13 @@ def _raw_fields(alpha1: float, alpha2: float, params: SwimmerParams):
         for i in range(5)
     ]
     return f0, f1, f2, x3, x4, x5
+
+
+def _first_where(mask, *values) -> list[float]:
+    """Each value (a float or an array) where mask (a bool or a bool array)
+    first holds, in row-major order, as floats."""
+    i = int(np.argmax(mask))
+    return [float(np.broadcast_to(v, np.shape(mask)).flat[i]) for v in values]
 
 
 def control_vector_fields(

@@ -16,6 +16,9 @@ Two methods:
 RK45 stays in-house: at the scenarios' 1e-9 tolerances LSODA misses the
 1e-8 um exact-tracking gate on full-turn circles (6.7e-8 to 8.8e-8 um).
 
+A step that reaches a non-finite state ends the run with ``step_collapse``
+in both methods; neither error test rejects NaN by itself.
+
 The right-hand side is ``rhs(t, z) -> list[float]`` over plain float lists.
 An rhs may raise IntegrationSignal (or a subclass) to stop the run cleanly:
 the integrator returns everything accepted so far with status
@@ -27,6 +30,7 @@ All arithmetic is deterministic: identical inputs give bit-identical output.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,6 +68,10 @@ _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
 
+# LSODA raises smaller relative tolerances to this floor (with a warning);
+# both methods reject them instead.
+REL_TOL_MIN = 100 * sys.float_info.epsilon
+
 
 class IntegrationSignal(Exception):
     """Typed early-termination channel for right-hand sides."""
@@ -84,6 +92,11 @@ class IntegratorOptions:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
+        if self.rel_tol < REL_TOL_MIN:
+            raise ValueError(
+                f"rel_tol must be at least 100 machine epsilons ({REL_TOL_MIN:.3e}), "
+                f"got {self.rel_tol!r}"
+            )
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
             raise ValueError(
                 f"need 0 < h_min <= h_init <= h_max, got "
@@ -113,37 +126,35 @@ class IntegrationResult:
         return self.z[-1]
 
     def sample(self, times) -> np.ndarray:
-        """Cubic Hermite interpolation at the requested times.
+        """Cubic Hermite interpolation at the requested times, one row each.
 
-        Times are clamped to [t[0], t_stop].
+        Times are clamped to [t[0], t_stop]. A time in a zero-length interval
+        (a repeated node, as where open-loop pieces join) takes the state at
+        its start.
         """
         tq = np.atleast_1d(np.asarray(times, dtype=float))
         tq = np.clip(tq, self.t[0], self.t_stop)
-        out = np.empty((tq.size, self.z.shape[1]))
-        idx = np.searchsorted(self.t, tq, side="right") - 1
-        idx = np.clip(idx, 0, len(self.t) - 2) if len(self.t) > 1 else idx * 0
-        for row, (tau, i) in enumerate(zip(tq, idx)):
-            if len(self.t) == 1:
-                out[row] = self.z[0]
-                continue
-            t0, t1 = self.t[i], self.t[i + 1]
-            h = t1 - t0
-            if h <= 0.0:
-                out[row] = self.z[i]
-                continue
-            u = (tau - t0) / h
-            u2 = u * u
-            u3 = u2 * u
-            h00 = 2 * u3 - 3 * u2 + 1
-            h10 = u3 - 2 * u2 + u
-            h01 = -2 * u3 + 3 * u2
-            h11 = u3 - u2
-            out[row] = (
-                h00 * self.z[i]
-                + h10 * h * self.f[i]
-                + h01 * self.z[i + 1]
-                + h11 * h * self.f[i + 1]
-            )
+        if len(self.t) == 1:
+            return np.repeat(self.z[:1], tq.size, axis=0)
+        i = np.searchsorted(self.t, tq, side="right") - 1
+        i = np.clip(i, 0, len(self.t) - 2)
+        t0 = self.t[i]
+        h = self.t[i + 1] - t0
+        flat = h <= 0.0
+        u = (tq - t0) / np.where(flat, 1.0, h)
+        u2 = u * u
+        u3 = u2 * u
+        h00 = 2 * u3 - 3 * u2 + 1
+        h10 = u3 - 2 * u2 + u
+        h01 = -2 * u3 + 3 * u2
+        h11 = u3 - u2
+        out = (
+            h00[:, None] * self.z[i]
+            + (h10 * h)[:, None] * self.f[i]
+            + h01[:, None] * self.z[i + 1]
+            + (h11 * h)[:, None] * self.f[i + 1]
+        )
+        out[flat] = self.z[i[flat]]
         return out
 
 
@@ -232,6 +243,10 @@ def _integrate_rk45(rhs, z0, t0, t1, opts) -> IntegrationResult:
                     if w != 0.0:
                         acc += w * ks[i][q]
                 z[q] += h * acc
+            # the error norm above never keeps a NaN ratio, but a NaN stage
+            # always reaches the new state
+            if not all(map(math.isfinite, z)):
+                return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
             t += h
             # a node is kept only with its own slope: a signal here ends the
             # run at the previous node
@@ -327,6 +342,7 @@ __all__ = [
     "METHOD_RK45",
     "METHOD_TRAPEZOIDAL",
     "METHODS",
+    "REL_TOL_MIN",
     "STATUS_COMPLETED",
     "STATUS_SIGNAL",
     "STATUS_STEP_COLLAPSE",

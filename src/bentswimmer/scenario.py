@@ -109,11 +109,12 @@ class FieldProgram:
     def horizon(self) -> float:
         return self.pieces[-1][0]
 
-    def field_at(self, t: float) -> tuple[float, float]:
-        for until, hp, hq in self.pieces:
-            if t < until:
-                return hp, hq
-        return self.pieces[-1][1], self.pieces[-1][2]
+    def field_at(self, t):
+        """(h_par, h_perp) at time t, a float or an array of times: the first
+        piece with t < until, else the last piece."""
+        until, h_par, h_perp = np.array(self.pieces).T
+        i = np.minimum(np.searchsorted(until, t, side="right"), len(self.pieces) - 1)
+        return h_par[i], h_perp[i]
 
 
 @dataclass(frozen=True)
@@ -490,9 +491,9 @@ def simulate_open_loop(
         n_evals=sum(r.n_evals for r in pieces),
     )
 
-    def fields_at(t, zz):
-        hp, hq = program.field_at(t)
-        return hp, hq, tracking_determinant(zz[3], zz[4], params)
+    def fields_at(times, states):
+        h_par, h_perp = program.field_at(times)
+        return h_par, h_perp, tracking_determinant(states[:, 3], states[:, 4], params, np)
 
     return record_run(joined, fields_at, opts.method, samples, snapshot_times)
 
@@ -538,8 +539,8 @@ def _write_geometry_snapshots(record, scenario, outdir: Path):
 
 def _tracking_error(record: SimRecord, traj: Trajectory) -> float:
     times = record.column("t")
-    ex = record.column("x") - np.array([traj.f(float(t)) for t in times])
-    ey = record.column("y") - np.array([traj.g(float(t)) for t in times])
+    ex = record.column("x") - traj.f(times, np)
+    ey = record.column("y") - traj.g(times, np)
     return float(np.max(np.hypot(ex, ey)))
 
 

@@ -71,17 +71,31 @@ class ShapeRangeSignal(IntegrationSignal):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """C^1 demand (f, g) on [0, horizon] with derivative evaluators df, dg."""
+    """C^1 demand (f, g) on [0, horizon] with derivative evaluators df, dg.
 
-    f: Callable[[float], float]
-    g: Callable[[float], float]
+    Each evaluator is called as fn(t) on a float, or as fn(times, numpy) on
+    an array of times, where it returns an array of values or a float that
+    holds at every time.
+    """
+
+    f: Callable[..., float]
+    g: Callable[..., float]
     horizon: float
-    df: Callable[[float], float]
-    dg: Callable[[float], float]
+    df: Callable[..., float]
+    dg: Callable[..., float]
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        # fail here rather than in the output path after a whole run
+        times = np.array([0.0, self.horizon])
+        for name in ("f", "g", "df", "dg"):
+            try:
+                getattr(self, name)(times, np)
+            except TypeError as exc:
+                raise ValueError(
+                    f"evaluator {name} must also take (times, numpy): {exc}"
+                ) from exc
 
     def start(self) -> tuple[float, float]:
         return (self.f(0.0), self.g(0.0))
@@ -112,10 +126,10 @@ def line_trajectory(
     vx = speed * math.cos(heading)
     vy = speed * math.sin(heading)
     return Trajectory(
-        f=lambda t: x0 + vx * t,
-        g=lambda t: y0 + vy * t,
-        df=lambda t: vx,
-        dg=lambda t: vy,
+        f=lambda t, xp=math: x0 + vx * t,
+        g=lambda t, xp=math: y0 + vy * t,
+        df=lambda t, xp=math: vx,
+        dg=lambda t, xp=math: vy,
         horizon=horizon,
     )
 
@@ -152,10 +166,10 @@ def circle_trajectory(
     horizon = turns * 2.0 * math.pi / abs(angular_rate)
     om = angular_rate
     return Trajectory(
-        f=lambda t: cx + radius * math.cos(phase + om * t),
-        g=lambda t: cy + radius * math.sin(phase + om * t),
-        df=lambda t: -radius * om * math.sin(phase + om * t),
-        dg=lambda t: radius * om * math.cos(phase + om * t),
+        f=lambda t, xp=math: cx + radius * xp.cos(phase + om * t),
+        g=lambda t, xp=math: cy + radius * xp.sin(phase + om * t),
+        df=lambda t, xp=math: -radius * om * xp.sin(phase + om * t),
+        dg=lambda t, xp=math: radius * om * xp.cos(phase + om * t),
         horizon=horizon,
     )
 
@@ -178,13 +192,17 @@ def waypoint_trajectory(times, xs, ys) -> Trajectory:
         raise ValueError("times, x and y must have equal lengths")
     sx = CubicSpline(t, x, bc_type="clamped")
     sy = CubicSpline(t, y, bc_type="clamped")
-    dsx = sx.derivative()
-    dsy = sy.derivative()
+
+    def evaluator(spline):
+        # a float for the right-hand side; one spline call per array of
+        # times, since per-time calls would dominate a run's output time
+        return lambda tt, xp=math: float(spline(tt)) if xp is math else spline(tt)
+
     return Trajectory(
-        f=lambda tt: float(sx(tt)),
-        g=lambda tt: float(sy(tt)),
-        df=lambda tt: float(dsx(tt)),
-        dg=lambda tt: float(dsy(tt)),
+        f=evaluator(sx),
+        g=evaluator(sy),
+        df=evaluator(sx.derivative()),
+        dg=evaluator(sy.derivative()),
         horizon=float(t[-1]),
     )
 
@@ -192,10 +210,10 @@ def waypoint_trajectory(times, xs, ys) -> Trajectory:
 def constant_trajectory(point: tuple[float, float], horizon: float) -> Trajectory:
     x0, y0 = float(point[0]), float(point[1])
     return Trajectory(
-        f=lambda t: x0,
-        g=lambda t: y0,
-        df=lambda t: 0.0,
-        dg=lambda t: 0.0,
+        f=lambda t, xp=math: x0,
+        g=lambda t, xp=math: y0,
+        df=lambda t, xp=math: 0.0,
+        dg=lambda t, xp=math: 0.0,
         horizon=horizon,
     )
 
@@ -237,9 +255,10 @@ class DeterminantScan:
     exclusion_radius: float
 
 
-def tracking_determinant(alpha1: float, alpha2: float, params: SwimmerParams) -> float:
-    """D = F1x F2y - F1y F2x at the given shape."""
-    f0, f1, f2, _, _, _ = _raw_fields(alpha1, alpha2, params)
+def tracking_determinant(alpha1, alpha2, params: SwimmerParams, xp=math):
+    """D = F1x F2y - F1y F2x at the given shape; at arrays of shapes with
+    xp=numpy (see dynamics._raw_fields)."""
+    f0, f1, f2, _, _, _ = _raw_fields(alpha1, alpha2, params, xp)
     return f1[0] * f2[1] - f1[1] * f2[0]
 
 
@@ -250,16 +269,20 @@ def scan_determinant(
         raise ValueError(f"grid_n must be at least 2, got {grid_n!r}")
     step = 2.0 * math.pi / grid_n
     pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
-    values = np.empty((grid_n, grid_n))
-    best = math.inf
-    arg = (math.nan, math.nan)
-    for i, u in enumerate(pts):
-        for j, v in enumerate(pts):
-            d = tracking_determinant(u, v, params)
-            values[i, j] = d
-            if math.hypot(u, v) > exclusion_radius and abs(d) < best:
-                best = abs(d)
-                arg = (float(u), float(v))
+    # one batch per grid row keeps the kernel's temporaries O(grid_n)
+    values = np.array([tracking_determinant(u, pts, params, np) for u in pts])
+    # math.hypot(u, v) >= max(|u|, |v|), so only cells with both |u| and |v|
+    # inside the radius need the exact test
+    far = np.abs(pts) > exclusion_radius
+    kept = far[:, None] | far[None, :]
+    for i, j in zip(*np.nonzero(~kept)):
+        kept[i, j] = math.hypot(pts[i], pts[j]) > exclusion_radius
+    abs_d = np.abs(values)
+    # NaN never counts as a minimum; argmin takes the first one, row-major
+    abs_d[~(kept & (abs_d < math.inf))] = math.inf
+    i, j = divmod(int(np.argmin(abs_d)), grid_n)
+    best = float(abs_d[i, j])
+    arg = (float(pts[i]), float(pts[j])) if best < math.inf else (math.nan, math.nan)
     return DeterminantScan(
         grid=pts,
         values=values,
@@ -306,6 +329,26 @@ def _solve_controls_raw(
         abs(f1[1] * h_par + f2[1] * h_perp - r2),
     ) / scale
     return h_par, h_perp, d, resid, f0, f1, f2
+
+
+def _solve_controls_batch(z, fprime, gprime, params: SwimmerParams, eps_d: float):
+    """_solve_controls_raw over the rows of an (n, 5) state array, with the
+    same operations in the same order. Returns (h_par, h_perp, d) arrays;
+    rows with |D| <= eps_d get NaN fields and keep their D.
+    """
+    f0, f1, f2, _, _, _ = _raw_fields(z[:, 3], z[:, 4], params, np)
+    d = f1[0] * f2[1] - f1[1] * f2[0]
+    c = np.cos(z[:, 2])
+    s = np.sin(z[:, 2])
+    bx = c * fprime + s * gprime
+    by = -s * fprime + c * gprime
+    r1 = bx - f0[0]
+    r2 = by - f0[1]
+    singular = np.abs(d) <= eps_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_par = np.where(singular, math.nan, (r1 * f2[1] - r2 * f2[0]) / d)
+        h_perp = np.where(singular, math.nan, (f1[0] * r2 - f1[1] * r1) / d)
+    return h_par, h_perp, d
 
 
 def solve_tracking_controls(
@@ -357,7 +400,7 @@ def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
 
 def record_run(
     result: IntegrationResult,
-    fields_at: Callable[[float, list], tuple[float, float, float]],
+    fields_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
     method: str,
     samples: int,
     snapshot_times=(),
@@ -366,9 +409,9 @@ def record_run(
 ) -> tuple[SimRecord, TrackingStatus]:
     """Sample a finished run into a record and map its status to an outcome.
 
-    fields_at(t, z) gives (h_par, h_perp, d) at a sampled state; a NaN field
-    marks a state where it is undefined. min_abs_d defaults to the smallest
-    |d| over the samples.
+    fields_at(times, states) gives arrays (h_par, h_perp, d) over the
+    sampled states, one row each; a NaN field marks a state where it is
+    undefined. min_abs_d defaults to the smallest |d| over the samples.
     """
     if result.status == STATUS_COMPLETED:
         outcome, detail = OUTCOME_COMPLETED, ""
@@ -382,20 +425,21 @@ def record_run(
 
     times = _sample_times(result.t_stop, samples, snapshot_times)
     states = result.sample(times)
-    rows = [fields_at(float(t), list(z)) for t, z in zip(times, states)]
+    h_par, h_perp, d = fields_at(times, states)
     data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
     data[:, 0] = times
     data[:, 1:6] = states
-    data[:, 6] = [r[0] for r in rows]
-    data[:, 7] = [r[1] for r in rows]
-    data[:, 10] = [r[2] for r in rows]
+    data[:, 6] = h_par
+    data[:, 7] = h_perp
+    data[:, 10] = d
     record = emit_lab_frame_controls(SimRecord(data=data))
     if min_abs_d is None:
-        min_abs_d = float(min(abs(r[2]) for r in rows))
+        min_abs_d = float(np.min(np.abs(d)))
     # the reported field extremum comes from the emitted series: internal
-    # evaluations include Jacobian probe states that are never visited
+    # evaluations include Jacobian probe states that are never visited.
+    # math.hypot, not np.hypot, which may differ in the last bit
     max_field = 0.0
-    for hp, hq, _ in rows:
+    for hp, hq in zip(h_par.tolist(), h_perp.tolist()):
         hn = math.hypot(hp, hq)
         if not math.isnan(hn) and hn > max_field:
             max_field = hn
@@ -448,14 +492,10 @@ def simulate_closed_loop(
     z0 = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
-    def fields_at(t, z):
-        try:
-            h_par, h_perp, d, _, _, _, _ = _solve_controls_raw(
-                z, traj.df(t), traj.dg(t), params, eps_d
-            )
-        except TrackingSingularity as sig:
-            return math.nan, math.nan, sig.d_value
-        return h_par, h_perp, d
+    def fields_at(times, states):
+        return _solve_controls_batch(
+            states, traj.df(times, np), traj.dg(times, np), params, eps_d
+        )
 
     return record_run(
         result,

@@ -139,3 +139,29 @@ def fd_jacobian(fun, z0: np.ndarray, step: float = 1e-6) -> np.ndarray:
         zm[k] -= step
         jac[:, k] = (np.asarray(fun(zp)) - np.asarray(fun(zm))) / (2.0 * step)
     return jac
+
+
+def hermite_sample(t, z, f, times) -> np.ndarray:
+    """Cubic Hermite dense output through nodes (t, z, f), one time at a time.
+
+    Times are clamped to [t[0], t[-1]]; a time in a zero-length interval
+    takes the state at the interval's start, and one node gives its state.
+    The arithmetic is IntegrationResult.sample's, so results are equal.
+    """
+    out = []
+    for tau in times:
+        tau = min(max(float(tau), t[0]), t[-1])
+        if len(t) == 1:
+            out.append(z[0])
+            continue
+        i = min(max(int(np.searchsorted(t, tau, side="right")) - 1, 0), len(t) - 2)
+        h = t[i + 1] - t[i]
+        if h <= 0.0:
+            out.append(z[i])
+            continue
+        u = (tau - t[i]) / h
+        u2 = u * u
+        u3 = u2 * u
+        out.append((2 * u3 - 3 * u2 + 1) * z[i] + (u3 - 2 * u2 + u) * h * f[i]
+                   + (-2 * u3 + 3 * u2) * z[i + 1] + (u3 - u2) * h * f[i + 1])
+    return np.array(out)

@@ -216,7 +216,7 @@ def test_singular_solve_raises():
         lu_factor([row[:] for row in singular])
 
 
-@pytest.mark.parametrize("m", [
+SINGULAR_BLOCKS = [
     # translation block P = M[0:2, 0:2] singular
     [[1.0, 1.0, 0.0, 0.0, 0.0],
      [1.0, 1.0, 0.0, 0.0, 0.0],
@@ -229,11 +229,54 @@ def test_singular_solve_raises():
      [1.0, 0.0, 1.0, 0.0, 0.0],
      [0.0, 0.0, 0.0, 1.0, 0.0],
      [0.0, 0.0, 0.0, 0.0, 1.0]],
-], ids=["translation_block", "schur_complement"])
+]
+
+
+@pytest.mark.parametrize("m", SINGULAR_BLOCKS, ids=["translation_block", "schur_complement"])
 def test_block_solve_singular_raises(m, params, monkeypatch):
     monkeypatch.setattr(dynamics, "mobility_entries", lambda *args: [row[:] for row in m])
     with pytest.raises(SingularMatrixError, match=r"singular at shape \(0\.3, -0\.7\)"):
         dynamics._raw_fields(0.3, -0.7, params)
+
+
+@pytest.mark.parametrize("m", [
+    *SINGULAR_BLOCKS,
+    np.diag([1e-8, 1e-8, 1.0, 1.0, 1.0]).tolist(),  # det 1e-16, under DET_WARN_FLOOR
+], ids=["translation_block", "schur_complement", "near_singular"])
+def test_batched_guards_name_the_first_shape(m, params, monkeypatch):
+    # shapes 2 and 3 of four get the bad matrix, the others the identity
+    a1 = np.array([0.1, 0.3, 0.5, 0.7])
+    a2 = np.array([-0.5, -0.7, -0.9, -1.1])
+    bad = np.array([False, True, True, False])
+    eye = np.eye(5)
+    monkeypatch.setattr(dynamics, "mobility_entries", lambda *args: [
+        [np.where(bad, m[i][j], eye[i, j]) for j in range(5)] for i in range(5)])
+    if np.linalg.det(m) != 0.0:
+        with pytest.warns(RuntimeWarning, match=r"det = 1\.000e-16 at \(0\.3, -0\.7\)"):
+            dynamics._raw_fields(a1, a2, params, np)
+    else:
+        with pytest.raises(SingularMatrixError, match=r"singular at shape \(0\.3, -0\.7\)"):
+            dynamics._raw_fields(a1, a2, params, np)
+
+
+@pytest.mark.parametrize("alpha0", [math.pi / 3, -1.0])
+def test_batched_kernel_matches_scalar_grid(alpha0):
+    """The array path of _raw_fields against its float path, 41x41 shapes.
+
+    Both run the same arithmetic; numpy's sin/cos may differ from math's in
+    the last bit on some CPUs, so entries agree to 1e-14 of their largest
+    magnitude on the grid rather than exactly.
+    """
+    params = table1(alpha0)
+    pts = np.linspace(-math.pi + 0.01, math.pi - 0.01, 41)
+    a1, a2 = np.meshgrid(pts, pts, indexing="ij")
+    batched = np.stack([np.broadcast_to(e, a1.shape)
+                        for vec in dynamics._raw_fields(a1, a2, params, np) for e in vec],
+                       axis=-1)
+    scalar = np.array([[np.concatenate(dynamics._raw_fields(u, v, params)) for v in pts]
+                       for u in pts])
+    scale = np.abs(scalar).max(axis=(0, 1))
+    assert (np.abs(batched - scalar) <= 1e-14 * scale).all()
 
 
 # ------------------------------------------------------------ state derivative

@@ -12,15 +12,19 @@ import pytest
 from bentswimmer.integrators import (
     METHOD_RK45,
     METHOD_TRAPEZOIDAL,
+    REL_TOL_MIN,
     STATUS_COMPLETED,
     STATUS_MAX_STEPS,
     STATUS_SIGNAL,
     STATUS_STEP_COLLAPSE,
+    IntegrationResult,
     IntegrationSignal,
     IntegratorOptions,
     integrate,
 )
 from bentswimmer.integrators import _RK_A, _RK_B, _RK_C5, _RK_ERR
+
+from oracles import hermite_sample
 
 
 def opts(method, **kw):
@@ -36,6 +40,9 @@ def test_options_validation():
         IntegratorOptions(h_min=1e-3, h_init=1e-6)
     with pytest.raises(ValueError):
         IntegratorOptions(max_steps=0)
+    with pytest.raises(ValueError, match="rel_tol"):
+        IntegratorOptions(rel_tol=0.99 * REL_TOL_MIN)
+    IntegratorOptions(rel_tol=REL_TOL_MIN)
 
 
 def test_tableau_consistency_exact():
@@ -115,6 +122,23 @@ def test_dense_output_cubic_hermite(method, atol):
     np.testing.assert_allclose(vals, np.sin(ts), atol=atol)
 
 
+def test_sample_matches_per_row_oracle():
+    # nodes 2-3 repeat a time, as where open-loop pieces join, and so do the
+    # last two, which makes the final interval zero-length
+    rng = np.random.default_rng(11)
+    t = np.array([0.0, 0.4, 1.0, 1.0, 1.7, 2.5, 2.5])
+    z = rng.normal(size=(t.size, 3))
+    f = rng.normal(size=(t.size, 3))
+    times = np.concatenate([rng.uniform(-0.5, 3.0, 300), t, [-1.0, 3.0]])
+    for n in (t.size, 1):
+        res = IntegrationResult(STATUS_COMPLETED, t[:n], z[:n], f[:n], t_stop=t[n - 1])
+        np.testing.assert_array_equal(res.sample(times),
+                                      hermite_sample(t[:n], z[:n], f[:n], times))
+    # a time on the joint takes the later piece; the end takes the earlier node
+    res = IntegrationResult(STATUS_COMPLETED, t, z, f, t_stop=2.5)
+    np.testing.assert_array_equal(res.sample([1.0, 2.5]), z[[3, 5]])
+
+
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_determinism_bitwise(method):
     def rhs(t, z):
@@ -177,12 +201,16 @@ def test_step_collapse_reported(method):
     assert res.status == STATUS_STEP_COLLAPSE
 
 
-@pytest.mark.parametrize("rhs,tol", [
-    (lambda t, z: [-z[0]], 1e-30),  # more accuracy than doubles hold: LSODA fails
-    (lambda t, z: [math.nan], 1e-9),  # NaN passes LSODA's error test
-], ids=["excess_accuracy", "non_finite"])
-def test_stiff_solver_failure_is_step_collapse(rhs, tol):
-    o = IntegratorOptions(method=METHOD_TRAPEZOIDAL, abs_tol=tol, rel_tol=tol)
+@pytest.mark.parametrize("method,rhs,atol,rtol", [
+    # the smallest valid rel_tol with a negligible abs_tol still asks for more
+    # accuracy than doubles hold: LSODA reports a failed step
+    (METHOD_TRAPEZOIDAL, lambda t, z: [-z[0]], 1e-30, REL_TOL_MIN),
+    # NaN passes both error tests
+    (METHOD_TRAPEZOIDAL, lambda t, z: [math.nan], 1e-9, 1e-9),
+    (METHOD_RK45, lambda t, z: [math.nan], 1e-9, 1e-9),
+], ids=["excess_accuracy", "non_finite", "non_finite_rk45"])
+def test_stiff_solver_failure_is_step_collapse(method, rhs, atol, rtol):
+    o = IntegratorOptions(method=method, abs_tol=atol, rel_tol=rtol)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = integrate(rhs, [1.0], (0.0, 2.0), o)

@@ -142,6 +142,18 @@ def test_snapshot_time_must_lie_in_the_run(mode, entry, tmp_path, capsys):
     assert "outputs.snapshot_times_s[1]" in capsys.readouterr().err
 
 
+def test_rel_tol_below_the_floor_is_rejected(tmp_path, capsys):
+    doc = short_line_doc()
+    doc["integrator"] = {"method": "trapezoidal_adaptive", "abs_tol": 1e-9, "rel_tol": 1e-15}
+    with pytest.raises(ScenarioValidationError, match=r"^integrator: rel_tol"):
+        scenario_from_dict(doc)
+    p = tmp_path / "too_tight.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(p), "--output-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert "integrator: rel_tol" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_open_loop_requires_field_program():
     doc = {
         "mode": "open_loop",
@@ -177,6 +189,10 @@ def test_field_program_semantics():
     assert fp.field_at(0.49) == (1.0, 2.0)
     assert fp.field_at(0.5) == (-3.0, 0.0)
     assert fp.field_at(2.0) == (-3.0, 0.0)
+    times = np.array([0.0, 0.49, 0.5, 0.99, 1.0, 2.0])
+    h_par, h_perp = fp.field_at(times)
+    assert h_par.tolist() == [1.0, 1.0, -3.0, -3.0, -3.0, -3.0]
+    assert h_perp.tolist() == [2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         FieldProgram(pieces=((0.5, 0.0, 0.0), (0.4, 0.0, 0.0)))
 

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from bentswimmer import tracking
 from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state_derivative
 from bentswimmer.integrators import IntegratorOptions
 from bentswimmer.model import SwimmerState
 from bentswimmer.records import CSV_COLUMNS
 from bentswimmer.tracking import (
+    DEFAULT_EPS_D,
     OUTCOME_COMPLETED,
     OUTCOME_SINGULAR,
     TrackingSingularity,
+    Trajectory,
     circle_trajectory,
     constant_trajectory,
     line_trajectory,
@@ -20,6 +23,7 @@ from bentswimmer.tracking import (
     tracking_determinant,
     waypoint_trajectory,
 )
+from bentswimmer.tracking import _solve_controls_batch, _solve_controls_raw
 
 from conftest import drag_matrix
 from oracles import cofactor_inverse
@@ -65,6 +69,31 @@ def test_scan_degenerate_grid(params):
     assert np.isfinite(scan.values).all()
 
 
+@pytest.mark.parametrize("radius", [0.05, 1.0, 10.0])
+def test_scan_minimum_follows_the_pointwise_rule(params, radius):
+    # first strict minimum of |D| in row-major order over the cells with
+    # math.hypot(u, v) > radius; radius 10 excludes every cell
+    scan = scan_determinant(params, 21, exclusion_radius=radius)
+    best, arg = math.inf, (math.nan, math.nan)
+    for i, u in enumerate(scan.grid):
+        for j, v in enumerate(scan.grid):
+            if math.hypot(u, v) > radius and abs(scan.values[i, j]) < best:
+                best, arg = abs(scan.values[i, j]), (float(u), float(v))
+    assert scan.min_abs_off_origin == best
+    np.testing.assert_equal(scan.argmin_off_origin, arg)
+
+
+@pytest.mark.parametrize("radius", [0.05, 3.0])
+def test_scan_minimum_takes_the_first_of_tied_cells(params, monkeypatch, radius):
+    # |D| = 2 everywhere but on a NaN first row, which never counts; with
+    # radius 3 every cell has |u|, |v| < 3, and only math.hypot keeps any
+    monkeypatch.setattr(tracking, "tracking_determinant", lambda a1, a2, p, xp=math:
+                        np.where(a1 + 0.0 * a2 < -2.9, math.nan, -2.0))
+    scan = scan_determinant(params, 21, exclusion_radius=radius)
+    assert scan.min_abs_off_origin == 2.0
+    assert scan.argmin_off_origin == (scan.grid[1], scan.grid[0])
+
+
 def test_scan_rejects_bad_grid(params):
     with pytest.raises(ValueError):
         scan_determinant(params, 1)
@@ -89,6 +118,14 @@ def test_circle_start_point_form():
     assert circ.start() == pytest.approx((0.0, 0.0), abs=1e-9)
     with pytest.raises(ValueError):
         circle_trajectory((0.0, 5.0), 5.0, 20.0, start=(1.0, 0.0))
+
+
+def test_trajectory_evaluators_must_take_arrays():
+    # one argument only, and math.sin on an array of times
+    for dg in (lambda t: 0.0, lambda t, xp=math: math.sin(t)):
+        with pytest.raises(ValueError, match="evaluator dg must also take"):
+            Trajectory(f=lambda t, xp=math: t, g=lambda t, xp=math: 0.0,
+                       df=lambda t, xp=math: 1.0, dg=dg, horizon=1.0)
 
 
 def test_waypoint_validation():
@@ -212,6 +249,34 @@ def test_backward_line_aborts_with_blowup(params):
     h = h[np.isfinite(h)]
     tail = h[int(math.ceil(0.99 * len(h))) - 1:]
     assert tail.max() >= 10.0 * np.median(h)
+
+
+def test_batched_feedback_fields_match_the_per_state_solve(params):
+    st = equilibrium_state(params)
+    traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05)
+    record, status = simulate_closed_loop(st, traj, params, samples=200)
+    assert status.outcome == OUTCOME_SINGULAR
+    t = record.column("t")
+    states = record.data[:, 1:6]
+    d_run = record.column("d_value")
+    # the run's own eps_d, then one equal to a sampled |D| that makes about
+    # half the rows singular, that row included
+    for eps_d in (DEFAULT_EPS_D, float(np.sort(np.abs(d_run))[d_run.size // 2])):
+        h_par, h_perp, d = _solve_controls_batch(
+            states, traj.df(t, np), traj.dg(t, np), params, eps_d)
+        singular = np.abs(d) <= eps_d
+        assert (np.isnan(h_par) == singular).all() and (np.isnan(h_perp) == singular).all()
+        for k, z in enumerate(states.tolist()):
+            try:
+                want = _solve_controls_raw(z, traj.df(t[k]), traj.dg(t[k]), params, eps_d)[:3]
+            except TrackingSingularity as sig:
+                assert singular[k] and d[k] == pytest.approx(sig.d_value, rel=1e-14)
+                continue
+            got = (h_par[k], h_perp[k], d[k])
+            assert got == pytest.approx(want, rel=1e-14)
+        if eps_d == DEFAULT_EPS_D:
+            np.testing.assert_array_equal(record.column("h_par"), h_par)
+            np.testing.assert_array_equal(d_run, d)
 
 
 def test_custom_eps_d_is_honoured(params):
