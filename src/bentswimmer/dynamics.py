@@ -306,41 +306,54 @@ def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
     i33 = c33 * inv_s
     i34 = c34 * inv_s
     i44 = c44 * inv_s
-    x3 = [
-        -(w02 * i22 + w03 * i23 + w04 * i24),
-        -(w12 * i22 + w13 * i23 + w14 * i24),
-        i22,
-        i23,
-        i24,
-    ]
-    x4 = [
-        -(w02 * i23 + w03 * i33 + w04 * i34),
-        -(w12 * i23 + w13 * i33 + w14 * i34),
-        i23,
-        i33,
-        i34,
-    ]
-    x5 = [
-        -(w02 * i24 + w03 * i34 + w04 * i44),
-        -(w12 * i24 + w13 * i34 + w14 * i44),
-        i24,
-        i34,
-        i44,
-    ]
+    x30 = -(w02 * i22 + w03 * i23 + w04 * i24)
+    x31 = -(w12 * i22 + w13 * i23 + w14 * i24)
+    x40 = -(w02 * i23 + w03 * i33 + w04 * i34)
+    x41 = -(w12 * i23 + w13 * i33 + w14 * i34)
+    x50 = -(w02 * i24 + w03 * i34 + w04 * i44)
+    x51 = -(w12 * i24 + w13 * i34 + w14 * i44)
+    x3 = [x30, x31, i22, i23, i24]
+    x4 = [x40, x41, i23, i33, i34]
+    x5 = [x50, x51, i24, i34, i44]
     s1 = xp.sin(alpha1)
     c1 = xp.cos(alpha1)
     s12 = xp.sin(alpha1 + alpha2)
     c12 = xp.cos(alpha1 + alpha2)
-    g_sin = params.m2 * s1 + params.m3 * s12
-    g_cos = params.m2 * c1 + params.m3 * c12
+    m3s = params.m3 * s12
+    m3c = params.m3 * c12
+    g_sin = params.m2 * s1 + m3s
+    g_cos = params.m2 * c1 + m3c
     ka = params.kappa * alpha1
     kb = params.kappa * (alpha2 - params.alpha0)
-    m1, m3 = params.m1, params.m3
-    f0 = [ka * x4[i] + kb * x5[i] for i in range(5)]
-    f1 = [g_sin * (x3[i] + x4[i]) + m3 * s12 * x5[i] for i in range(5)]
+    nm1 = -params.m1
+    # x3 + x4, entry by entry
+    u0 = x30 + x40
+    u1 = x31 + x41
+    u2 = i22 + i23
+    u3 = i23 + i33
+    u4 = i24 + i34
+    # f0 = ka x4 + kb x5, f1 = g_sin (x3 + x4) + m3 s12 x5 and
+    # f2 = -m1 x3 - g_cos (x3 + x4) - m3 c12 x5, entry by entry
+    f0 = [
+        ka * x40 + kb * x50,
+        ka * x41 + kb * x51,
+        ka * i23 + kb * i24,
+        ka * i33 + kb * i34,
+        ka * i34 + kb * i44,
+    ]
+    f1 = [
+        g_sin * u0 + m3s * x50,
+        g_sin * u1 + m3s * x51,
+        g_sin * u2 + m3s * i24,
+        g_sin * u3 + m3s * i34,
+        g_sin * u4 + m3s * i44,
+    ]
     f2 = [
-        -m1 * x3[i] - g_cos * (x3[i] + x4[i]) - m3 * c12 * x5[i]
-        for i in range(5)
+        nm1 * x30 - g_cos * u0 - m3c * x50,
+        nm1 * x31 - g_cos * u1 - m3c * x51,
+        nm1 * i22 - g_cos * u2 - m3c * i24,
+        nm1 * i23 - g_cos * u3 - m3c * i34,
+        nm1 * i24 - g_cos * u4 - m3c * i44,
     ]
     return f0, f1, f2, x3, x4, x5
 

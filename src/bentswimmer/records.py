@@ -1,7 +1,6 @@
 """Time-series records and their CSV serialization."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ CSV_COLUMNS = (
     "d_value",
 )
 CSV_HEADER = ",".join(CSV_COLUMNS)
+_CSV_BLOCK_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,20 @@ def emit_lab_frame_controls(record: SimRecord) -> SimRecord:
     return replace(record, data=data)
 
 
-def _fmt(v: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
-
-
 def write_csv(record: SimRecord, path) -> None:
-    """UTF-8, LF line endings, '.' decimal separator, round-trip precision."""
-    lines = [CSV_HEADER]
-    for row in record.data:
-        lines.append(",".join(_fmt(float(v)) for v in row))
+    """UTF-8, LF line endings, '.' decimal separator, round-trip precision.
+
+    repr gives the shortest decimal string that round-trips to the same
+    double, and "nan" for every NaN. Rows are converted and written in blocks
+    of _CSV_BLOCK_ROWS, so neither the whole table as Python floats nor the
+    whole text exists at once.
+    """
+    data = record.data
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            rows = data[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def read_csv(path) -> SimRecord:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _combine_fields, _raw_fields
+from .dynamics import _raw_fields
 from .integrators import (
     METHOD_RK45,
     STATUS_COMPLETED,
@@ -301,15 +301,23 @@ def _solve_controls_raw(
     eps_d: float,
 ):
     """Feedback solve at raw state z. Returns (h_par, h_perp, d, residual,
-    f0, f1, f2); raises TrackingSingularity when |D| <= eps_d.
+    zdot), zdot being the closed-loop derivative with the solved field
+    substituted; raises TrackingSingularity when |D| <= eps_d.
 
     The residual is the 2x2 system defect scaled by the magnitude of the
     participating terms (the solved field can reach 1e6 internal units near
     blow-up, where an absolute defect saturates at |H|*eps regardless of the
     solve's quality).
+
+    Hot path: zdot is dynamics._combine_fields(z, h_par, h_perp, f0, f1, f2)
+    written out over the fields' entries, with the rotation by theta shared
+    with the demand's.
     """
     f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
-    d = f1[0] * f2[1] - f1[1] * f2[0]
+    f00, f01, f02, f03, f04 = f0
+    f10, f11, f12, f13, f14 = f1
+    f20, f21, f22, f23, f24 = f2
+    d = f10 * f21 - f11 * f20
     if abs(d) <= eps_d:
         raise TrackingSingularity(d, z[3], z[4])
     c = math.cos(z[2])
@@ -317,18 +325,27 @@ def _solve_controls_raw(
     # body-frame demand: rotate (f', g') by -theta
     bx = c * fprime + s * gprime
     by = -s * fprime + c * gprime
-    r1 = bx - f0[0]
-    r2 = by - f0[1]
-    h_par = (r1 * f2[1] - r2 * f2[0]) / d
-    h_perp = (f1[0] * r2 - f1[1] * r1) / d
+    r1 = bx - f00
+    r2 = by - f01
+    h_par = (r1 * f21 - r2 * f20) / d
+    h_perp = (f10 * r2 - f11 * r1) / d
     scale = 1.0 + abs(r1) + abs(r2) + (abs(h_par) + abs(h_perp)) * (
-        abs(f1[0]) + abs(f1[1]) + abs(f2[0]) + abs(f2[1])
+        abs(f10) + abs(f11) + abs(f20) + abs(f21)
     )
     resid = max(
-        abs(f1[0] * h_par + f2[0] * h_perp - r1),
-        abs(f1[1] * h_par + f2[1] * h_perp - r2),
+        abs(f10 * h_par + f20 * h_perp - r1),
+        abs(f11 * h_par + f21 * h_perp - r2),
     ) / scale
-    return h_par, h_perp, d, resid, f0, f1, f2
+    w0 = f00 + h_par * f10 + h_perp * f20
+    w1 = f01 + h_par * f11 + h_perp * f21
+    zdot = [
+        c * w0 - s * w1,
+        s * w0 + c * w1,
+        f02 + h_par * f12 + h_perp * f22,
+        f03 + h_par * f13 + h_perp * f23,
+        f04 + h_par * f14 + h_perp * f24,
+    ]
+    return h_par, h_perp, d, resid, zdot
 
 
 def _solve_controls_batch(z, fprime, gprime, params: SwimmerParams, eps_d: float):
@@ -360,7 +377,7 @@ def solve_tracking_controls(
 ) -> ControlField:
     """Field making (xdot, ydot) = (fprime, gprime) at this state."""
     z = [state.x, state.y, state.theta, state.alpha1, state.alpha2]
-    h_par, h_perp, _, _, _, _, _ = _solve_controls_raw(z, fprime, gprime, params, eps_d)
+    h_par, h_perp, _, _, _ = _solve_controls_raw(z, fprime, gprime, params, eps_d)
     return ControlField(h_par=h_par, h_perp=h_perp)
 
 
@@ -371,13 +388,13 @@ class _RunStats:
 
 
 def _closed_loop_rhs(params, traj, eps_d, stats):
+    df, dg = traj.df, traj.dg
+
     def rhs(t, z):
         if not (-math.pi < z[3] < math.pi and -math.pi < z[4] < math.pi):
             raise ShapeRangeSignal(z[3], z[4])
         try:
-            h_par, h_perp, d, resid, f0, f1, f2 = _solve_controls_raw(
-                z, traj.df(t), traj.dg(t), params, eps_d
-            )
+            _, _, d, resid, zdot = _solve_controls_raw(z, df(t), dg(t), params, eps_d)
         except TrackingSingularity as sig:
             stats.min_abs_d = min(stats.min_abs_d, abs(sig.d_value))
             raise
@@ -386,7 +403,7 @@ def _closed_loop_rhs(params, traj, eps_d, stats):
             stats.min_abs_d = ad
         if resid > stats.max_residual:
             stats.max_residual = resid
-        return _combine_fields(z, h_par, h_perp, f0, f1, f2)
+        return zdot
 
     return rhs
 

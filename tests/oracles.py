@@ -3,12 +3,31 @@
 Everything here deliberately avoids the library's assembly code: the drag
 matrix comes from Gauss-Legendre quadrature of the drag densities in the lab
 frame at arbitrary orientation, matrix inverses from Laplace cofactor
-expansion, and torque sums from explicit planar cross products.
+expansion, and torque sums from explicit planar cross products. The RK45
+reference steps through the Fehlberg tableau one stage and one component at
+a time.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from bentswimmer.integrators import (
+    _GROW_MAX,
+    _RK_A,
+    _RK_B,
+    _RK_C5,
+    _RK_ERR,
+    _SAFETY,
+    _SHRINK_MIN,
+    STATUS_COMPLETED,
+    STATUS_MAX_STEPS,
+    STATUS_SIGNAL,
+    STATUS_STEP_COLLAPSE,
+    IntegrationResult,
+    IntegrationSignal,
+)
 from bentswimmer.model import SwimmerParams, SwimmerState, segment_frames
 
 
@@ -165,3 +184,88 @@ def hermite_sample(t, z, f, times) -> np.ndarray:
         out.append((2 * u3 - 3 * u2 + 1) * z[i] + (u3 - 2 * u2 + u) * h * f[i]
                    + (-2 * u3 + 3 * u2) * z[i + 1] + (u3 - u2) * h * f[i + 1])
     return np.array(out)
+
+
+def rk45_reference(rhs, z0, t_span, opts) -> IntegrationResult:
+    """The RK45 method of integrate(), with loops over the tableau's stages
+    and the state's components: each stage state, error norm and fifth-order
+    update accumulates its terms in tableau order, skipping zero weights.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    z0 = [float(v) for v in z0]
+    n = len(z0)
+    atol, rtol = opts.abs_tol, opts.rel_tol
+    ts, zs, fs = [t0], [list(z0)], []
+    nstep = nrej = nev = 0
+    t = t0
+    z = list(z0)
+    h = min(opts.h_init, t1 - t0, opts.h_max)
+
+    def result(status, signal=None):
+        return IntegrationResult(
+            status=status, t=np.array(ts), z=np.array(zs), f=np.array(fs),
+            t_stop=ts[-1], signal=signal, n_steps=nstep, n_rejected=nrej, n_evals=nev,
+        )
+
+    try:
+        fcur = rhs(t, z)
+        nev += 1
+    except IntegrationSignal as sig:
+        fs.append([0.0] * n)
+        return result(STATUS_SIGNAL, sig)
+    fs.append(list(fcur))
+    ks = [fcur] + [[0.0] * n for _ in range(5)]
+    t_snap = 1e-14 * max(1.0, abs(t1))
+    while t1 - t > t_snap:
+        if nstep + nrej >= opts.max_steps:
+            return result(STATUS_MAX_STEPS)
+        h = min(h, t1 - t, opts.h_max)
+        try:
+            for i in range(1, 6):
+                zi = list(z)
+                for j in range(i):
+                    bij = _RK_B[i][j]
+                    if bij != 0.0:
+                        hb = h * bij
+                        for q in range(n):
+                            zi[q] += hb * ks[j][q]
+                ks[i] = rhs(t + _RK_A[i] * h, zi)
+                nev += 1
+        except IntegrationSignal as sig:
+            return result(STATUS_SIGNAL, sig)
+        err = 0.0
+        for q in range(n):
+            e = 0.0
+            for i in range(6):
+                if _RK_ERR[i] != 0.0:
+                    e += _RK_ERR[i] * ks[i][q]
+            r = abs(e * h) / (atol + rtol * abs(z[q]))
+            if r > err:
+                err = r
+        if err <= 1.0:
+            for q in range(n):
+                acc = 0.0
+                for i in range(6):
+                    if _RK_C5[i] != 0.0:
+                        acc += _RK_C5[i] * ks[i][q]
+                z[q] += h * acc
+            if not all(map(math.isfinite, z)):
+                return result(STATUS_STEP_COLLAPSE)
+            t += h
+            try:
+                fcur = rhs(t, z)
+                nev += 1
+            except IntegrationSignal as sig:
+                return result(STATUS_SIGNAL, sig)
+            nstep += 1
+            ts.append(t)
+            zs.append(list(z))
+            fs.append(list(fcur))
+            ks[0] = fcur
+        else:
+            nrej += 1
+        factor = _SAFETY * max(err, 1e-16) ** -0.2
+        h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
+        if h < opts.h_min and t1 - t > t_snap:
+            return result(STATUS_STEP_COLLAPSE)
+    return result(STATUS_COMPLETED)

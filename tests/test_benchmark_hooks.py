@@ -7,8 +7,15 @@ renames one of those names must fail here, not crash the benchmark.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import bentswimmer
 import bentswimmer.cli
+from bentswimmer import tracking
+from bentswimmer.dynamics import equilibrium_state
+from bentswimmer.integrators import METHOD_RK45, IntegratorOptions
+
+from conftest import table1
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +54,24 @@ def test_microbenchmarks_run():
     }
     for stats in report.values():
         assert stats["n"] > 0 and stats["p50"] > 0.0
+
+
+def test_raw_fields_hook_counts_every_closed_loop_evaluation(monkeypatch):
+    # the tracer's dynamics.raw_fields counter wraps tracking._raw_fields by
+    # attribute, so every right-hand-side evaluation must look it up there
+    calls = {"float": 0, "array": 0}
+    original = tracking._raw_fields
+
+    def counted(*args, **kwargs):
+        calls["array" if isinstance(args[0], np.ndarray) else "float"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tracking, "_raw_fields", counted)
+    p = table1()
+    traj = tracking.line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
+    record, status = tracking.simulate_closed_loop(
+        equilibrium_state(p), traj, p, IntegratorOptions(method=METHOD_RK45), samples=5)
+    assert status.outcome == tracking.OUTCOME_COMPLETED
+    n_evals = record.metadata["integrator"]["n_evals"]
+    # one batched call gives the fields over the output samples
+    assert calls == {"float": n_evals, "array": 1} and n_evals > 6

@@ -24,7 +24,7 @@ from bentswimmer.integrators import (
 )
 from bentswimmer.integrators import _RK_A, _RK_B, _RK_C5, _RK_ERR
 
-from oracles import hermite_sample
+from oracles import hermite_sample, rk45_reference
 
 
 def opts(method, **kw):
@@ -72,6 +72,77 @@ def test_tableau_consistency_exact():
             assert float(fe) == fu
     for row_e, row_u in zip(b, _RK_B):
         assert [float(v) for v in row_e] == list(row_u)
+
+
+def _assert_same_run(got, want):
+    assert (got.status, got.t_stop, got.n_steps, got.n_rejected, got.n_evals) == (
+        want.status, want.t_stop, want.n_steps, want.n_rejected, want.n_evals)
+    for name in ("t", "z", "f"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert type(got.signal) is type(want.signal)
+
+
+def _stiff_linear(t, z):
+    # eigenvalues -1, -10, -1e2, -1e3, -1e4, coupled downwards, forced
+    return [
+        -z[0] + math.sin(t),
+        z[0] - 10.0 * z[1],
+        z[1] - 1e2 * z[2],
+        z[2] - 1e3 * z[3],
+        z[3] - 1e4 * z[4] + 1.0,
+    ]
+
+
+def test_rk45_matches_reference_on_a_stiff_linear_system():
+    o = opts(METHOD_RK45, abs_tol=1e-8, rel_tol=1e-8)
+    z0 = [1.0, -0.5, 0.25, 2.0, -1.0]
+    got = integrate(_stiff_linear, z0, (0.0, 0.05), o)
+    assert got.status == STATUS_COMPLETED and got.n_rejected > 0
+    _assert_same_run(got, rk45_reference(_stiff_linear, z0, (0.0, 0.05), o))
+
+
+def test_rk45_matches_reference_on_a_closed_loop_circle():
+    from bentswimmer import tracking
+    from bentswimmer.dynamics import equilibrium_state
+
+    from conftest import table1
+
+    p = table1()
+    st = equilibrium_state(p)
+    traj = tracking.circle_trajectory((st.x - 5.0, st.y), 5.0, 1200.0)
+    z0 = [st.x, st.y, st.theta, st.alpha1, st.alpha2]
+    span = (0.0, 0.05 * traj.horizon)
+    runs, stats = [], []
+    for integrator in (integrate, rk45_reference):
+        stats.append(tracking._RunStats())
+        rhs = tracking._closed_loop_rhs(p, traj, tracking.DEFAULT_EPS_D, stats[-1])
+        runs.append(integrator(rhs, z0, span, opts(METHOD_RK45)))
+    assert runs[0].status == STATUS_COMPLETED and runs[0].n_steps > 50
+    _assert_same_run(*runs)
+    assert stats[0] == stats[1]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5, 6],
+                         ids=["stage1", "stage2", "stage3", "stage4", "stage5", "node"])
+def test_rk45_signal_matches_reference(stage):
+    # calls: the initial slope, then five stages and the new node's slope per
+    # accepted step; the signal comes in the fourth step's attempt
+    def make_rhs():
+        calls = [0]
+
+        def rhs(t, z):
+            calls[0] += 1
+            if calls[0] == 1 + 3 * 6 + stage:
+                raise IntegrationSignal(f"call {calls[0]}")
+            return [math.cos(t) - z[0], z[0], -3.0 * z[2]]
+
+        return rhs
+
+    z0 = [1.0, 0.0, 2.0]
+    got = integrate(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45))
+    assert got.status == STATUS_SIGNAL
+    assert (got.n_steps, got.n_rejected, got.n_evals) == (3, 0, 3 * 6 + stage)
+    _assert_same_run(got, rk45_reference(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45)))
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])

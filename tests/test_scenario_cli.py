@@ -9,6 +9,7 @@ import pytest
 
 import bentswimmer
 from bentswimmer.cli import main as cli_main
+from bentswimmer import records
 from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
 from bentswimmer.scenario import (
     EXIT_COMPLETED,
@@ -234,6 +235,22 @@ def test_run_short_line_writes_outputs(tmp_path):
     assert summary["termination"] == "completed"
     assert summary["tracking_error_um"] <= 1e-8
     assert summary["min_abs_d_state_set"] == "rhs_evaluations"
+
+
+def test_csv_rows_across_blocks_match_the_per_value_format(tmp_path):
+    # repr of each float, "nan" for any NaN, one line per row, over several
+    # write blocks and a partial last one
+    n = 2 * records._CSV_BLOCK_ROWS + 7
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((n, len(records.CSV_COLUMNS))) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    data[::5, 3] = np.nan
+    data[1, :4] = (-0.0, math.inf, -math.inf, 5e-324)
+    records.write_csv(SimRecord(data=data), tmp_path / "r.csv")
+    want = [CSV_HEADER] + [
+        ",".join("nan" if math.isnan(v) else repr(float(v)) for v in row) for row in data
+    ]
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
+    np.testing.assert_array_equal(read_csv(tmp_path / "r.csv").data, data)
 
 
 def test_rerun_byte_identical_csv(tmp_path):

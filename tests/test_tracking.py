@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bentswimmer import tracking
+from bentswimmer.dynamics import _combine_fields, _raw_fields
 from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state_derivative
 from bentswimmer.integrators import IntegratorOptions
 from bentswimmer.model import SwimmerState
@@ -162,6 +163,40 @@ def test_controls_residual_small_demand(params):
     res1 = cvf.f1[0] * h.h_par + cvf.f2[0] * h.h_perp - r1
     res2 = cvf.f1[1] * h.h_par + cvf.f2[1] * h.h_perp - r2
     assert max(abs(res1), abs(res2)) <= 1e-10
+
+
+def test_closed_loop_rhs_is_the_solve_combined(params):
+    # seeded states, one in five nearly straight so that some are singular:
+    # the right-hand side equals the solved field pushed through the field
+    # combination, and its bookkeeping is the running min |D| over every
+    # evaluation and the running max residual over the solved ones
+    rng = np.random.default_rng(29)
+    traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
+    stats = tracking._RunStats()
+    rhs = tracking._closed_loop_rhs(params, traj, DEFAULT_EPS_D, stats)
+    want_min, want_resid, singular = math.inf, 0.0, 0
+    for k in range(400):
+        t = float(rng.uniform(0.0, traj.horizon))
+        spread = 1e-4 if k % 5 == 0 else 3.0
+        z = [float(v) for v in (*rng.uniform(-20.0, 20.0, 2), rng.uniform(-math.pi, math.pi),
+                                *rng.uniform(-spread, spread, 2))]
+        f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
+        d = f1[0] * f2[1] - f1[1] * f2[0]
+        if abs(d) <= DEFAULT_EPS_D:
+            with pytest.raises(TrackingSingularity) as caught:
+                rhs(t, z)
+            assert caught.value.d_value == d
+            want_min = min(want_min, abs(d))
+            singular += 1
+        else:
+            h_par, h_perp, d_solve, resid, zdot = _solve_controls_raw(
+                z, traj.df(t), traj.dg(t), params, DEFAULT_EPS_D)
+            assert d_solve == d
+            assert rhs(t, z) == zdot == _combine_fields(z, h_par, h_perp, f0, f1, f2)
+            want_min = min(want_min, abs(d))
+            want_resid = max(want_resid, resid)
+        assert (stats.min_abs_d, stats.max_residual) == (want_min, want_resid)
+    assert 0 < singular < 80 and stats.max_residual > 0.0
 
 
 def test_noninteraction_exact_velocity(params):
