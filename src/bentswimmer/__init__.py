@@ -1,7 +1,6 @@
 """Bent three-link magnetic microswimmer: dynamics, controllability, tracking."""
 
 from .controllability import (
-    KalmanMatrix,
     LinearizedSystem,
     PartialControllabilityResult,
     bent_submatrix_determinant,
@@ -12,8 +11,6 @@ from .controllability import (
 )
 from .dynamics import (
     ControlVectorFields,
-    GeneralizedForce,
-    assemble_generalized_force,
     control_vector_fields,
     equilibrium_state,
     state_derivative,

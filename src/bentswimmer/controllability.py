@@ -27,7 +27,7 @@ precision, which is the cross-validation the test suite enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +44,6 @@ class LinearizedSystem:
     a: np.ndarray
     b: np.ndarray
     equilibrium: SwimmerState
-
-
-@dataclass(frozen=True)
-class KalmanMatrix:
-    """k = [B, AB, A^2 B, A^3 B, A^4 B], 5x10."""
-
-    k: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,15 +80,16 @@ def linearize(equilibrium: SwimmerState, params: SwimmerParams) -> LinearizedSys
     return LinearizedSystem(a=r @ a, b=r @ b, equilibrium=equilibrium)
 
 
-def kalman_matrix(lin: LinearizedSystem) -> KalmanMatrix:
+def kalman_matrix(lin: LinearizedSystem) -> np.ndarray:
+    """K = [B, AB, A^2 B, A^3 B, A^4 B], 5x10."""
     blocks = [lin.b]
     for _ in range(4):
         blocks.append(lin.a @ blocks[-1])
-    return KalmanMatrix(k=np.hstack(blocks))
+    return np.hstack(blocks)
 
 
 def partial_controllability(
-    k: KalmanMatrix, p: int, rel_tol: float = 1e-10
+    k: np.ndarray, p: int, rel_tol: float = 1e-10
 ) -> PartialControllabilityResult:
     """Rank test on the first p rows of the Kalman matrix.
 
@@ -104,7 +98,7 @@ def partial_controllability(
     """
     if not 1 <= p <= 5:
         raise ValueError(f"p must be in 1..5, got {p!r}")
-    sub = k.k[:p, :]
+    sub = k[:p, :]
     sv = np.linalg.svd(sub, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     threshold = rel_tol * smax
@@ -151,26 +145,14 @@ def bent_submatrix_determinant(alpha0: float, params: SwimmerParams) -> float:
 
 def numeric_bent_submatrix_determinant(alpha0: float, params: SwimmerParams) -> float:
     """Same 2x2 determinant computed from the assembled linearization."""
-    work = SwimmerParams(
-        ell=params.ell,
-        xi=params.xi,
-        eta=params.eta,
-        m1=params.m1,
-        m2=params.m2,
-        m3=params.m3,
-        kappa=params.kappa,
-        alpha0=alpha0,
-    )
-    lin = linearize(
-        SwimmerState(0.0, 0.0, 0.0, 0.0, alpha0), work
-    )
+    work = replace(params, alpha0=alpha0)
+    lin = linearize(SwimmerState(0.0, 0.0, 0.0, 0.0, alpha0), work)
     ab = lin.a @ lin.b
     return float(lin.b[0, 0] * ab[1, 0] - lin.b[1, 0] * ab[0, 0])
 
 
 __all__ = [
     "LinearizedSystem",
-    "KalmanMatrix",
     "PartialControllabilityResult",
     "linearize",
     "kalman_matrix",

@@ -18,7 +18,11 @@ gives the body-frame drag matrix M(alpha1, alpha2):
     M(alpha1, alpha2) . R_{-theta} Zdot  =  Y(state, H)
 
 where R_theta is the block rotation (model.rotation_block) and Y collects
-the negated magnetic and elastic generalized forces. All integrands are
+the negated magnetic and elastic generalized forces: its force rows are zero
+(a uniform field exerts pure torques, the springs are internal), and rows
+3..5 are minus the magnetic torques on {S1, S2, S3}, {S2, S3} and {S3} plus
+(0, kappa alpha1, kappa (alpha2 - alpha0)). The dynamics never forms Y; it
+enters through the columns of M^{-1} in F0, F1, F2 below. All integrands are
 polynomials of degree <= 2 in the arclength, so M is assembled in closed
 form; a Gauss-quadrature oracle in the test suite checks it entrywise.
 
@@ -151,62 +155,6 @@ def mobility_entries(a1, a2, ell: float, xi: float, eta: float, xp=math) -> list
         [m03, m13, m23, m33, m34],
         [m04, m14, m24, m34, m44],
     ]
-
-
-@dataclass(frozen=True)
-class GeneralizedForce:
-    """Right-hand side Y of the balance equations, split by origin.
-
-    y = magnetic + elastic. The force rows (1, 2) are always zero: springs
-    are internal and a uniform field exerts pure torques.
-    """
-
-    y: np.ndarray
-    magnetic: np.ndarray
-    elastic: np.ndarray
-
-
-def _force_rows(
-    alpha1: float,
-    alpha2: float,
-    h_par: float,
-    h_perp: float,
-    params: SwimmerParams,
-) -> tuple[list[float], list[float]]:
-    """(magnetic, elastic) rows as lists; rows 1-2 are zero."""
-    s1 = math.sin(alpha1)
-    c1 = math.cos(alpha1)
-    s12 = math.sin(alpha1 + alpha2)
-    c12 = math.cos(alpha1 + alpha2)
-    m1, m2, m3 = params.m1, params.m2, params.m3
-    g_sin = m2 * s1 + m3 * s12
-    g_cos = m2 * c1 + m3 * c12
-    magnetic = [
-        0.0,
-        0.0,
-        h_par * g_sin - h_perp * (m1 + g_cos),
-        h_par * g_sin - h_perp * g_cos,
-        h_par * m3 * s12 - h_perp * m3 * c12,
-    ]
-    elastic = [
-        0.0,
-        0.0,
-        0.0,
-        params.kappa * alpha1,
-        params.kappa * (alpha2 - params.alpha0),
-    ]
-    return magnetic, elastic
-
-
-def assemble_generalized_force(
-    state: SwimmerState, field: ControlField, params: SwimmerParams
-) -> GeneralizedForce:
-    magnetic, elastic = _force_rows(
-        state.alpha1, state.alpha2, field.h_par, field.h_perp, params
-    )
-    mag = np.array(magnetic)
-    ela = np.array(elastic)
-    return GeneralizedForce(y=mag + ela, magnetic=mag, elastic=ela)
 
 
 @dataclass(frozen=True)
@@ -422,10 +370,8 @@ def equilibrium_state(
 
 
 __all__ = [
-    "GeneralizedForce",
     "ControlVectorFields",
     "mobility_entries",
-    "assemble_generalized_force",
     "control_vector_fields",
     "state_derivative",
     "equilibrium_state",

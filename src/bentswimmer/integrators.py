@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,8 +95,8 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.rel_tol < REL_TOL_MIN:
             raise ValueError(
                 f"rel_tol must be at least 100 machine epsilons ({REL_TOL_MIN:.3e}), "
@@ -124,7 +124,6 @@ class IntegrationResult:
     n_steps: int = 0
     n_rejected: int = 0
     n_evals: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def z_final(self) -> np.ndarray:

@@ -128,14 +128,6 @@ class SwimmerState:
             if not (-math.pi < v < math.pi):
                 raise ValueError(f"{name} must lie in (-pi, pi), got {v!r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta, self.alpha1, self.alpha2])
-
-    @classmethod
-    def from_array(cls, z) -> "SwimmerState":
-        x, y, theta, alpha1, alpha2 = (float(v) for v in z)
-        return cls(x, y, theta, alpha1, alpha2)
-
 
 @dataclass(frozen=True)
 class SegmentFrame:
@@ -194,23 +186,8 @@ def rotation_block(theta: float) -> np.ndarray:
 @dataclass(frozen=True)
 class ControlField:
     """Magnetic field in the S1 body frame: h_par along the S1 tangent,
-    h_perp along its normal. Values are in pN/(A um), i.e. uT."""
+    h_perp along its normal. Values are in pN/(A um), i.e. uT. A run's
+    lab-frame field is records.emit_lab_frame_controls."""
 
     h_par: float
     h_perp: float
-
-    def lab_components(self, theta: float) -> tuple[float, float]:
-        """(Hx, Hy) in the lab frame: rotation of (h_par, h_perp) by theta."""
-        c, s = math.cos(theta), math.sin(theta)
-        return (c * self.h_par - s * self.h_perp, s * self.h_par + c * self.h_perp)
-
-    @classmethod
-    def from_lab(cls, hx: float, hy: float, theta: float) -> "ControlField":
-        c, s = math.cos(theta), math.sin(theta)
-        return cls(h_par=c * hx + s * hy, h_perp=-s * hx + c * hy)
-
-    def norm(self) -> float:
-        return math.hypot(self.h_par, self.h_perp)
-
-
-ZERO_FIELD = ControlField(0.0, 0.0)

@@ -1,7 +1,7 @@
 """Time-series records and their CSV serialization."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,16 +24,14 @@ _CSV_BLOCK_ROWS = 200
 
 @dataclass(frozen=True)
 class SimRecord:
-    """Sampled run output: one row per output time, plus run metadata.
+    """Sampled run output: one row per output time, columns per CSV_COLUMNS.
 
-    Column semantics follow CSV_COLUMNS; h_x, h_y are the lab-frame image of
-    the body-frame field (filled by emit_lab_frame_controls). Metadata holds
-    the scenario hash, parameter echo, termination status and wall time; it
-    is not part of the CSV payload.
+    h_x, h_y are the lab-frame image of the body-frame field (filled by
+    emit_lab_frame_controls). How the run ended, and its counts, are in the
+    TrackingStatus returned beside the record.
     """
 
     data: np.ndarray  # shape (n, 11), columns per CSV_COLUMNS
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != len(CSV_COLUMNS):
@@ -47,11 +45,6 @@ class SimRecord:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    def with_metadata(self, **kv) -> "SimRecord":
-        md = dict(self.metadata)
-        md.update(kv)
-        return replace(self, metadata=md)
 
 
 def emit_lab_frame_controls(record: SimRecord) -> SimRecord:
@@ -68,16 +61,21 @@ def emit_lab_frame_controls(record: SimRecord) -> SimRecord:
 
 
 def write_csv(record: SimRecord, path) -> None:
-    """UTF-8, LF line endings, '.' decimal separator, round-trip precision.
+    """The record's rows under CSV_HEADER, as write_rows writes them."""
+    write_rows(path, CSV_HEADER, record.data)
 
+
+def write_rows(path, header: str, data: np.ndarray) -> None:
+    """The header line, then one line per row of the 2-D float array data.
+
+    UTF-8, LF line endings, '.' decimal separator, round-trip precision:
     repr gives the shortest decimal string that round-trips to the same
     double, and "nan" for every NaN. Rows are converted and written in blocks
     of _CSV_BLOCK_ROWS, so neither the whole table as Python floats nor the
     whole text exists at once.
     """
-    data = record.data
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(header + "\n")
         for start in range(0, len(data), _CSV_BLOCK_ROWS):
             rows = data[start:start + _CSV_BLOCK_ROWS].tolist()
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
@@ -102,5 +100,6 @@ __all__ = [
     "SimRecord",
     "emit_lab_frame_controls",
     "write_csv",
+    "write_rows",
     "read_csv",
 ]

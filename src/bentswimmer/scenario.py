@@ -41,7 +41,7 @@ from .integrators import (
     integrate,
 )
 from .model import SwimmerParams, SwimmerState, joint_points
-from .records import SimRecord, write_csv
+from .records import SimRecord, write_csv, write_rows
 from .tracking import (
     DEFAULT_EPS_D,
     INITIAL_POSITION_TOL,
@@ -154,6 +154,7 @@ def _require(cond: bool, path: str, message: str):
 
 
 def _check_keys(d: dict, allowed: set[str], required: set[str], path: str):
+    _require(isinstance(d, dict), path, "expected an object")
     unknown = set(d) - allowed
     if unknown:
         raise UnknownKeyError(
@@ -172,6 +173,12 @@ def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioValidationError(f"{path}: expected a number, got {v!r}")
     return float(v)
+
+
+def _number_list(d: dict, key: str, path: str) -> list[float]:
+    v = d[key]
+    _require(isinstance(v, list), f"{path}.{key}", "expected a list")
+    return [_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(v)]
 
 
 _PARAM_KEYS = {
@@ -250,10 +257,10 @@ _TRAJ_KEYS = {
 
 
 def _parse_trajectory(d: dict, path: str) -> Trajectory:
-    if "preset" not in d:
-        raise ScenarioValidationError(f"{path}: missing required key(s) ['preset']")
+    _require(isinstance(d, dict), path, "expected an object")
+    _require("preset" in d, path, "missing required key(s) ['preset']")
     preset = d["preset"]
-    _require(preset in _TRAJ_KEYS, f"{path}.preset",
+    _require(isinstance(preset, str) and preset in _TRAJ_KEYS, f"{path}.preset",
              f"must be one of {sorted(_TRAJ_KEYS)}")
     keys = _TRAJ_KEYS[preset]
     _check_keys(d, keys, keys - {"phase_rad"}, path)
@@ -271,12 +278,12 @@ def _parse_trajectory(d: dict, path: str) -> Trajectory:
                 radius=_number(d, "radius_um", path),
                 angular_rate=_number(d, "angular_rate_rad_s", path),
                 turns=_number(d, "turns", path),
-                phase=_number(d, "phase_rad", path) if "phase_rad" in d else None,
+                phase=_number(d, "phase_rad", path) if "phase_rad" in d else 0.0,
             )
         if preset == "waypoint_spline":
-            for k in ("times_s", "x_um", "y_um"):
-                _require(isinstance(d[k], list), f"{path}.{k}", "expected a list")
-            return waypoint_trajectory(d["times_s"], d["x_um"], d["y_um"])
+            return waypoint_trajectory(*(
+                _number_list(d, k, path) for k in ("times_s", "x_um", "y_um")
+            ))
         return constant_trajectory(
             point=(_number(d, "x_um", path), _number(d, "y_um", path)),
             horizon=_number(d, "duration_s", path),
@@ -293,7 +300,6 @@ def _parse_field_program(items, path: str) -> FieldProgram:
     pieces = []
     for i, piece in enumerate(items):
         ppath = f"{path}[{i}]"
-        _require(isinstance(piece, dict), ppath, "expected an object")
         _check_keys(piece, keys, keys, ppath)
         pieces.append((
             _number(piece, "until_t_s", ppath),
@@ -321,11 +327,7 @@ def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
                  f"{path}.samples", "expected an integer >= 2")
         kwargs["samples"] = v
     if "snapshot_times_s" in d:
-        v = d["snapshot_times_s"]
-        _require(isinstance(v, list), f"{path}.snapshot_times_s", "expected a list")
-        kwargs["snapshot_times_s"] = tuple(
-            _as_number(x, f"{path}.snapshot_times_s[{i}]") for i, x in enumerate(v)
-        )
+        kwargs["snapshot_times_s"] = tuple(_number_list(d, "snapshot_times_s", path))
     return OutputSpec(**kwargs)
 
 
@@ -342,7 +344,7 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     eps_d = DEFAULT_EPS_D
     if "eps_d" in doc:
         eps_d = _number(doc, "eps_d", "<root>")
-        _require(eps_d > 0.0, "eps_d", "must be positive")
+        _require(0.0 < eps_d < math.inf, "eps_d", "must be positive and finite")
 
     grid_n = 101
     if "grid_n" in doc:
@@ -586,11 +588,6 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                 samples=scenario.outputs.samples,
                 snapshot_times=scenario.outputs.snapshot_times_s,
             )
-        record = record.with_metadata(
-            scenario_sha256=scenario.sha256(),
-            params=scenario.params.table_units(),
-            wall_time_s=time.perf_counter() - t_wall,
-        )
         csv_path = outdir / scenario.outputs.csv
         write_csv(record, csv_path)
         summary.update(
@@ -609,7 +606,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                     for i, k in enumerate(("t", "x", "y", "theta", "alpha1", "alpha2"))
                 },
                 "csv": str(csv_path),
-                "integrator": record.metadata.get("integrator", {}),
+                "integrator": status.integrator,
             }
         )
         if scenario.mode == "closed_loop":
@@ -632,11 +629,11 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
             {
                 "a_matrix": lin.a.tolist(),
                 "b_matrix": lin.b.tolist(),
-                "kalman_matrix": kal.k.tolist(),
+                "kalman_matrix": kal.tolist(),
                 "p_rows": verdict.p,
                 "rank": verdict.rank,
                 "partially_controllable": verdict.controllable,
-                "kalman_first_row_zero": bool(np.all(kal.k[0] == 0.0)),
+                "kalman_first_row_zero": bool(np.all(kal[0] == 0.0)),
                 "submatrix_determinant": {
                     "closed_form": closed,
                     "numeric": numeric,
@@ -656,11 +653,11 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
     else:  # determinant_scan
         scan = scan_determinant(scenario.params, scenario.grid_n)
         grid_path = outdir / scenario.outputs.csv
-        lines = ["alpha1,alpha2,d_value"]
-        for i, u in enumerate(scan.grid):
-            for j, v in enumerate(scan.grid):
-                lines.append(f"{float(u)!r},{float(v)!r},{float(scan.values[i, j])!r}")
-        grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        n = scenario.grid_n
+        cells = np.column_stack(
+            (np.repeat(scan.grid, n), np.tile(scan.grid, n), scan.values.ravel())
+        )
+        write_rows(grid_path, "alpha1,alpha2,d_value", cells)
         summary.update(
             {
                 "grid_n": scenario.grid_n,

@@ -139,14 +139,11 @@ def circle_trajectory(
     radius: float,
     angular_rate: float,
     turns: float = 1.0,
-    phase: float | None = None,
-    start: tuple[float, float] | None = None,
+    phase: float = 0.0,
 ) -> Trajectory:
     """Circle of given radius about `center`, traversed at `angular_rate`
-    (sign = direction) for `turns` revolutions.
-
-    The start point is center + radius*(cos, sin)(phase); alternatively pass
-    `start` (a point on the circle) and the phase is derived from it.
+    (sign = direction) for `turns` revolutions, starting at
+    center + radius*(cos, sin)(phase).
     """
     cx, cy = float(center[0]), float(center[1])
     if radius <= 0.0:
@@ -155,14 +152,6 @@ def circle_trajectory(
         raise ValueError("angular_rate must be nonzero")
     if turns <= 0.0:
         raise ValueError(f"turns must be positive, got {turns!r}")
-    if phase is None:
-        if start is None:
-            phase = 0.0
-        else:
-            dx, dy = start[0] - cx, start[1] - cy
-            if abs(math.hypot(dx, dy) - radius) > 1e-6 * max(1.0, radius):
-                raise ValueError("start point does not lie on the circle")
-            phase = math.atan2(dy, dx)
     horizon = turns * 2.0 * math.pi / abs(angular_rate)
     om = angular_rate
     return Trajectory(
@@ -220,19 +209,21 @@ def constant_trajectory(point: tuple[float, float], horizon: float) -> Trajector
 
 @dataclass(frozen=True)
 class TrackingStatus:
-    """Bookkeeping of a closed-loop run.
+    """How an open- or closed-loop run ended, and its extrema and counts.
 
     outcome is one of OUTCOME_COMPLETED / OUTCOME_SINGULAR / OUTCOME_FAILURE;
     min_abs_d is the extremum over every right-hand-side evaluation in closed
     loop and over the emitted samples in open loop; max_field_norm is taken
     over the emitted samples; max_feedback_residual is the worst 2x2
-    residual seen (0 in open loop).
+    residual seen (0 in open loop). integrator holds the method and the
+    integrator's n_steps, n_rejected and n_evals, as summary.json reports.
     """
 
     outcome: str
     t_stop: float
     min_abs_d: float
     max_field_norm: float
+    integrator: dict
     max_feedback_residual: float = 0.0
     detail: str = ""
 
@@ -467,10 +458,6 @@ def record_run(
         max_field_norm=max_field,
         max_feedback_residual=max_feedback_residual,
         detail=detail,
-    )
-    record = record.with_metadata(
-        termination=outcome,
-        t_stop=result.t_stop,
         integrator={
             "method": method,
             "n_steps": result.n_steps,

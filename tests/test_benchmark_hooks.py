@@ -72,6 +72,6 @@ def test_raw_fields_hook_counts_every_closed_loop_evaluation(monkeypatch):
     record, status = tracking.simulate_closed_loop(
         equilibrium_state(p), traj, p, IntegratorOptions(method=METHOD_RK45), samples=5)
     assert status.outcome == tracking.OUTCOME_COMPLETED
-    n_evals = record.metadata["integrator"]["n_evals"]
+    n_evals = status.integrator["n_evals"]
     # one batched call gives the fields over the output samples
     assert calls == {"float": n_evals, "array": 1} and n_evals > 6

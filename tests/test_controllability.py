@@ -46,7 +46,7 @@ def test_linearize_translation_invariance(params):
 def test_kalman_zero_a_gives_padded_b(params):
     lin = linearize(equilibrium_state(params), params)
     lin_zero = type(lin)(a=np.zeros((5, 5)), b=lin.b, equilibrium=lin.equilibrium)
-    k = kalman_matrix(lin_zero).k
+    k = kalman_matrix(lin_zero)
     np.testing.assert_array_equal(k[:, :2], lin.b)
     np.testing.assert_array_equal(k[:, 2:], np.zeros((5, 8)))
 
@@ -56,7 +56,7 @@ def test_kalman_block_recurrence():
     a = rng.normal(size=(5, 5))
     b = rng.normal(size=(5, 2))
     lin = linearize(equilibrium_state(table1()), table1())
-    k = kalman_matrix(type(lin)(a=a, b=b, equilibrium=lin.equilibrium)).k
+    k = kalman_matrix(type(lin)(a=a, b=b, equilibrium=lin.equilibrium))
     for j in range(1, 5):
         np.testing.assert_allclose(
             k[:, 2 * j: 2 * j + 2], a @ k[:, 2 * (j - 1): 2 * j], rtol=1e-13
@@ -65,7 +65,7 @@ def test_kalman_block_recurrence():
 
 def test_kalman_first_two_rows_rank_two():
     p = table1(alpha0=math.pi / 3)
-    k = kalman_matrix(linearize(equilibrium_state(p), p)).k
+    k = kalman_matrix(linearize(equilibrium_state(p), p))
     assert np.linalg.matrix_rank(k[:2]) == 2
 
 
@@ -80,7 +80,7 @@ def test_partial_controllability_straight_fails_by_zero_row():
     lin = linearize(equilibrium_state(p), p)
     k = kalman_matrix(lin)
     np.testing.assert_array_equal(lin.b[0], np.zeros(2))
-    np.testing.assert_array_equal(k.k[0], np.zeros(10))
+    np.testing.assert_array_equal(k[0], np.zeros(10))
     res = partial_controllability(k, 2)
     assert not res.controllable
     assert res.rank == 1
@@ -88,12 +88,11 @@ def test_partial_controllability_straight_fails_by_zero_row():
 
 def test_partial_controllability_full_rank_random():
     rng = np.random.default_rng(43)
-    lin = linearize(equilibrium_state(table1()), table1())
     while True:
         k = rng.normal(size=(5, 10))
         if np.linalg.matrix_rank(k) == 5:
             break
-    res = partial_controllability(type(kalman_matrix(lin))(k=k), 5)
+    res = partial_controllability(k, 5)
     assert res.controllable and res.rank == 5
 
 

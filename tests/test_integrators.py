@@ -367,7 +367,7 @@ def test_methods_agree_on_swimmer_relaxation():
 
     def rhs(t, z):
         return list(
-            state_derivative(SwimmerState.from_array(z), ControlField(0, 0), p)
+            state_derivative(SwimmerState(*z), ControlField(0, 0), p)
         )
 
     z0 = [0.0, 0.0, 0.0, 0.3, p.alpha0 + 0.4]

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bentswimmer.model import (
-    ControlField,
     SwimmerParams,
     SwimmerState,
     joint_points,
     rotation_block,
     segment_frames,
 )
+from bentswimmer.records import CSV_COLUMNS, SimRecord, emit_lab_frame_controls
 
 from conftest import table1
 
@@ -40,10 +40,6 @@ def test_state_validation():
         SwimmerState(0, 0, 0, 0.0, -math.pi)
     s = SwimmerState(1, 2, 7.5, 0.1, -0.2)  # theta unwrapped, > pi allowed
     assert s.theta == 7.5
-    np.testing.assert_array_equal(
-        s.as_array(), [1, 2, 7.5, 0.1, -0.2]
-    )
-    assert SwimmerState.from_array(s.as_array()) == s
 
 
 def test_frames_aligned_swimmer(params):
@@ -117,13 +113,16 @@ def test_rotation_block_inverse():
 
 
 def test_control_field_round_trip():
+    # the lab-frame image of a run's body-frame field rotates back by -theta
     rng = np.random.default_rng(11)
-    for _ in range(1000):
-        th = rng.uniform(-12, 12)
-        h = ControlField(*rng.uniform(-1e4, 1e4, 2))
-        hx, hy = h.lab_components(th)
-        back = ControlField.from_lab(hx, hy, th)
-        assert abs(back.h_par - h.h_par) < 1e-12 * max(1.0, abs(h.h_par))
-        assert abs(back.h_perp - h.h_perp) < 1e-12 * max(1.0, abs(h.h_perp))
-        # rotation preserves the norm
-        assert abs(math.hypot(hx, hy) - h.norm()) < 1e-9
+    data = np.zeros((1000, len(CSV_COLUMNS)))
+    data[:, CSV_COLUMNS.index("theta")] = th = rng.uniform(-12, 12, 1000)
+    data[:, CSV_COLUMNS.index("h_par")] = hp = rng.uniform(-1e4, 1e4, 1000)
+    data[:, CSV_COLUMNS.index("h_perp")] = hq = rng.uniform(-1e4, 1e4, 1000)
+    rec = emit_lab_frame_controls(SimRecord(data=data))
+    hx, hy = rec.column("h_x"), rec.column("h_y")
+    c, s = np.cos(th), np.sin(th)
+    assert (np.abs(c * hx + s * hy - hp) < 1e-12 * np.maximum(1.0, np.abs(hp))).all()
+    assert (np.abs(-s * hx + c * hy - hq) < 1e-12 * np.maximum(1.0, np.abs(hq))).all()
+    # rotation preserves the norm
+    assert (np.abs(np.hypot(hx, hy) - np.hypot(hp, hq)) < 1e-9).all()

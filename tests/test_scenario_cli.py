@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,65 @@ def test_rel_tol_below_the_floor_is_rejected(tmp_path, capsys):
     assert cli_main(["simulate", str(p), "--output-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     assert "integrator: rel_tol" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def waypoint_doc():
+    doc = short_line_doc()
+    doc["trajectory"] = {"preset": "waypoint_spline", "times_s": [0.0, 0.004, 0.008, 0.01],
+                         "x_um": [0.0, 0.1, 0.2, 0.2], "y_um": [0.0, 0.05, 0.0, 0.1]}
+    return doc
+
+
+def assert_cli_rejects(doc, path, tmp_path, capsys):
+    """`validate` exits 4 and its error names the field path."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,value,path", [
+    ("params", 5, "params"),
+    ("integrator", 5, "integrator"),
+    ("trajectory", 5, "trajectory"),
+    ("trajectory", {"preset": ["line"]}, "trajectory.preset"),
+    ("initial", "abc", "initial"),
+    ("outputs", ["r.csv"], "outputs"),
+], ids=["params", "integrator", "trajectory", "preset_list", "initial_string", "outputs"])
+def test_malformed_block_names_its_path(block, value, path, tmp_path, capsys):
+    doc = short_line_doc()
+    doc[block] = value
+    with pytest.raises(ScenarioValidationError,
+                       match=rf"^{re.escape(path)}: (expected an object|must be one of)"):
+        scenario_from_dict(doc)
+    assert_cli_rejects(doc, path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("entry", [True, None, "abc"])
+@pytest.mark.parametrize("key", ["times_s", "x_um", "y_um"])
+def test_waypoint_entries_must_be_numbers(key, entry, tmp_path, capsys):
+    doc = waypoint_doc()
+    scenario_from_dict(doc)
+    doc["trajectory"][key][1] = entry
+    path = f"trajectory.{key}[1]"
+    with pytest.raises(ScenarioValidationError, match=rf"^{re.escape(path)}: expected a number"):
+        scenario_from_dict(doc)
+    assert_cli_rejects(doc, path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key,path", [
+    ("abs_tol", "integrator"), ("rel_tol", "integrator"), ("eps_d", "eps_d"),
+])
+def test_tolerances_must_be_finite(key, path, tmp_path, capsys):
+    doc = short_line_doc()
+    if path == "integrator":
+        doc["integrator"] = {key: math.inf}
+    else:
+        doc[key] = math.inf
+    with pytest.raises(ScenarioValidationError, match=rf"^{path}: .*must be positive and finite"):
+        scenario_from_dict(doc)
+    assert "Infinity" in json.dumps(doc)  # what a scenario file can hold
+    assert_cli_rejects(doc, path, tmp_path, capsys)
 
 
 def test_open_loop_requires_field_program():
@@ -318,8 +378,9 @@ def test_run_open_loop_piecewise_field(tmp_path):
     # the pieces join without a seam: the state sampled at the boundary is
     # the end state of the first piece integrated on its own
     first = FieldProgram(pieces=(scn.field_program.pieces[0],))
-    alone, _ = simulate_open_loop(scn.initial, first, scn.params, scn.integrator, samples=2)
-    t_b = alone.metadata["t_stop"]
+    alone, alone_status = simulate_open_loop(scn.initial, first, scn.params, scn.integrator,
+                                             samples=2)
+    t_b = alone_status.t_stop
     both, _ = simulate_open_loop(scn.initial, scn.field_program, scn.params, scn.integrator,
                                  samples=80, snapshot_times=(t_b,))
     at_b = both.data[both.column("t") == t_b]

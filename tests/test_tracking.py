@@ -114,13 +114,6 @@ def test_trajectory_presets_are_consistent():
     assert wps.f(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_circle_start_point_form():
-    circ = circle_trajectory((0.0, 5.0), 5.0, 20.0, start=(0.0, 0.0))
-    assert circ.start() == pytest.approx((0.0, 0.0), abs=1e-9)
-    with pytest.raises(ValueError):
-        circle_trajectory((0.0, 5.0), 5.0, 20.0, start=(1.0, 0.0))
-
-
 def test_trajectory_evaluators_must_take_arrays():
     # one argument only, and math.sin on an array of times
     for dg in (lambda t: 0.0, lambda t, xp=math: math.sin(t)):
