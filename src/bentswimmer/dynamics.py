@@ -63,7 +63,23 @@ def mobility_entries(a1, a2, ell: float, xi: float, eta: float, xp=math) -> list
     With xp=math (the default) the shape is a pair of floats; with xp=numpy
     it is a pair of arrays and each entry is an array over the shapes (an
     entry that does not depend on the shape stays a float). Both run the
-    same operations in the same order.
+    same operations in the same order. The entries come from _drag_upper.
+    """
+    (m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, m33, m34, m44) = (
+        _drag_upper(xp.cos(a1), xp.sin(a1), xp.cos(a1 + a2), xp.sin(a1 + a2), ell, xi, eta))
+    return [
+        [m00, m01, m02, m03, m04],
+        [m01, m11, m12, m13, m14],
+        [m02, m12, m22, m23, m24],
+        [m03, m13, m23, m33, m34],
+        [m04, m14, m24, m34, m44],
+    ]
+
+
+def _drag_upper(c1, s1, c12, s12, ell: float, xi: float, eta: float):
+    """Upper triangle of the drag matrix, flat and row by row, from the
+    cosines and sines of alpha1 and alpha1 + alpha2. Plain arithmetic, so
+    floats and arrays go through it alike.
 
     Unrolled over the three segments for speed (this sits inside the ODE
     right-hand side). For a velocity field a + s*b*n on a segment with frame
@@ -77,10 +93,6 @@ def mobility_entries(a1, a2, ell: float, xi: float, eta: float, xp=math) -> list
     symmetric because each balance row and each generalized velocity pair
     through the same drag inner product.
     """
-    c1 = xp.cos(a1)
-    s1 = xp.sin(a1)
-    c12 = xp.cos(a1 + a2)
-    s12 = xp.sin(a1 + a2)
     ca2 = c1 * c12 + s1 * s12  # cos(a2)
     sa2 = c1 * s12 - s1 * c12  # sin(a2)
     l2 = 0.5 * ell * ell
@@ -148,13 +160,7 @@ def mobility_entries(a1, a2, ell: float, xi: float, eta: float, xp=math) -> list
     m14 = -el2 * c12
     m44 = -eta * l3
 
-    return [
-        [m00, m01, m02, m03, m04],
-        [m01, m11, m12, m13, m14],
-        [m02, m12, m22, m23, m24],
-        [m03, m13, m23, m33, m34],
-        [m04, m14, m24, m34, m44],
-    ]
+    return (m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, m33, m34, m44)
 
 
 @dataclass(frozen=True)
@@ -174,10 +180,11 @@ def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
     """(f0, f1, f2, x3, x4, x5) as lists of five entries each.
 
     Hot path: with xp=math (the default) the shape is a pair of floats and
-    nothing is allocated but the lists. With xp=numpy the shape is a pair of
-    arrays and every entry is an array over the shapes, computed by the same
-    operations in the same order; the guards then name the first shape that
-    trips them.
+    nothing is allocated but the lists and the drag tuple. With xp=numpy the
+    shape is a pair of arrays and every entry is an array over the shapes,
+    computed by the same operations in the same order; the guards then name
+    the first shape that trips them. The four sines and cosines are taken
+    once, here, and serve both the drag matrix and the magnetic terms.
 
     x3, x4, x5 are columns 3..5 of M^{-1}, i.e. M^{-1}[:, 2:5], by block
     elimination on M = [[P, Q], [Q^T, R]] with P = M[0:2, 0:2],
@@ -190,13 +197,13 @@ def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
     are too and no pivoting is needed; P and S are inverted by cofactors,
     fully unrolled.
     """
-    (
-        (m00, m01, m02, m03, m04),
-        (_, m11, m12, m13, m14),
-        (_, _, m22, m23, m24),
-        (_, _, _, m33, m34),
-        (_, _, _, _, m44),
-    ) = mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta, xp)
+    a12 = alpha1 + alpha2
+    s1 = xp.sin(alpha1)
+    c1 = xp.cos(alpha1)
+    s12 = xp.sin(a12)
+    c12 = xp.cos(a12)
+    (m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, m33, m34, m44) = (
+        _drag_upper(c1, s1, c12, s12, params.ell, params.xi, params.eta))
     det_p = m00 * m11 - m01 * m01
     # each test below gives a bool for floats and a bool array for arrays
     zero = det_p == 0.0
@@ -263,10 +270,6 @@ def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
     x3 = [x30, x31, i22, i23, i24]
     x4 = [x40, x41, i23, i33, i34]
     x5 = [x50, x51, i24, i34, i44]
-    s1 = xp.sin(alpha1)
-    c1 = xp.cos(alpha1)
-    s12 = xp.sin(alpha1 + alpha2)
-    c12 = xp.cos(alpha1 + alpha2)
     m3s = params.m3 * s12
     m3c = params.m3 * c12
     g_sin = params.m2 * s1 + m3s

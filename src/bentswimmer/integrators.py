@@ -27,8 +27,10 @@ in both methods; neither error test rejects NaN by itself.
 The right-hand side is ``rhs(t, z) -> list[float]`` over plain float lists.
 An rhs may raise IntegrationSignal (or a subclass) to stop the run cleanly:
 the integrator returns everything accepted so far with status
-``terminated_by_signal`` instead of failing. Dense output between accepted
-points is cubic Hermite.
+``terminated_by_signal`` instead of failing. The one exception is
+OutsideDomain raised by an RK45 trial stage: the state left the rhs's
+domain only because the step was too long, so the step is rejected and
+shrunk instead. Dense output between accepted points is cubic Hermite.
 
 All arithmetic is deterministic: identical inputs give bit-identical output.
 """
@@ -82,6 +84,12 @@ class IntegrationSignal(Exception):
     """Typed early-termination channel for right-hand sides."""
 
 
+class OutsideDomain(IntegrationSignal):
+    """The rhs was asked for a state outside its domain. An RK45 trial stage
+    that raises it rejects the step; at a node, or under the stiff method,
+    it ends the run like any other signal."""
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     method: str = METHOD_RK45
@@ -102,10 +110,11 @@ class IntegratorOptions:
                 f"rel_tol must be at least 100 machine epsilons ({REL_TOL_MIN:.3e}), "
                 f"got {self.rel_tol!r}"
             )
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
+        # h_max may be inf (no cap); h_init must be finite, and so h_min
+        if not (0.0 < self.h_min <= self.h_init <= self.h_max and self.h_init < math.inf):
             raise ValueError(
-                f"need 0 < h_min <= h_init <= h_max, got "
-                f"({self.h_min}, {self.h_init}, {self.h_max})"
+                f"h_min and h_init must be positive and finite, with h_min <= h_init "
+                f"<= h_max; got ({self.h_min}, {self.h_init}, {self.h_max})"
             )
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
@@ -254,15 +263,18 @@ def _integrate_rk45(rhs, z0, t0, t1, opts) -> IntegrationResult:
                   for zq, p0, p1, p2, p3, p4 in zip(z, k0, k1, k2, k3, k4)]
             k5 = rhs(t + a5 * h, zi)
             nev += 1
+        except OutsideDomain:
+            err = math.inf  # rejected, and h shrinks by _SHRINK_MIN
         except IntegrationSignal as sig:
             return _result(STATUS_SIGNAL, ts, zs, fs, sig, nstep, nrej, nev)
-        # max by `r > err`, so a NaN ratio is never kept
-        err = 0.0
-        for zq, p0, p2, p3, p4, p5 in zip(z, k0, k2, k3, k4, k5):
-            e = (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5) * h
-            r = abs(e) / (atol + rtol * abs(zq))
-            if r > err:
-                err = r
+        else:
+            # max by `r > err`, so a NaN ratio is never kept
+            err = 0.0
+            for zq, p0, p2, p3, p4, p5 in zip(z, k0, k2, k3, k4, k5):
+                e = (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5) * h
+                r = abs(e) / (atol + rtol * abs(zq))
+                if r > err:
+                    err = r
         if err <= 1.0:
             z = [zq + h * (c0 * p0 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5)
                  for zq, p0, p2, p3, p4, p5 in zip(z, k0, k2, k3, k4, k5)]
@@ -358,6 +370,7 @@ def _integrate_trapezoidal(rhs, z0, t0, t1, opts) -> IntegrationResult:
 
 __all__ = [
     "IntegrationSignal",
+    "OutsideDomain",
     "IntegratorOptions",
     "IntegrationResult",
     "integrate",

@@ -495,7 +495,8 @@ def simulate_open_loop(
 
     def fields_at(times, states):
         h_par, h_perp = program.field_at(times)
-        return h_par, h_perp, tracking_determinant(states[:, 3], states[:, 4], params, np)
+        d = tracking_determinant(states[:, 3], states[:, 4], params, np)
+        return h_par, h_perp, d, np.zeros(times.size)
 
     return record_run(joined, fields_at, opts.method, samples, snapshot_times)
 
@@ -596,9 +597,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                 "detail": status.detail,
                 "t_stop_s": status.t_stop,
                 "min_abs_d": status.min_abs_d,
-                "min_abs_d_state_set": (
-                    "rhs_evaluations" if scenario.mode == "closed_loop" else "samples"
-                ),
+                "min_abs_d_state_set": "accepted_nodes",
                 "max_field_norm_uT": status.max_field_norm,
                 "max_feedback_residual": status.max_feedback_residual,
                 "final_state": {

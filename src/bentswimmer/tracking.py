@@ -34,6 +34,7 @@ from .integrators import (
     IntegrationResult,
     IntegrationSignal,
     IntegratorOptions,
+    OutsideDomain,
     integrate,
 )
 from .model import ControlField, SwimmerParams, SwimmerState
@@ -41,6 +42,9 @@ from .records import CSV_COLUMNS, SimRecord, emit_lab_frame_controls
 
 DEFAULT_EPS_D = 1e-8
 INITIAL_POSITION_TOL = 1e-9
+# accepted nodes per batch in the run diagnostics: one batch over a long run,
+# or batches of 1,000, raise the peak memory of a benchmark process measurably
+_NODE_CHUNK = 500
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_SINGULAR = "singular_abort"
@@ -60,7 +64,7 @@ class TrackingSingularity(IntegrationSignal):
         self.alpha2 = alpha2
 
 
-class ShapeRangeSignal(IntegrationSignal):
+class ShapeRangeSignal(OutsideDomain):
     """A joint angle left (-pi, pi): segments would overlap."""
 
     def __init__(self, alpha1: float, alpha2: float):
@@ -211,12 +215,14 @@ def constant_trajectory(point: tuple[float, float], horizon: float) -> Trajector
 class TrackingStatus:
     """How an open- or closed-loop run ended, and its extrema and counts.
 
-    outcome is one of OUTCOME_COMPLETED / OUTCOME_SINGULAR / OUTCOME_FAILURE;
-    min_abs_d is the extremum over every right-hand-side evaluation in closed
-    loop and over the emitted samples in open loop; max_field_norm is taken
-    over the emitted samples; max_feedback_residual is the worst 2x2
-    residual seen (0 in open loop). integrator holds the method and the
-    integrator's n_steps, n_rejected and n_evals, as summary.json reports.
+    outcome is one of OUTCOME_COMPLETED / OUTCOME_SINGULAR / OUTCOME_FAILURE.
+    min_abs_d is the smallest |D| over the accepted nodes, in both modes, and
+    over the |D| of a TrackingSingularity that ended the run; trial stages
+    and Jacobian probes never count. max_feedback_residual is the worst
+    scaled 2x2 residual over the accepted nodes (0 in open loop).
+    max_field_norm is taken over the emitted samples. integrator holds the
+    method and the integrator's n_steps, n_rejected and n_evals, as
+    summary.json reports.
     """
 
     outcome: str
@@ -291,14 +297,9 @@ def _solve_controls_raw(
     params: SwimmerParams,
     eps_d: float,
 ):
-    """Feedback solve at raw state z. Returns (h_par, h_perp, d, residual,
-    zdot), zdot being the closed-loop derivative with the solved field
-    substituted; raises TrackingSingularity when |D| <= eps_d.
-
-    The residual is the 2x2 system defect scaled by the magnitude of the
-    participating terms (the solved field can reach 1e6 internal units near
-    blow-up, where an absolute defect saturates at |H|*eps regardless of the
-    solve's quality).
+    """Feedback solve at raw state z. Returns (h_par, h_perp, d, zdot), zdot
+    being the closed-loop derivative with the solved field substituted;
+    raises TrackingSingularity when |D| <= eps_d.
 
     Hot path: zdot is dynamics._combine_fields(z, h_par, h_perp, f0, f1, f2)
     written out over the fields' entries, with the rotation by theta shared
@@ -320,13 +321,6 @@ def _solve_controls_raw(
     r2 = by - f01
     h_par = (r1 * f21 - r2 * f20) / d
     h_perp = (f10 * r2 - f11 * r1) / d
-    scale = 1.0 + abs(r1) + abs(r2) + (abs(h_par) + abs(h_perp)) * (
-        abs(f10) + abs(f11) + abs(f20) + abs(f21)
-    )
-    resid = max(
-        abs(f10 * h_par + f20 * h_perp - r1),
-        abs(f11 * h_par + f21 * h_perp - r2),
-    ) / scale
     w0 = f00 + h_par * f10 + h_perp * f20
     w1 = f01 + h_par * f11 + h_perp * f21
     zdot = [
@@ -336,13 +330,19 @@ def _solve_controls_raw(
         f03 + h_par * f13 + h_perp * f23,
         f04 + h_par * f14 + h_perp * f24,
     ]
-    return h_par, h_perp, d, resid, zdot
+    return h_par, h_perp, d, zdot
 
 
 def _solve_controls_batch(z, fprime, gprime, params: SwimmerParams, eps_d: float):
-    """_solve_controls_raw over the rows of an (n, 5) state array, with the
-    same operations in the same order. Returns (h_par, h_perp, d) arrays;
-    rows with |D| <= eps_d get NaN fields and keep their D.
+    """_solve_controls_raw's field solve over the rows of an (n, 5) state
+    array, with the same operations in the same order. Returns arrays
+    (h_par, h_perp, d, residual); rows with |D| <= eps_d get NaN fields and
+    a NaN residual, and keep their D.
+
+    The residual is the 2x2 system defect scaled by the magnitude of the
+    participating terms (the solved field can reach 1e6 internal units near
+    blow-up, where an absolute defect saturates at |H|*eps regardless of the
+    solve's quality).
     """
     f0, f1, f2, _, _, _ = _raw_fields(z[:, 3], z[:, 4], params, np)
     d = f1[0] * f2[1] - f1[1] * f2[0]
@@ -356,7 +356,15 @@ def _solve_controls_batch(z, fprime, gprime, params: SwimmerParams, eps_d: float
     with np.errstate(divide="ignore", invalid="ignore"):
         h_par = np.where(singular, math.nan, (r1 * f2[1] - r2 * f2[0]) / d)
         h_perp = np.where(singular, math.nan, (f1[0] * r2 - f1[1] * r1) / d)
-    return h_par, h_perp, d
+    ab = np.abs
+    scale = 1.0 + ab(r1) + ab(r2) + (ab(h_par) + ab(h_perp)) * (
+        ab(f1[0]) + ab(f1[1]) + ab(f2[0]) + ab(f2[1])
+    )
+    resid = np.maximum(
+        ab(f1[0] * h_par + f2[0] * h_perp - r1),
+        ab(f1[1] * h_par + f2[1] * h_perp - r2),
+    ) / scale
+    return h_par, h_perp, d, resid
 
 
 def solve_tracking_controls(
@@ -368,33 +376,17 @@ def solve_tracking_controls(
 ) -> ControlField:
     """Field making (xdot, ydot) = (fprime, gprime) at this state."""
     z = [state.x, state.y, state.theta, state.alpha1, state.alpha2]
-    h_par, h_perp, _, _, _ = _solve_controls_raw(z, fprime, gprime, params, eps_d)
+    h_par, h_perp, _, _ = _solve_controls_raw(z, fprime, gprime, params, eps_d)
     return ControlField(h_par=h_par, h_perp=h_perp)
 
 
-@dataclass
-class _RunStats:
-    min_abs_d: float = math.inf
-    max_residual: float = 0.0
-
-
-def _closed_loop_rhs(params, traj, eps_d, stats):
+def _closed_loop_rhs(params, traj, eps_d):
     df, dg = traj.df, traj.dg
 
     def rhs(t, z):
         if not (-math.pi < z[3] < math.pi and -math.pi < z[4] < math.pi):
             raise ShapeRangeSignal(z[3], z[4])
-        try:
-            _, _, d, resid, zdot = _solve_controls_raw(z, df(t), dg(t), params, eps_d)
-        except TrackingSingularity as sig:
-            stats.min_abs_d = min(stats.min_abs_d, abs(sig.d_value))
-            raise
-        ad = abs(d)
-        if ad < stats.min_abs_d:
-            stats.min_abs_d = ad
-        if resid > stats.max_residual:
-            stats.max_residual = resid
-        return zdot
+        return _solve_controls_raw(z, df(t), dg(t), params, eps_d)[3]
 
     return rhs
 
@@ -406,20 +398,33 @@ def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
     return np.unique(base)
 
 
+def _node_extrema(result: IntegrationResult, fields_at) -> tuple[float, float]:
+    """(min |D|, max residual) over the accepted nodes, _NODE_CHUNK at a
+    time; min |D| also covers the |D| of a TrackingSingularity that ended
+    the run. A NaN residual (a singular node) is skipped."""
+    min_abs_d, max_resid = math.inf, 0.0
+    for i in range(0, result.t.size, _NODE_CHUNK):
+        _, _, d, resid = fields_at(result.t[i:i + _NODE_CHUNK], result.z[i:i + _NODE_CHUNK])
+        min_abs_d = min(min_abs_d, float(np.min(np.abs(d))))
+        max_resid = max(max_resid, float(np.fmax.reduce(resid, initial=0.0)))
+    if isinstance(result.signal, TrackingSingularity):
+        min_abs_d = min(min_abs_d, abs(result.signal.d_value))
+    return min_abs_d, max_resid
+
+
 def record_run(
     result: IntegrationResult,
     fields_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
     method: str,
     samples: int,
     snapshot_times=(),
-    min_abs_d: float | None = None,
-    max_feedback_residual: float = 0.0,
 ) -> tuple[SimRecord, TrackingStatus]:
     """Sample a finished run into a record and map its status to an outcome.
 
-    fields_at(times, states) gives arrays (h_par, h_perp, d) over the
-    sampled states, one row each; a NaN field marks a state where it is
-    undefined. min_abs_d defaults to the smallest |d| over the samples.
+    fields_at(times, states) gives arrays (h_par, h_perp, d, residual) over
+    the given states, one row each; a NaN field marks a state where it is
+    undefined. It runs once over the samples for the record, and over the
+    accepted nodes for min |D| and the max residual.
     """
     if result.status == STATUS_COMPLETED:
         outcome, detail = OUTCOME_COMPLETED, ""
@@ -433,7 +438,7 @@ def record_run(
 
     times = _sample_times(result.t_stop, samples, snapshot_times)
     states = result.sample(times)
-    h_par, h_perp, d = fields_at(times, states)
+    h_par, h_perp, d, _ = fields_at(times, states)
     data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
     data[:, 0] = times
     data[:, 1:6] = states
@@ -441,8 +446,7 @@ def record_run(
     data[:, 7] = h_perp
     data[:, 10] = d
     record = emit_lab_frame_controls(SimRecord(data=data))
-    if min_abs_d is None:
-        min_abs_d = float(np.min(np.abs(d)))
+    min_abs_d, max_feedback_residual = _node_extrema(result, fields_at)
     # the reported field extremum comes from the emitted series: internal
     # evaluations include Jacobian probe states that are never visited.
     # math.hypot, not np.hypot, which may differ in the last bit
@@ -491,8 +495,7 @@ def simulate_closed_loop(
             f"initial position ({initial.x}, {initial.y}) does not match the "
             f"trajectory start ({fx0}, {gy0})"
         )
-    stats = _RunStats()
-    rhs = _closed_loop_rhs(params, traj, eps_d, stats)
+    rhs = _closed_loop_rhs(params, traj, eps_d)
     z0 = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
@@ -501,15 +504,7 @@ def simulate_closed_loop(
             states, traj.df(times, np), traj.dg(times, np), params, eps_d
         )
 
-    return record_run(
-        result,
-        fields_at,
-        opts.method,
-        samples,
-        snapshot_times,
-        min_abs_d=stats.min_abs_d,
-        max_feedback_residual=stats.max_residual,
-    )
+    return record_run(result, fields_at, opts.method, samples, snapshot_times)
 
 
 __all__ = [

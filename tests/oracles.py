@@ -27,6 +27,7 @@ from bentswimmer.integrators import (
     STATUS_STEP_COLLAPSE,
     IntegrationResult,
     IntegrationSignal,
+    OutsideDomain,
 )
 from bentswimmer.model import SwimmerParams, SwimmerState, segment_frames
 
@@ -189,7 +190,9 @@ def hermite_sample(t, z, f, times) -> np.ndarray:
 def rk45_reference(rhs, z0, t_span, opts) -> IntegrationResult:
     """The RK45 method of integrate(), with loops over the tableau's stages
     and the state's components: each stage state, error norm and fifth-order
-    update accumulates its terms in tableau order, skipping zero weights.
+    update accumulates its terms in tableau order, skipping zero weights. A
+    stage that raises OutsideDomain rejects the step and shrinks h by
+    _SHRINK_MIN.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     z0 = [float(v) for v in z0]
@@ -231,6 +234,12 @@ def rk45_reference(rhs, z0, t_span, opts) -> IntegrationResult:
                             zi[q] += hb * ks[j][q]
                 ks[i] = rhs(t + _RK_A[i] * h, zi)
                 nev += 1
+        except OutsideDomain:
+            nrej += 1
+            h *= _SHRINK_MIN
+            if h < opts.h_min:
+                return result(STATUS_STEP_COLLAPSE)
+            continue
         except IntegrationSignal as sig:
             return result(STATUS_SIGNAL, sig)
         err = 0.0
@@ -269,3 +278,22 @@ def rk45_reference(rhs, z0, t_span, opts) -> IntegrationResult:
         if h < opts.h_min and t1 - t > t_snap:
             return result(STATUS_STEP_COLLAPSE)
     return result(STATUS_COMPLETED)
+
+
+def feedback_residual(f0, f1, f2, theta, fprime, gprime, h_par, h_perp) -> float:
+    """The feedback 2x2 system's defect at field (h_par, h_perp), for the
+    fields f0, f1, f2 of a shape at orientation theta and the demand
+    (fprime, gprime), scaled by the magnitude of the participating terms:
+    the larger row of |F1 h_par + F2 h_perp - r| over
+    1 + |r|_1 + |H|_1 (|F1x| + |F1y| + |F2x| + |F2y|), r = R_{-theta} (f', g') - F0.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    r1 = c * fprime + s * gprime - f0[0]
+    r2 = -s * fprime + c * gprime - f0[1]
+    scale = 1.0 + abs(r1) + abs(r2) + (abs(h_par) + abs(h_perp)) * (
+        abs(f1[0]) + abs(f1[1]) + abs(f2[0]) + abs(f2[1])
+    )
+    return max(
+        abs(f1[0] * h_par + f2[0] * h_perp - r1),
+        abs(f1[1] * h_par + f2[1] * h_perp - r2),
+    ) / scale

@@ -73,5 +73,7 @@ def test_raw_fields_hook_counts_every_closed_loop_evaluation(monkeypatch):
         equilibrium_state(p), traj, p, IntegratorOptions(method=METHOD_RK45), samples=5)
     assert status.outcome == tracking.OUTCOME_COMPLETED
     n_evals = status.integrator["n_evals"]
-    # one batched call gives the fields over the output samples
-    assert calls == {"float": n_evals, "array": 1} and n_evals > 6
+    # batched calls: one for the fields over the output samples, one for the
+    # diagnostics over the accepted nodes (fewer than one chunk of them)
+    assert status.integrator["n_steps"] < tracking._NODE_CHUNK
+    assert calls == {"float": n_evals, "array": 2} and n_evals > 6

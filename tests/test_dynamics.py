@@ -254,9 +254,14 @@ SINGULAR_BLOCKS = [
 ]
 
 
+def upper(m):
+    """The flat upper triangle of a 5x5 matrix, as dynamics._drag_upper gives it."""
+    return tuple(m[i][j] for i in range(5) for j in range(i, 5))
+
+
 @pytest.mark.parametrize("m", SINGULAR_BLOCKS, ids=["translation_block", "schur_complement"])
 def test_block_solve_singular_raises(m, params, monkeypatch):
-    monkeypatch.setattr(dynamics, "mobility_entries", lambda *args: [row[:] for row in m])
+    monkeypatch.setattr(dynamics, "_drag_upper", lambda *args: upper(m))
     with pytest.raises(SingularMatrixError, match=r"singular at shape \(0\.3, -0\.7\)"):
         dynamics._raw_fields(0.3, -0.7, params)
 
@@ -271,8 +276,8 @@ def test_batched_guards_name_the_first_shape(m, params, monkeypatch):
     a2 = np.array([-0.5, -0.7, -0.9, -1.1])
     bad = np.array([False, True, True, False])
     eye = np.eye(5)
-    monkeypatch.setattr(dynamics, "mobility_entries", lambda *args: [
-        [np.where(bad, m[i][j], eye[i, j]) for j in range(5)] for i in range(5)])
+    monkeypatch.setattr(dynamics, "_drag_upper", lambda *args: upper(
+        [[np.where(bad, m[i][j], eye[i, j]) for j in range(5)] for i in range(5)]))
     if np.linalg.det(m) != 0.0:
         with pytest.warns(RuntimeWarning, match=r"det = 1\.000e-16 at \(0\.3, -0\.7\)"):
             dynamics._raw_fields(a1, a2, params, np)

@@ -20,6 +20,7 @@ from bentswimmer.integrators import (
     IntegrationResult,
     IntegrationSignal,
     IntegratorOptions,
+    OutsideDomain,
     integrate,
 )
 from bentswimmer.integrators import _RK_A, _RK_B, _RK_C5, _RK_ERR
@@ -38,6 +39,10 @@ def test_options_validation():
         IntegratorOptions(abs_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorOptions(h_min=1e-3, h_init=1e-6)
+    for bad in ({"h_init": math.inf}, {"h_min": math.inf}, {"h_init": math.nan}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            IntegratorOptions(**bad)
+    IntegratorOptions(h_max=math.inf)
     with pytest.raises(ValueError):
         IntegratorOptions(max_steps=0)
     with pytest.raises(ValueError, match="rel_tol"):
@@ -112,14 +117,12 @@ def test_rk45_matches_reference_on_a_closed_loop_circle():
     traj = tracking.circle_trajectory((st.x - 5.0, st.y), 5.0, 1200.0)
     z0 = [st.x, st.y, st.theta, st.alpha1, st.alpha2]
     span = (0.0, 0.05 * traj.horizon)
-    runs, stats = [], []
+    runs = []
     for integrator in (integrate, rk45_reference):
-        stats.append(tracking._RunStats())
-        rhs = tracking._closed_loop_rhs(p, traj, tracking.DEFAULT_EPS_D, stats[-1])
+        rhs = tracking._closed_loop_rhs(p, traj, tracking.DEFAULT_EPS_D)
         runs.append(integrator(rhs, z0, span, opts(METHOD_RK45)))
     assert runs[0].status == STATUS_COMPLETED and runs[0].n_steps > 50
     _assert_same_run(*runs)
-    assert stats[0] == stats[1]
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5, 6],
@@ -143,6 +146,51 @@ def test_rk45_signal_matches_reference(stage):
     assert got.status == STATUS_SIGNAL
     assert (got.n_steps, got.n_rejected, got.n_evals) == (3, 0, 3 * 6 + stage)
     _assert_same_run(got, rk45_reference(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45)))
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5, 6],
+                         ids=["stage1", "stage2", "stage3", "stage4", "stage5", "node"])
+def test_rk45_outside_domain_matches_reference(stage):
+    # the same call count as above: a trial stage outside the domain rejects
+    # the fourth step's attempt and the run goes on with a shorter step; at a
+    # node the run ends there
+    def make_rhs():
+        calls = [0]
+
+        def rhs(t, z):
+            calls[0] += 1
+            if calls[0] == 1 + 3 * 6 + stage:
+                raise OutsideDomain(f"call {calls[0]}")
+            return [math.cos(t) - z[0], z[0], -3.0 * z[2]]
+
+        return rhs
+
+    z0 = [1.0, 0.0, 2.0]
+    got = integrate(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45))
+    if stage == 6:
+        assert got.status == STATUS_SIGNAL and isinstance(got.signal, OutsideDomain)
+        assert (got.n_steps, got.n_rejected) == (3, 0)
+    else:
+        assert got.status == STATUS_COMPLETED and got.n_rejected >= 1
+    _assert_same_run(got, rk45_reference(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45)))
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_outside_domain_everywhere_past_the_start(method):
+    # RK45 shrinks by _SHRINK_MIN per rejected attempt until h < h_min
+    # (1e-7 * 0.2^11 < 1e-14); the stiff method ends at its first probe
+    def rhs(t, z):
+        if t > 0.0:
+            raise OutsideDomain(f"t = {t}")
+        return [-z[0]]
+
+    got = integrate(rhs, [1.0], (0.0, 1.0), opts(method))
+    assert got.n_steps == 0 and got.t_stop == 0.0
+    if method == METHOD_RK45:
+        assert (got.status, got.n_rejected) == (STATUS_STEP_COLLAPSE, 11)
+        _assert_same_run(got, rk45_reference(rhs, [1.0], (0.0, 1.0), opts(method)))
+    else:
+        assert got.status == STATUS_SIGNAL and isinstance(got.signal, OutsideDomain)
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])

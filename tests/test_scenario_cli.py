@@ -201,7 +201,8 @@ def test_waypoint_entries_must_be_numbers(key, entry, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,path", [
-    ("abs_tol", "integrator"), ("rel_tol", "integrator"), ("eps_d", "eps_d"),
+    ("abs_tol", "integrator"), ("rel_tol", "integrator"), ("h_init_s", "integrator"),
+    ("h_min_s", "integrator"), ("eps_d", "eps_d"),
 ])
 def test_tolerances_must_be_finite(key, path, tmp_path, capsys):
     doc = short_line_doc()
@@ -294,7 +295,7 @@ def test_run_short_line_writes_outputs(tmp_path):
     summary = json.loads((tmp_path / "s.json").read_text())
     assert summary["termination"] == "completed"
     assert summary["tracking_error_um"] <= 1e-8
-    assert summary["min_abs_d_state_set"] == "rhs_evaluations"
+    assert summary["min_abs_d_state_set"] == "accepted_nodes"
 
 
 def test_csv_rows_across_blocks_match_the_per_value_format(tmp_path):
@@ -332,6 +333,21 @@ def test_run_blowup_line_exit_code(tmp_path):
     assert np.isfinite(rec.data[:-1]).all()
 
 
+def test_rk45_trial_stage_outside_the_shape_range_is_rejected(scenario_dir, tmp_path):
+    # with a long first step, a stage of the first trial step takes the joint
+    # angles out of (-pi, pi); RK45 rejects that step rather than ending the
+    # run at t = 0 with shape_out_of_range
+    doc = json.loads((scenario_dir / "table1_line_ok.json").read_text(encoding="utf-8"))
+    doc["trajectory"]["duration_s"] = 0.001
+    doc["outputs"] = {"csv": "r.csv", "summary": "s.json", "samples": 50}
+    doc["integrator"]["h_init_s"] = 1e-4
+    assert doc["integrator"]["method"] == "adaptive_explicit_rk45"
+    result = run_scenario(scenario_from_dict(doc, name="long_first_step"), tmp_path)
+    assert result.exit_code == EXIT_COMPLETED, result.summary["detail"]
+    assert result.summary["integrator"]["n_rejected"] > 0
+    assert result.summary["tracking_error_um"] <= 1e-8
+
+
 def test_run_open_loop_relaxation(tmp_path):
     doc = {
         "mode": "open_loop",
@@ -344,7 +360,7 @@ def test_run_open_loop_relaxation(tmp_path):
     scn = scenario_from_dict(doc, name="relax")
     result = run_scenario(scn, tmp_path)
     assert result.exit_code == EXIT_COMPLETED
-    assert result.summary["min_abs_d_state_set"] == "samples"
+    assert result.summary["min_abs_d_state_set"] == "accepted_nodes"
     final = result.summary["final_state"]
     assert abs(final["alpha1"]) < 1e-6
     assert abs(final["alpha2"] - A0) < 1e-6

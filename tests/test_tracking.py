@@ -6,7 +6,7 @@ import pytest
 from bentswimmer import tracking
 from bentswimmer.dynamics import _combine_fields, _raw_fields
 from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state_derivative
-from bentswimmer.integrators import IntegratorOptions
+from bentswimmer.integrators import METHOD_RK45, METHOD_TRAPEZOIDAL, IntegratorOptions, integrate
 from bentswimmer.model import SwimmerState
 from bentswimmer.records import CSV_COLUMNS
 from bentswimmer.tracking import (
@@ -27,7 +27,7 @@ from bentswimmer.tracking import (
 from bentswimmer.tracking import _solve_controls_batch, _solve_controls_raw
 
 from conftest import drag_matrix
-from oracles import cofactor_inverse
+from oracles import cofactor_inverse, feedback_residual
 
 
 # ---------------------------------------------------------------- determinant
@@ -161,13 +161,11 @@ def test_controls_residual_small_demand(params):
 def test_closed_loop_rhs_is_the_solve_combined(params):
     # seeded states, one in five nearly straight so that some are singular:
     # the right-hand side equals the solved field pushed through the field
-    # combination, and its bookkeeping is the running min |D| over every
-    # evaluation and the running max residual over the solved ones
+    # combination, and raises with the state's own D where |D| <= eps_d
     rng = np.random.default_rng(29)
     traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
-    stats = tracking._RunStats()
-    rhs = tracking._closed_loop_rhs(params, traj, DEFAULT_EPS_D, stats)
-    want_min, want_resid, singular = math.inf, 0.0, 0
+    rhs = tracking._closed_loop_rhs(params, traj, DEFAULT_EPS_D)
+    singular = 0
     for k in range(400):
         t = float(rng.uniform(0.0, traj.horizon))
         spread = 1e-4 if k % 5 == 0 else 3.0
@@ -179,17 +177,13 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
             with pytest.raises(TrackingSingularity) as caught:
                 rhs(t, z)
             assert caught.value.d_value == d
-            want_min = min(want_min, abs(d))
             singular += 1
         else:
-            h_par, h_perp, d_solve, resid, zdot = _solve_controls_raw(
+            h_par, h_perp, d_solve, zdot = _solve_controls_raw(
                 z, traj.df(t), traj.dg(t), params, DEFAULT_EPS_D)
             assert d_solve == d
             assert rhs(t, z) == zdot == _combine_fields(z, h_par, h_perp, f0, f1, f2)
-            want_min = min(want_min, abs(d))
-            want_resid = max(want_resid, resid)
-        assert (stats.min_abs_d, stats.max_residual) == (want_min, want_resid)
-    assert 0 < singular < 80 and stats.max_residual > 0.0
+    assert 0 < singular < 80
 
 
 def test_noninteraction_exact_velocity(params):
@@ -290,10 +284,11 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
     # the run's own eps_d, then one equal to a sampled |D| that makes about
     # half the rows singular, that row included
     for eps_d in (DEFAULT_EPS_D, float(np.sort(np.abs(d_run))[d_run.size // 2])):
-        h_par, h_perp, d = _solve_controls_batch(
+        h_par, h_perp, d, resid = _solve_controls_batch(
             states, traj.df(t, np), traj.dg(t, np), params, eps_d)
         singular = np.abs(d) <= eps_d
         assert (np.isnan(h_par) == singular).all() and (np.isnan(h_perp) == singular).all()
+        assert (np.isnan(resid) == singular).all()
         for k, z in enumerate(states.tolist()):
             try:
                 want = _solve_controls_raw(z, traj.df(t[k]), traj.dg(t[k]), params, eps_d)[:3]
@@ -305,6 +300,68 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
         if eps_d == DEFAULT_EPS_D:
             np.testing.assert_array_equal(record.column("h_par"), h_par)
             np.testing.assert_array_equal(d_run, d)
+
+
+def run_keeping_nodes(monkeypatch, *args, **kwargs):
+    """simulate_closed_loop's status, and the integration result it recorded."""
+    runs = []
+
+    def keep(*a, **k):
+        runs.append(integrate(*a, **k))
+        return runs[-1]
+
+    monkeypatch.setattr(tracking, "integrate", keep)
+    _, status = simulate_closed_loop(*args, **kwargs)
+    return runs[0], status
+
+
+def per_node_extrema(result, traj, params):
+    """(min |D|, max residual) by the scalar solve at each accepted node, and
+    the |D| of a TrackingSingularity that ended the run."""
+    min_d, max_resid = math.inf, 0.0
+    for t, z in zip(result.t.tolist(), result.z.tolist()):
+        fp, gp = traj.df(t), traj.dg(t)
+        try:
+            h_par, h_perp, d, _ = _solve_controls_raw(z, fp, gp, params, DEFAULT_EPS_D)
+        except TrackingSingularity as sig:
+            min_d = min(min_d, abs(sig.d_value))
+            continue
+        f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
+        min_d = min(min_d, abs(d))
+        max_resid = max(max_resid, feedback_residual(f0, f1, f2, z[2], fp, gp, h_par, h_perp))
+    if isinstance(result.signal, TrackingSingularity):
+        min_d = min(min_d, abs(result.signal.d_value))
+    return min_d, max_resid
+
+
+@pytest.mark.parametrize("case", ["rk45_circle", "lsoda_waypoints", "rk45_backward_line"])
+def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
+    # min |D| and the max residual come from one batched pass over the
+    # accepted nodes, in chunks; the circle has more nodes than one chunk
+    st = equilibrium_state(params)
+    method = METHOD_TRAPEZOIDAL if case == "lsoda_waypoints" else METHOD_RK45
+    traj = {
+        "rk45_circle": lambda: circle_trajectory((0.0, 5.0), 5.0, 20.0, 0.02, -math.pi / 2),
+        "lsoda_waypoints": lambda: waypoint_trajectory(
+            [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0]),
+        "rk45_backward_line": lambda: line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05),
+    }[case]()
+    result, status = run_keeping_nodes(
+        monkeypatch, st, traj, params, IntegratorOptions(method=method), samples=50)
+    want_min, want_resid = per_node_extrema(result, traj, params)
+    # abs=0: approx's default absolute tolerance (1e-12) exceeds any residual
+    assert status.min_abs_d == pytest.approx(want_min, rel=1e-14, abs=0.0)
+    assert status.max_feedback_residual == pytest.approx(want_resid, rel=1e-14, abs=0.0)
+    assert want_resid > 0.0
+    if case == "rk45_circle":
+        assert result.t.size > tracking._NODE_CHUNK
+    if case == "rk45_backward_line":
+        # the abort's |D|, from the evaluation that ended the run, is below
+        # every accepted node's
+        assert status.outcome == OUTCOME_SINGULAR
+        assert status.min_abs_d == abs(result.signal.d_value) <= DEFAULT_EPS_D
+    else:
+        assert status.outcome == OUTCOME_COMPLETED
 
 
 def test_custom_eps_d_is_honoured(params):
