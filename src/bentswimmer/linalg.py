@@ -1,11 +1,12 @@
 """Small dense linear algebra on plain Python lists.
 
-No path in the package calls this LU any more: the dynamics hot loop solves
-for the drag-matrix inverse columns by an unrolled block elimination
-(dynamics._raw_fields) and the stiff integrator is scipy's LSODA. It stays
-as the test suite's determinant reference and because the benchmark tracer
-wraps lu_factor / lu_det / lu_solve by attribute. Partial (row) pivoting
-keeps the solve stable for any nonsingular matrix.
+The NDF integrator factors its Newton matrix I - c J with lu_factor and
+solves each Newton correction with lu_solve (integrators._integrate_ndf),
+on lists, since numpy's per-call overhead would dominate at dimension 5.
+The drag-matrix inverse columns in the dynamics hot loop come from an
+unrolled block elimination instead (dynamics._raw_fields); lu_det serves the
+test suite's determinant reference. Partial (row) pivoting keeps the solve
+stable for any nonsingular matrix.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ driver stops with a graceful abort once |D| falls under a floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,12 +29,15 @@ import numpy as np
 from .dynamics import _raw_fields
 from .integrators import (
     METHOD_RK45,
+    REL_TOL_MIN,
+    SOLVERS,
     STATUS_COMPLETED,
     STATUS_SIGNAL,
     IntegrationResult,
     IntegrationSignal,
     IntegratorOptions,
     OutsideDomain,
+    _per_component,
     integrate,
 )
 from .model import ControlField, SwimmerParams, SwimmerState
@@ -45,6 +48,11 @@ INITIAL_POSITION_TOL = 1e-9
 # accepted nodes per batch in the run diagnostics: one batch over a long run,
 # or batches of 1,000, raise the peak memory of a benchmark process measurably
 _NODE_CHUNK = 500
+# closed loop on the NDF holds x and y to this fraction of the scenario's
+# tolerances: under the feedback they are quadratures of the demand, cheap to
+# hold tight, and at the scenario's own tolerances full-turn circles miss the
+# 1e-8 um exact-tracking bound
+POSITION_TOL_FACTOR = 1e-3
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_SINGULAR = "singular_abort"
@@ -217,12 +225,13 @@ class TrackingStatus:
 
     outcome is one of OUTCOME_COMPLETED / OUTCOME_SINGULAR / OUTCOME_FAILURE.
     min_abs_d is the smallest |D| over the accepted nodes, in both modes, and
-    over the |D| of a TrackingSingularity that ended the run; trial stages
-    and Jacobian probes never count. max_feedback_residual is the worst
-    scaled 2x2 residual over the accepted nodes (0 in open loop).
+    over the |D| of a TrackingSingularity that ended the run; trial states
+    (predictors, Newton iterates and Jacobian probes) never count.
+    max_feedback_residual is the worst scaled 2x2 residual over the accepted
+    nodes (0 in open loop).
     max_field_norm is taken over the emitted samples. integrator holds the
-    method and the integrator's n_steps, n_rejected and n_evals, as
-    summary.json reports.
+    scenario's method, the solver it selects (integrators.SOLVERS) and the
+    integrator's n_steps, n_rejected and n_evals, as summary.json reports.
     """
 
     outcome: str
@@ -464,12 +473,20 @@ def record_run(
         detail=detail,
         integrator={
             "method": method,
+            "solver": SOLVERS[method],
             "n_steps": result.n_steps,
             "n_rejected": result.n_rejected,
             "n_evals": result.n_evals,
         },
     )
     return record, status
+
+
+def _tight_positions(tol, floor: float) -> tuple[float, ...]:
+    """Per-component tolerances with x and y scaled by POSITION_TOL_FACTOR,
+    but not below floor."""
+    tol = _per_component(tol, 5)
+    return tuple([max(POSITION_TOL_FACTOR * v, floor) for v in tol[:2]] + tol[2:])
 
 
 def simulate_closed_loop(
@@ -485,7 +502,8 @@ def simulate_closed_loop(
 
     The initial position must equal (f(0), g(0)); exact tracking has no
     error-correcting term, so a mismatched start is rejected rather than
-    silently shifted.
+    silently shifted. On the NDF, x and y are held to POSITION_TOL_FACTOR of
+    the tolerances in opts.
     """
     if opts is None:
         opts = IntegratorOptions(method=METHOD_RK45)
@@ -497,6 +515,12 @@ def simulate_closed_loop(
         )
     rhs = _closed_loop_rhs(params, traj, eps_d)
     z0 = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
+    if opts.method == METHOD_RK45:
+        opts = replace(
+            opts,
+            abs_tol=_tight_positions(opts.abs_tol, 0.0),
+            rel_tol=_tight_positions(opts.rel_tol, REL_TOL_MIN),
+        )
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
     def fields_at(times, states):

@@ -23,9 +23,9 @@ from bentswimmer.integrators import (
     OutsideDomain,
     integrate,
 )
-from bentswimmer.integrators import _RK_A, _RK_B, _RK_C5, _RK_ERR
+from bentswimmer import integrators
 
-from oracles import hermite_sample, rk45_reference
+from oracles import hermite_sample
 
 
 def opts(method, **kw):
@@ -50,41 +50,48 @@ def test_options_validation():
     IntegratorOptions(rel_tol=REL_TOL_MIN)
 
 
+def _ndf_residual(k, kappa, p, dp):
+    """The order-k NDF residual
+    sum_{m<=k} (1/m) nabla^m y - h y' - kappa gamma_k nabla^(k+1) y
+    at t = 0 on the unit grid 0, -1, ..., -(k+1), for the values p(t) and
+    the slope dp at 0, in exact arithmetic."""
+    def nabla(m):
+        return sum(((-1) ** i * math.comb(m, i) * p(-i) for i in range(m + 1)), Fraction(0))
+
+    gamma = sum((Fraction(1, m) for m in range(1, k + 1)), Fraction(0))
+    return (sum(Fraction(1, m) * nabla(m) for m in range(1, k + 1))
+            - dp - kappa * gamma * nabla(k + 1))
+
+
 def test_tableau_consistency_exact():
-    # row sums equal the nodes; weights satisfy the quadrature conditions
-    a = [Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(12, 13),
-         Fraction(1), Fraction(1, 2)]
-    b = [
-        [],
-        [Fraction(1, 4)],
-        [Fraction(3, 32), Fraction(9, 32)],
-        [Fraction(1932, 2197), Fraction(-7200, 2197), Fraction(7296, 2197)],
-        [Fraction(439, 216), Fraction(-8), Fraction(3680, 513), Fraction(-845, 4104)],
-        [Fraction(-8, 27), Fraction(2), Fraction(-3544, 2565),
-         Fraction(1859, 4104), Fraction(-11, 40)],
-    ]
-    c5 = [Fraction(16, 135), Fraction(0), Fraction(6656, 12825),
-          Fraction(28561, 56430), Fraction(-9, 50), Fraction(2, 55)]
-    err = [Fraction(1, 360), Fraction(0), Fraction(-128, 4275),
-           Fraction(-2197, 75240), Fraction(1, 50), Fraction(2, 55)]
-    for i in range(6):
-        assert sum(b[i], Fraction(0)) == a[i]
-    for p in range(1, 6):
-        assert sum(c * q ** (p - 1) for c, q in zip(c5, a)) == Fraction(1, p)
-    # and the floating-point tables match the exact ones
-    for exact, used in ((a, _RK_A), (c5, _RK_C5), (err, _RK_ERR)):
-        for fe, fu in zip(exact, used):
-            assert float(fe) == fu
-    for row_e, row_u in zip(b, _RK_B):
-        assert [float(v) for v in row_e] == list(row_u)
-
-
-def _assert_same_run(got, want):
-    assert (got.status, got.t_stop, got.n_steps, got.n_rejected, got.n_evals) == (
-        want.status, want.t_stop, want.n_steps, want.n_rejected, want.n_evals)
-    for name in ("t", "z", "f"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-    assert type(got.signal) is type(want.signal)
+    # Shampine & Reichelt's NDF coefficients, exactly: order k reproduces
+    # polynomials of degree <= k, its residual on t^(k+1) is -(k+1)! times
+    # the error constant, and its weight on the new value is alpha
+    kappa = [Fraction(0), Fraction("-0.1850"), Fraction(-1, 9), Fraction("-0.0823"),
+             Fraction("-0.0415"), Fraction(0)]
+    eps = sys.float_info.epsilon
+    for k in range(1, 6):
+        gamma = sum((Fraction(1, m) for m in range(1, k + 1)), Fraction(0))
+        alpha = (1 - kappa[k]) * gamma
+        error_const = kappa[k] * gamma + Fraction(1, k + 1)
+        for d in range(k + 1):
+            assert _ndf_residual(k, kappa[k], lambda t, d=d: Fraction(t) ** d,
+                                 d if d == 1 else 0) == 0
+        assert (_ndf_residual(k, kappa[k], lambda t: Fraction(t) ** (k + 1), 0)
+                == -math.factorial(k + 1) * error_const)
+        assert _ndf_residual(k, kappa[k], lambda t: Fraction(t == 0), 0) == alpha
+        # the floating-point tables are the exact values, rounded
+        assert integrators._KAPPA[k] == float(kappa[k])
+        for exact, used in ((gamma, integrators._GAMMA[k]), (alpha, integrators._ALPHA[k]),
+                            (error_const, integrators._ERROR_CONST[k])):
+            assert abs(used - float(exact)) <= 4 * eps * abs(float(exact))
+        # U = R(1): its columns are the signed binomials, and U U = I
+        u = integrators._U_COLS[k]
+        for j in range(k + 1):
+            assert list(u[j]) == [(-1) ** i * math.comb(j, i) for i in range(k + 1)]
+        for i in range(k + 1):
+            for j in range(k + 1):
+                assert sum(u[m][i] * u[j][m] for m in range(k + 1)) == (i == j)
 
 
 def _stiff_linear(t, z):
@@ -98,15 +105,37 @@ def _stiff_linear(t, z):
     ]
 
 
+def _bdf_reference(rhs, z0, span, o):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(lambda t, y: rhs(t, y.tolist()), span, z0, method="BDF",
+                     atol=o.abs_tol, rtol=o.rel_tol, first_step=o.h_init,
+                     dense_output=True)
+
+
+def _assert_agrees_with_bdf(got, want, o, factor):
+    # the same NDF formulas and step control as scipy's BDF; the Jacobians
+    # differ (scipy refines its difference quotients), so the step counts
+    # and states agree to within a few tolerances, not bit for bit
+    assert got.status == STATUS_COMPLETED and want.status == 0
+    assert abs(got.n_steps - (want.t.size - 1)) <= 0.1 * (want.t.size - 1)
+    ref = want.sol(got.t).T
+    gap = np.abs(got.z - ref) / (o.abs_tol + o.rel_tol * np.abs(ref))
+    assert gap.max() <= factor
+
+
 def test_rk45_matches_reference_on_a_stiff_linear_system():
+    # adaptive_explicit_rk45 runs the NDF; the reference is scipy's BDF
     o = opts(METHOD_RK45, abs_tol=1e-8, rel_tol=1e-8)
     z0 = [1.0, -0.5, 0.25, 2.0, -1.0]
     got = integrate(_stiff_linear, z0, (0.0, 0.05), o)
-    assert got.status == STATUS_COMPLETED and got.n_rejected > 0
-    _assert_same_run(got, rk45_reference(_stiff_linear, z0, (0.0, 0.05), o))
+    want = _bdf_reference(_stiff_linear, z0, (0.0, 0.05), o)
+    assert got.n_steps > 200
+    _assert_agrees_with_bdf(got, want, o, 1e-3)
 
 
 def test_rk45_matches_reference_on_a_closed_loop_circle():
+    # the NDF behind adaptive_explicit_rk45 against scipy's BDF
     from bentswimmer import tracking
     from bentswimmer.dynamics import equilibrium_state
 
@@ -117,68 +146,126 @@ def test_rk45_matches_reference_on_a_closed_loop_circle():
     traj = tracking.circle_trajectory((st.x - 5.0, st.y), 5.0, 1200.0)
     z0 = [st.x, st.y, st.theta, st.alpha1, st.alpha2]
     span = (0.0, 0.05 * traj.horizon)
-    runs = []
-    for integrator in (integrate, rk45_reference):
-        rhs = tracking._closed_loop_rhs(p, traj, tracking.DEFAULT_EPS_D)
-        runs.append(integrator(rhs, z0, span, opts(METHOD_RK45)))
-    assert runs[0].status == STATUS_COMPLETED and runs[0].n_steps > 50
-    _assert_same_run(*runs)
+    rhs = tracking._closed_loop_rhs(p, traj, tracking.DEFAULT_EPS_D)
+    o = opts(METHOD_RK45)
+    got = integrate(rhs, z0, span, o)
+    assert got.n_steps > 50
+    _assert_agrees_with_bdf(got, _bdf_reference(rhs, z0, span, o), o, 10.0)
 
 
-@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5, 6],
-                         ids=["stage1", "stage2", "stage3", "stage4", "stage5", "node"])
-def test_rk45_signal_matches_reference(stage):
-    # calls: the initial slope, then five stages and the new node's slope per
-    # accepted step; the signal comes in the fourth step's attempt
-    def make_rhs():
-        calls = [0]
-
-        def rhs(t, z):
-            calls[0] += 1
-            if calls[0] == 1 + 3 * 6 + stage:
-                raise IntegrationSignal(f"call {calls[0]}")
-            return [math.cos(t) - z[0], z[0], -3.0 * z[2]]
-
-        return rhs
-
-    z0 = [1.0, 0.0, 2.0]
-    got = integrate(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45))
-    assert got.status == STATUS_SIGNAL
-    assert (got.n_steps, got.n_rejected, got.n_evals) == (3, 0, 3 * 6 + stage)
-    _assert_same_run(got, rk45_reference(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45)))
+def _smooth(t, z):
+    return [math.cos(t) - z[0], z[0], -3.0 * z[2]]
 
 
-@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5, 6],
-                         ids=["stage1", "stage2", "stage3", "stage4", "stage5", "node"])
-def test_rk45_outside_domain_matches_reference(stage):
-    # the same call count as above: a trial stage outside the domain rejects
-    # the fourth step's attempt and the run goes on with a shorter step; at a
-    # node the run ends there
-    def make_rhs():
-        calls = [0]
+def _logged_run():
+    """A clean run of _smooth, and the (t, z) of every rhs call in order."""
+    log = []
 
-        def rhs(t, z):
-            calls[0] += 1
-            if calls[0] == 1 + 3 * 6 + stage:
-                raise OutsideDomain(f"call {calls[0]}")
-            return [math.cos(t) - z[0], z[0], -3.0 * z[2]]
+    def rhs(t, z):
+        log.append((t, list(z)))
+        return _smooth(t, z)
 
-        return rhs
+    return integrate(rhs, [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45)), log
 
-    z0 = [1.0, 0.0, 2.0]
-    got = integrate(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45))
-    if stage == 6:
+
+def _trial_call(kind, clean, log):
+    """Index of the call of the given kind: the first Jacobian probe (made
+    in the first step), or the predictor, a later Newton iterate or the new
+    node's slope in the fourth step."""
+    if kind == "probe":
+        return 2  # after the initial slope and the first predictor
+    calls = [i for i, (t, _) in enumerate(log) if t == clean.t[4]]
+    # that step reuses the first step's Jacobian: no probes at its time
+    assert len(calls) == 3 and log[calls[-1]][1] == clean.z[4].tolist()
+    return {"predictor": calls[0], "newton": calls[1], "node": calls[-1]}[kind]
+
+
+def _failing_at(index, signal):
+    calls = [0]
+
+    def rhs(t, z):
+        calls[0] += 1
+        if calls[0] == index + 1:
+            raise signal(f"call {calls[0]}")
+        return _smooth(t, z)
+
+    return rhs
+
+
+@pytest.mark.parametrize("kind", ["probe", "predictor", "newton", "node"])
+def test_rk45_signal_matches_reference(kind):
+    # a signal at a trial state or a node's slope ends the run at the last
+    # node, with every node kept matching the clean reference run
+    clean, log = _logged_run()
+    assert clean.status == STATUS_COMPLETED
+    got = integrate(_failing_at(_trial_call(kind, clean, log), IntegrationSignal),
+                    [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45))
+    kept = 1 if kind == "probe" else 4
+    assert got.status == STATUS_SIGNAL and type(got.signal) is IntegrationSignal
+    assert (got.n_steps, got.n_rejected) == (kept - 1, 0)
+    for name in ("t", "z", "f"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(clean, name)[:kept])
+
+
+@pytest.mark.parametrize("kind", ["probe", "predictor", "newton", "node"])
+def test_rk45_outside_domain_matches_reference(kind):
+    # a trial state outside the domain rejects its step, which is retried at
+    # half the length; at a node the run ends there
+    clean, log = _logged_run()
+    got = integrate(_failing_at(_trial_call(kind, clean, log), OutsideDomain),
+                    [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45))
+    if kind == "node":
         assert got.status == STATUS_SIGNAL and isinstance(got.signal, OutsideDomain)
         assert (got.n_steps, got.n_rejected) == (3, 0)
-    else:
-        assert got.status == STATUS_COMPLETED and got.n_rejected >= 1
-    _assert_same_run(got, rk45_reference(make_rhs(), z0, (0.0, 1.0), opts(METHOD_RK45)))
+        np.testing.assert_array_equal(got.z, clean.z[:4])
+        return
+    assert got.status == STATUS_COMPLETED and got.n_rejected >= 1
+    k = 1 if kind == "probe" else 4
+    np.testing.assert_array_equal(got.z[:k], clean.z[:k])
+    assert got.t[k] - got.t[k - 1] == pytest.approx((clean.t[k] - clean.t[k - 1]) / 2,
+                                                    rel=1e-12)
+
+
+def test_newton_solves_go_through_the_module_globals(monkeypatch):
+    # the benchmark tracer counts linalg.*.newton by wrapping these attributes
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for name in calls:
+        original = getattr(integrators, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(integrators, name, counted)
+    res = integrate(_stiff_linear, [1.0, -0.5, 0.25, 2.0, -1.0], (0.0, 0.05),
+                    opts(METHOD_RK45))
+    assert res.status == STATUS_COMPLETED
+    assert 0 < calls["lu_factor"] < calls["lu_solve"] < res.n_evals
+
+
+def test_per_component_tolerances():
+    with pytest.raises(ValueError, match="positive and finite"):
+        IntegratorOptions(abs_tol=(1e-9, 0.0))
+    with pytest.raises(ValueError, match="rel_tol"):
+        IntegratorOptions(rel_tol=(1e-9, 0.5 * REL_TOL_MIN))
+    with pytest.raises(ValueError, match="2 tolerances for a state of dimension 3"):
+        integrate(_smooth, [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45, abs_tol=(1e-9, 1e-9)))
+    # a tuple of equal tolerances is the scalar; a tighter tolerance on a
+    # quadrature component (as x and y are in closed loop) tightens its error
+    def rhs(t, z):
+        return [math.cos(t) - z[0], math.cos(3.0 * t), -3.0 * z[2]]
+
+    runs = [integrate(rhs, [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45, abs_tol=atol))
+            for atol in (1e-6, (1e-6,) * 3, (1e-6, 1e-9, 1e-6))]
+    np.testing.assert_array_equal(runs[1].z, runs[0].z)
+    errors = [abs(r.z_final[1] - math.sin(3.0) / 3.0) for r in runs]
+    assert errors[2] < 1e-2 * errors[0]
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_outside_domain_everywhere_past_the_start(method):
-    # RK45 shrinks by _SHRINK_MIN per rejected attempt until h < h_min
-    # (1e-7 * 0.2^11 < 1e-14); the stiff method ends at its first probe
+    # the NDF halves h per rejected attempt until h < h_min
+    # (1e-7 / 2^24 < 1e-14); LSODA ends at its first probe
     def rhs(t, z):
         if t > 0.0:
             raise OutsideDomain(f"t = {t}")
@@ -187,8 +274,8 @@ def test_outside_domain_everywhere_past_the_start(method):
     got = integrate(rhs, [1.0], (0.0, 1.0), opts(method))
     assert got.n_steps == 0 and got.t_stop == 0.0
     if method == METHOD_RK45:
-        assert (got.status, got.n_rejected) == (STATUS_STEP_COLLAPSE, 11)
-        _assert_same_run(got, rk45_reference(rhs, [1.0], (0.0, 1.0), opts(method)))
+        # each attempt ends at its predictor: one evaluation, no probe
+        assert (got.status, got.n_rejected, got.n_evals) == (STATUS_STEP_COLLAPSE, 24, 1)
     else:
         assert got.status == STATUS_SIGNAL and isinstance(got.signal, OutsideDomain)
 
@@ -287,25 +374,16 @@ def test_signal_terminates_early_not_failure(method):
 
 
 def test_signal_at_a_node_keeps_only_nodes_with_their_own_slope():
-    # call 1 is the initial slope, calls 2-6 the stages of the first step and
-    # call 7 the slope at its new node: the run must end at the initial node
-    def rhs(t, z):
-        return [math.cos(t) - z[0], z[0]]
-
-    calls = [0]
-
-    def failing(t, z):
-        calls[0] += 1
-        if calls[0] == 7:
-            raise IntegrationSignal("at the node")
-        return rhs(t, z)
-
-    res = integrate(failing, [1.0, 0.0], (0.0, 1.0), opts(METHOD_RK45))
+    # the signal comes at the slope of the fourth step's new node: the run
+    # must end at the third node, every kept node with its own slope
+    clean, log = _logged_run()
+    res = integrate(_failing_at(_trial_call("node", clean, log), IntegrationSignal),
+                    [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45))
     assert res.status == STATUS_SIGNAL
-    assert len(res.t) == len(res.z) == len(res.f)
+    assert len(res.t) == len(res.z) == len(res.f) == 4
     assert res.t_stop == res.t[-1]
     for t, z, f in zip(res.t, res.z, res.f):
-        assert list(f) == rhs(float(t), list(z))
+        assert list(f) == _smooth(float(t), list(z))
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
@@ -360,7 +438,8 @@ def test_n_evals_counts_every_rhs_call(method):
 
 
 def test_scipy_integrate_loaded_by_stiff_runs_only():
-    # the stiff solver's import costs ~0.7 s cold, so nothing else may pay it
+    # LSODA's import costs ~0.7 s cold and ~47 MiB of peak memory, so
+    # nothing else may pay it: the NDF, scans and controllability need none
     script = """
 import sys
 import bentswimmer

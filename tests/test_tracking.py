@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from bentswimmer import tracking
 from bentswimmer.dynamics import _combine_fields, _raw_fields
 from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state_derivative
-from bentswimmer.integrators import METHOD_RK45, METHOD_TRAPEZOIDAL, IntegratorOptions, integrate
+from bentswimmer.integrators import (
+    METHOD_RK45,
+    METHOD_TRAPEZOIDAL,
+    REL_TOL_MIN,
+    IntegratorOptions,
+    integrate,
+)
 from bentswimmer.model import SwimmerState
 from bentswimmer.records import CSV_COLUMNS
 from bentswimmer.tracking import (
@@ -293,10 +300,10 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
             try:
                 want = _solve_controls_raw(z, traj.df(t[k]), traj.dg(t[k]), params, eps_d)[:3]
             except TrackingSingularity as sig:
-                assert singular[k] and d[k] == pytest.approx(sig.d_value, rel=1e-14)
+                assert singular[k] and d[k] == pytest.approx(sig.d_value, rel=1e-14, abs=0.0)
                 continue
             got = (h_par[k], h_perp[k], d[k])
-            assert got == pytest.approx(want, rel=1e-14)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         if eps_d == DEFAULT_EPS_D:
             np.testing.assert_array_equal(record.column("h_par"), h_par)
             np.testing.assert_array_equal(d_run, d)
@@ -337,11 +344,14 @@ def per_node_extrema(result, traj, params):
 @pytest.mark.parametrize("case", ["rk45_circle", "lsoda_waypoints", "rk45_backward_line"])
 def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
     # min |D| and the max residual come from one batched pass over the
-    # accepted nodes, in chunks; the circle has more nodes than one chunk
+    # accepted nodes, in chunks; the circle (table1_circle's geometry, 0.6 of
+    # a turn) has more nodes than one chunk
     st = equilibrium_state(params)
+    if case == "rk45_circle":
+        st = dataclasses.replace(st, theta=math.pi / 2)
     method = METHOD_TRAPEZOIDAL if case == "lsoda_waypoints" else METHOD_RK45
     traj = {
-        "rk45_circle": lambda: circle_trajectory((0.0, 5.0), 5.0, 20.0, 0.02, -math.pi / 2),
+        "rk45_circle": lambda: circle_trajectory((0.0, 5.0), 5.0, 20.0, 0.6, -math.pi / 2),
         "lsoda_waypoints": lambda: waypoint_trajectory(
             [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0]),
         "rk45_backward_line": lambda: line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05),
@@ -370,3 +380,26 @@ def test_custom_eps_d_is_honoured(params):
     _, status = simulate_closed_loop(st, traj, params, eps_d=1e-2, samples=50)
     assert status.outcome == OUTCOME_SINGULAR
     assert status.min_abs_d <= 1e-2
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_closed_loop_holds_the_positions_tighter_on_the_ndf(method, params, monkeypatch):
+    # x and y get POSITION_TOL_FACTOR of the tolerances, the relative one
+    # floored at REL_TOL_MIN; LSODA runs keep the scenario's
+    seen = []
+
+    def keep(rhs, z0, t_span, opts):
+        seen.append(opts)
+        return integrate(rhs, z0, t_span, opts)
+
+    monkeypatch.setattr(tracking, "integrate", keep)
+    traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
+    o = IntegratorOptions(method=method, abs_tol=1e-8, rel_tol=1e-11)
+    _, status = simulate_closed_loop(equilibrium_state(params), traj, params, o, samples=5)
+    assert status.outcome == OUTCOME_COMPLETED
+    if method == METHOD_TRAPEZOIDAL:
+        assert seen == [o]
+        return
+    tight = tracking.POSITION_TOL_FACTOR * 1e-8
+    assert seen[0].abs_tol == (tight, tight, 1e-8, 1e-8, 1e-8)
+    assert seen[0].rel_tol == (REL_TOL_MIN, REL_TOL_MIN, 1e-11, 1e-11, 1e-11)
