@@ -75,6 +75,13 @@ _SQRT_EPS = _EPS ** 0.5
 # LSODA raises smaller relative tolerances to this floor (with a warning);
 # both methods reject them instead.
 REL_TOL_MIN = 100 * _EPS
+# step control shared by both methods, read at call time: the first step
+# [s], the step below which a run ends with step_collapse [s], and the cap
+# that ends a run with max_steps (the NDF counts attempts, LSODA accepted
+# steps), so that a runaway run stops
+H_INIT = 1e-7
+H_MIN = 1e-14
+MAX_STEPS = 5_000_000
 
 
 class IntegrationSignal(Exception):
@@ -92,10 +99,6 @@ class IntegratorOptions:
     method: str = METHOD_RK45
     abs_tol: float | tuple[float, ...] = 1e-9
     rel_tol: float | tuple[float, ...] = 1e-9
-    h_init: float = 1e-7
-    h_min: float = 1e-14
-    h_max: float = math.inf
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -109,14 +112,6 @@ class IntegratorOptions:
                 f"rel_tol must be at least 100 machine epsilons ({REL_TOL_MIN:.3e}), "
                 f"got {self.rel_tol!r}"
             )
-        # h_max may be inf (no cap); h_init must be finite, and so h_min
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max and self.h_init < math.inf):
-            raise ValueError(
-                f"h_min and h_init must be positive and finite, with h_min <= h_init "
-                f"<= h_max; got ({self.h_min}, {self.h_init}, {self.h_max})"
-            )
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -321,7 +316,7 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
     except IntegrationSignal as sig:
         return _result(STATUS_SIGNAL, ts, zs, [[0.0] * n], sig, 0, 0, nev)
     fs.append(list(f))
-    h = min(opts.h_init, t1 - t0, opts.h_max)
+    h = min(H_INIT, t1 - t0)
     D = [list(z0), [h * v for v in f]] + [[0.0] * n for _ in range(_MAX_ORDER + 1)]
     order = 1
     n_equal = 0  # steps taken at this h and order
@@ -329,7 +324,7 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
     fresh = False  # J was evaluated during the current step
     t_snap = 1e-14 * max(1.0, abs(t1))  # float-residue guard at the endpoint
     while t1 - t > t_snap:
-        if nstep + nrej >= opts.max_steps:
+        if nstep + nrej >= MAX_STEPS:
             return _result(STATUS_MAX_STEPS, ts, zs, fs, None, nstep, nrej, nev)
         t_new = t + h
         if t1 - t_new <= t_snap:  # the last step ends on t1
@@ -371,7 +366,7 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
             _rescale(D, order, 0.5)
             n_equal = 0
             lu = None
-            if h < opts.h_min:
+            if h < H_MIN:
                 return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
             continue
         if not all(map(math.isfinite, y_new)):
@@ -386,7 +381,7 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
             h *= factor
             _rescale(D, order, factor)
             n_equal = 0
-            if h < opts.h_min:
+            if h < H_MIN:
                 return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
             continue
         # a node is kept only with its own slope: a signal here ends the run
@@ -419,12 +414,12 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
                   for e, k in ((err_m, order), (err, order + 1), (err_p, order + 2))]
         best = max(growth)
         order += growth.index(best) - 1
-        factor = min(_MAX_FACTOR, safety * best, opts.h_max / h)
+        factor = min(_MAX_FACTOR, safety * best)
         h *= factor
         _rescale(D, order, factor)
         n_equal = 0
         lu = None
-        if h < opts.h_min and t1 - t > t_snap:
+        if h < H_MIN and t1 - t > t_snap:
             return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
     return _result(STATUS_COMPLETED, ts, zs, fs, None, nstep, nrej, nev)
 
@@ -455,9 +450,8 @@ def _integrate_trapezoidal(rhs, z0, t0, t1, opts) -> IntegrationResult:
         return _result(STATUS_SIGNAL, ts, zs, [[0.0] * len(z0)], sig, 0, 0, nev)
     solver = LSODA(
         fun, t0, z0, t1,
-        first_step=min(opts.h_init, t1 - t0),
-        min_step=opts.h_min,
-        max_step=opts.h_max,
+        first_step=min(H_INIT, t1 - t0),
+        min_step=H_MIN,
         rtol=np.array(opts.rel_tol) if isinstance(opts.rel_tol, tuple) else opts.rel_tol,
         atol=np.array(opts.abs_tol) if isinstance(opts.abs_tol, tuple) else opts.abs_tol,
     )
@@ -467,17 +461,17 @@ def _integrate_trapezoidal(rhs, z0, t0, t1, opts) -> IntegrationResult:
         # a failed step is reported through solver.status; its text is noise
         warnings.filterwarnings("ignore", message="lsoda: ", category=UserWarning)
         while solver.status == "running":
-            if nstep >= opts.max_steps:
+            if nstep >= MAX_STEPS:
                 status = STATUS_MAX_STEPS
                 break
             try:
                 solver.step()
-                # scipy's LSODA does not enforce min_step, so h_min is checked
+                # scipy's LSODA does not enforce min_step, so H_MIN is checked
                 # here (only the step that ends the span may be shorter), and
                 # its error test passes NaN, so a non-finite state fails too
                 if (
                     solver.status == "failed"
-                    or (solver.status == "running" and solver.step_size < opts.h_min)
+                    or (solver.status == "running" and solver.step_size < H_MIN)
                     or not np.isfinite(solver.y).all()
                 ):
                     status = STATUS_STEP_COLLAPSE

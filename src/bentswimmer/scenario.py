@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .controllability import (
     numeric_bent_submatrix_determinant,
     partial_controllability,
 )
-from .dynamics import _raw_state_derivative
+from .dynamics import _raw_fields, _raw_state_derivative
 from .integrators import (
     METHOD_TRAPEZOIDAL,
     METHODS,
@@ -40,6 +41,7 @@ from .integrators import (
     IntegratorOptions,
     integrate,
 )
+from .linalg import SingularMatrixError
 from .model import SwimmerParams, SwimmerState, joint_points
 from .records import SimRecord, write_csv, write_rows
 from .tracking import (
@@ -67,6 +69,15 @@ EXIT_INTEGRATOR_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
 MODES = ("open_loop", "closed_loop", "controllability", "determinant_scan")
+# size caps: at the cap, a run's samples took about 20 s and wrote 216 MB of
+# CSV, and a determinant scan about 5 s and 57 MB (2 vCPUs, x86_64)
+MAX_SAMPLES = 1_000_000
+MAX_GRID_N = 1001
+# an output name is a single file name from the POSIX portable character
+# set, so each output is created inside the output directory and nowhere else
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9._-]{1,255}")
+# a geometry snapshot file is named by its time, to 6 decimals
+_SNAPSHOT_NAME = "snapshot_{:.6f}.json"
 
 
 class ScenarioError(Exception):
@@ -170,9 +181,28 @@ def _number(d: dict, key: str, path: str) -> float:
 
 
 def _as_number(v, path: str) -> float:
+    """Every number in a scenario comes through here: a finite float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioValidationError(f"{path}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ScenarioValidationError(f"{path}: integer too large for a float") from None
+    _require(math.isfinite(x), path, f"expected a finite number, got {x}")
+    return x
+
+
+def _as_integer(v, path: str, lo: int, hi: int) -> int:
+    _require(isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
+             path, f"expected an integer in {lo}..{hi}")
+    return v
+
+
+def _as_name(v, path: str) -> str:
+    _require(isinstance(v, str) and _PLAIN_NAME.fullmatch(v) is not None
+             and v not in (".", ".."), path,
+             "expected a plain file name: 1 to 255 letters, digits, '.', '_' or '-'")
+    return v
 
 
 def _number_list(d: dict, key: str, path: str) -> list[float]:
@@ -187,9 +217,7 @@ _PARAM_KEYS = {
     "kappa_N_um", "alpha0_rad",
 }
 _INITIAL_KEYS = {"x_um", "y_um", "theta_rad", "alpha1_rad", "alpha2_rad"}
-_INTEGRATOR_KEYS = {
-    "method", "abs_tol", "rel_tol", "h_init_s", "h_min_s", "h_max_s", "max_steps",
-}
+_INTEGRATOR_KEYS = {"method", "abs_tol", "rel_tol"}
 _OUTPUT_KEYS = {"csv", "summary", "geometry_dir", "samples", "snapshot_times_s"}
 _TOP_KEYS = {
     "name", "mode", "params", "initial", "trajectory", "field_program",
@@ -224,22 +252,10 @@ def _parse_integrator(d: dict | None, path: str) -> IntegratorOptions:
     if d is None:
         return IntegratorOptions()
     _check_keys(d, _INTEGRATOR_KEYS, set(), path)
-    kwargs = {}
+    kwargs = {k: _number(d, k, path) for k in ("abs_tol", "rel_tol") if k in d}
     if "method" in d:
-        method = d["method"]
-        _require(method in METHODS, f"{path}.method", f"must be one of {METHODS}")
-        kwargs["method"] = method
-    for src, dst in (
-        ("abs_tol", "abs_tol"), ("rel_tol", "rel_tol"), ("h_init_s", "h_init"),
-        ("h_min_s", "h_min"), ("h_max_s", "h_max"),
-    ):
-        if src in d:
-            kwargs[dst] = _number(d, src, path)
-    if "max_steps" in d:
-        v = d["max_steps"]
-        _require(isinstance(v, int) and not isinstance(v, bool), f"{path}.max_steps",
-                 "expected an integer")
-        kwargs["max_steps"] = v
+        _require(d["method"] in METHODS, f"{path}.method", f"must be one of {METHODS}")
+        kwargs["method"] = d["method"]
     try:
         return IntegratorOptions(**kwargs)
     except ValueError as exc:
@@ -288,9 +304,7 @@ def _parse_trajectory(d: dict, path: str) -> Trajectory:
             point=(_number(d, "x_um", path), _number(d, "y_um", path)),
             horizon=_number(d, "duration_s", path),
         )
-    except (ValueError, ScenarioValidationError) as exc:
-        if isinstance(exc, ScenarioValidationError):
-            raise
+    except ValueError as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
@@ -319,16 +333,21 @@ def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
     kwargs = {}
     for k in ("csv", "summary", "geometry_dir"):
         if k in d:
-            _require(isinstance(d[k], str), f"{path}.{k}", "expected a string")
-            kwargs[k] = d[k]
+            kwargs[k] = _as_name(d[k], f"{path}.{k}")
     if "samples" in d:
-        v = d["samples"]
-        _require(isinstance(v, int) and not isinstance(v, bool) and v >= 2,
-                 f"{path}.samples", "expected an integer >= 2")
-        kwargs["samples"] = v
+        kwargs["samples"] = _as_integer(d["samples"], f"{path}.samples", 2, MAX_SAMPLES)
     if "snapshot_times_s" in d:
         kwargs["snapshot_times_s"] = tuple(_number_list(d, "snapshot_times_s", path))
-    return OutputSpec(**kwargs)
+    spec = OutputSpec(**kwargs)
+    _require(spec.summary != spec.csv, f"{path}.summary", f"{spec.summary!r} is also csv")
+    _require(spec.geometry_dir not in (spec.csv, spec.summary), f"{path}.geometry_dir",
+             f"{spec.geometry_dir!r} is also csv or summary")
+    first = {}
+    for i, t in enumerate(spec.snapshot_times_s):
+        other = first.setdefault(_SNAPSHOT_NAME.format(t), t)
+        _require(other == t, f"{path}.snapshot_times_s[{i}]",
+                 f"{t} s would share a snapshot file with {other} s")
+    return spec
 
 
 def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
@@ -341,28 +360,29 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     integrator = _parse_integrator(doc.get("integrator"), "integrator")
     outputs = _parse_outputs(doc.get("outputs"), "outputs")
 
+    # the drag kernel at the initial shape: parameters it cannot invert
+    # (say, a segment length that underflows) fail here, not mid-run
+    try:
+        _raw_fields(initial.alpha1, initial.alpha2, params)
+    except SingularMatrixError as exc:
+        raise ScenarioValidationError(f"params: {exc}") from exc
+
     eps_d = DEFAULT_EPS_D
     if "eps_d" in doc:
-        eps_d = _number(doc, "eps_d", "<root>")
-        _require(0.0 < eps_d < math.inf, "eps_d", "must be positive and finite")
+        eps_d = _as_number(doc["eps_d"], "eps_d")
+        _require(eps_d > 0.0, "eps_d", "must be positive")
 
     grid_n = 101
     if "grid_n" in doc:
         _require(mode == "determinant_scan", "grid_n",
                  "only valid in determinant_scan mode")
-        v = doc["grid_n"]
-        _require(isinstance(v, int) and not isinstance(v, bool) and v >= 2,
-                 "grid_n", "expected an integer >= 2")
-        grid_n = v
+        grid_n = _as_integer(doc["grid_n"], "grid_n", 2, MAX_GRID_N)
 
     p_rows = 2
     if "p_rows" in doc:
         _require(mode == "controllability", "p_rows",
                  "only valid in controllability mode")
-        v = doc["p_rows"]
-        _require(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 5,
-                 "p_rows", "expected an integer in 1..5")
-        p_rows = v
+        p_rows = _as_integer(doc["p_rows"], "p_rows", 1, 5)
 
     trajectory = None
     field_program = None
@@ -378,10 +398,6 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
             f"closed-loop initial position ({initial.x}, {initial.y}) must equal "
             f"the trajectory start ({fx0}, {gy0}); runs are rejected, not shifted",
         )
-        mismatch = trajectory.max_derivative_mismatch()
-        _require(mismatch <= 1e-6, "trajectory",
-                 f"derivative evaluators disagree with finite differences "
-                 f"(relative mismatch {mismatch:.2e})")
     elif mode == "open_loop":
         _require("field_program" in doc, "field_program", "required in open_loop mode")
         _require("trajectory" not in doc, "trajectory",
@@ -440,6 +456,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+        raise ScenarioParseError(f"{path}: cannot read the scenario: {exc}") from exc
     return scenario_from_dict(doc, name=path.stem)
 
 
@@ -523,7 +541,7 @@ def _write_geometry_snapshots(record, scenario, outdir: Path):
             skipped.append(t_snap)
             continue
         idx = int(np.argmin(np.abs(times - t_snap)))
-        path = gdir / f"snapshot_{times[idx]:.6f}.json"
+        path = gdir / _SNAPSHOT_NAME.format(times[idx])
         if str(path) in written:
             continue
         row = record.data[idx]

@@ -112,23 +112,6 @@ class Trajectory:
     def start(self) -> tuple[float, float]:
         return (self.f(0.0), self.g(0.0))
 
-    def max_derivative_mismatch(self, samples: int = 25) -> float:
-        """Max relative gap between supplied derivatives and central
-        differences of (f, g), over interior sample times."""
-        step = 1e-6 * self.horizon
-        worst = 0.0
-        for i in range(1, samples + 1):
-            t = self.horizon * i / (samples + 1)
-            fd_f = (self.f(t + step) - self.f(t - step)) / (2 * step)
-            fd_g = (self.g(t + step) - self.g(t - step)) / (2 * step)
-            scale = max(1.0, abs(fd_f), abs(fd_g))
-            worst = max(
-                worst,
-                abs(self.df(t) - fd_f) / scale,
-                abs(self.dg(t) - fd_g) / scale,
-            )
-        return worst
-
 
 def line_trajectory(
     start: tuple[float, float], heading: float, speed: float, horizon: float
@@ -299,13 +282,7 @@ def scan_determinant(
     )
 
 
-def _solve_controls_raw(
-    z: list[float],
-    fprime: float,
-    gprime: float,
-    params: SwimmerParams,
-    eps_d: float,
-):
+def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, xp=math):
     """Feedback solve at raw state z. Returns (h_par, h_perp, d, zdot), zdot
     being the closed-loop derivative with the solved field substituted;
     raises TrackingSingularity when |D| <= eps_d.
@@ -313,21 +290,44 @@ def _solve_controls_raw(
     Hot path: zdot is dynamics._combine_fields(z, h_par, h_perp, f0, f1, f2)
     written out over the fields' entries, with the rotation by theta shared
     with the demand's.
+
+    With xp=numpy, z is five arrays over the states (the rows of an (n, 5)
+    state array's transpose), and the same operations in the same order give
+    arrays (h_par, h_perp, d, residual) for the run diagnostics. Rows with
+    |D| <= eps_d get NaN fields and a NaN residual, and keep their D. The
+    residual is the 2x2 system defect scaled by the magnitude of the
+    participating terms (the solved field can reach 1e6 internal units near
+    blow-up, where an absolute defect saturates at |H|*eps regardless of the
+    solve's quality).
     """
-    f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
+    f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params, xp)
     f00, f01, f02, f03, f04 = f0
     f10, f11, f12, f13, f14 = f1
     f20, f21, f22, f23, f24 = f2
     d = f10 * f21 - f11 * f20
-    if abs(d) <= eps_d:
+    if xp is math and abs(d) <= eps_d:
         raise TrackingSingularity(d, z[3], z[4])
-    c = math.cos(z[2])
-    s = math.sin(z[2])
+    c = xp.cos(z[2])
+    s = xp.sin(z[2])
     # body-frame demand: rotate (f', g') by -theta
     bx = c * fprime + s * gprime
     by = -s * fprime + c * gprime
     r1 = bx - f00
     r2 = by - f01
+    if xp is not math:
+        singular = np.abs(d) <= eps_d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_par = np.where(singular, math.nan, (r1 * f21 - r2 * f20) / d)
+            h_perp = np.where(singular, math.nan, (f10 * r2 - f11 * r1) / d)
+        ab = np.abs
+        scale = 1.0 + ab(r1) + ab(r2) + (ab(h_par) + ab(h_perp)) * (
+            ab(f10) + ab(f11) + ab(f20) + ab(f21)
+        )
+        resid = np.maximum(
+            ab(f10 * h_par + f20 * h_perp - r1),
+            ab(f11 * h_par + f21 * h_perp - r2),
+        ) / scale
+        return h_par, h_perp, d, resid
     h_par = (r1 * f21 - r2 * f20) / d
     h_perp = (f10 * r2 - f11 * r1) / d
     w0 = f00 + h_par * f10 + h_perp * f20
@@ -340,40 +340,6 @@ def _solve_controls_raw(
         f04 + h_par * f14 + h_perp * f24,
     ]
     return h_par, h_perp, d, zdot
-
-
-def _solve_controls_batch(z, fprime, gprime, params: SwimmerParams, eps_d: float):
-    """_solve_controls_raw's field solve over the rows of an (n, 5) state
-    array, with the same operations in the same order. Returns arrays
-    (h_par, h_perp, d, residual); rows with |D| <= eps_d get NaN fields and
-    a NaN residual, and keep their D.
-
-    The residual is the 2x2 system defect scaled by the magnitude of the
-    participating terms (the solved field can reach 1e6 internal units near
-    blow-up, where an absolute defect saturates at |H|*eps regardless of the
-    solve's quality).
-    """
-    f0, f1, f2, _, _, _ = _raw_fields(z[:, 3], z[:, 4], params, np)
-    d = f1[0] * f2[1] - f1[1] * f2[0]
-    c = np.cos(z[:, 2])
-    s = np.sin(z[:, 2])
-    bx = c * fprime + s * gprime
-    by = -s * fprime + c * gprime
-    r1 = bx - f0[0]
-    r2 = by - f0[1]
-    singular = np.abs(d) <= eps_d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_par = np.where(singular, math.nan, (r1 * f2[1] - r2 * f2[0]) / d)
-        h_perp = np.where(singular, math.nan, (f1[0] * r2 - f1[1] * r1) / d)
-    ab = np.abs
-    scale = 1.0 + ab(r1) + ab(r2) + (ab(h_par) + ab(h_perp)) * (
-        ab(f1[0]) + ab(f1[1]) + ab(f2[0]) + ab(f2[1])
-    )
-    resid = np.maximum(
-        ab(f1[0] * h_par + f2[0] * h_perp - r1),
-        ab(f1[1] * h_par + f2[1] * h_perp - r2),
-    ) / scale
-    return h_par, h_perp, d, resid
 
 
 def solve_tracking_controls(
@@ -524,8 +490,8 @@ def simulate_closed_loop(
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
     def fields_at(times, states):
-        return _solve_controls_batch(
-            states, traj.df(times, np), traj.dg(times, np), params, eps_d
+        return _solve_controls_raw(
+            states.T, traj.df(times, np), traj.dg(times, np), params, eps_d, np
         )
 
     return record_run(result, fields_at, opts.method, samples, snapshot_times)

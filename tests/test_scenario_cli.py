@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -200,20 +201,135 @@ def test_waypoint_entries_must_be_numbers(key, entry, tmp_path, capsys):
     assert_cli_rejects(doc, path, tmp_path, capsys)
 
 
+def _set(doc, path, value):
+    """Set the entry at a field path such as trajectory.x_um[1]."""
+    *parents, last = re.findall(r"\w+", path)
+    for key in parents:
+        doc = doc[int(key) if key.isdigit() else key]
+    doc[int(last) if last.isdigit() else last] = value
+
+
+def assert_numbers_must_be_finite(doc, path, tmp_path, capsys):
+    """doc is valid; with NaN, an infinity or an integer too large for a float
+    at path, it is rejected naming the path. json reads all of these."""
+    scenario_from_dict(doc)
+    for value in (math.nan, math.inf, -math.inf, 10 ** 401):
+        bad = copy.deepcopy(doc)
+        _set(bad, path, value)
+        with pytest.raises(ScenarioValidationError, match=rf"^{re.escape(path)}: "
+                           "(expected a finite number|integer too large for a float)"):
+            scenario_from_dict(bad)
+        assert_cli_rejects(bad, path, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("key,path", [
-    ("abs_tol", "integrator"), ("rel_tol", "integrator"), ("h_init_s", "integrator"),
-    ("h_min_s", "integrator"), ("eps_d", "eps_d"),
+    ("abs_tol", "integrator"), ("rel_tol", "integrator"), ("eps_d", "eps_d"),
 ])
 def test_tolerances_must_be_finite(key, path, tmp_path, capsys):
     doc = short_line_doc()
     if path == "integrator":
-        doc["integrator"] = {key: math.inf}
+        doc["integrator"] = {key: 1e-9}
+        path = f"integrator.{key}"
     else:
-        doc[key] = math.inf
-    with pytest.raises(ScenarioValidationError, match=rf"^{path}: .*must be positive and finite"):
+        doc[key] = 1e-8
+    assert_numbers_must_be_finite(doc, path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("path", [
+    "params.ell_um", "initial.theta_rad", "trajectory.heading_rad", "trajectory.speed_um_s",
+    "trajectory.x_um[1]", "outputs.snapshot_times_s[0]", "field_program[0].until_t_s",
+    "field_program[0].h_perp_uT",
+])
+def test_every_number_must_be_finite(path, tmp_path, capsys):
+    doc = waypoint_doc() if path.startswith("trajectory.x_um") else short_line_doc()
+    doc["outputs"]["snapshot_times_s"] = [0.0]
+    if path.startswith("field_program"):
+        del doc["trajectory"]
+        doc["mode"] = "open_loop"
+        doc["field_program"] = [{"until_t_s": 2e-3, "h_par_uT": 0.0, "h_perp_uT": 0.0}]
+    assert_numbers_must_be_finite(doc, path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("h_init_s", 1e-7), ("h_min_s", 1e-14), ("h_max_s", 1.0), ("max_steps", 50),
+])
+def test_step_control_keys_are_unknown(key, value, tmp_path, capsys):
+    # the first step, the collapse floor and the attempt cap are constants
+    doc = short_line_doc()
+    doc["integrator"] = {"method": "adaptive_explicit_rk45", key: value}
+    with pytest.raises(UnknownKeyError, match=rf"^integrator: unknown key\(s\) \[{key!r}\]"):
         scenario_from_dict(doc)
-    assert "Infinity" in json.dumps(doc)  # what a scenario file can hold
-    assert_cli_rejects(doc, path, tmp_path, capsys)
+    assert_cli_rejects(doc, "integrator", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("csv", "", "outputs.csv"),
+    ("csv", "sub/r.csv", "outputs.csv"),
+    ("csv", "..", "outputs.csv"),
+    ("csv", "<outside>", "outputs.csv"),
+    ("geometry_dir", "<outside>", "outputs.geometry_dir"),
+    ("summary", "r.csv", "outputs.summary"),
+    ("geometry_dir", "s.json", "outputs.geometry_dir"),
+    ("snapshot_times_s", [0.0010000001, 0.0010000004], "outputs.snapshot_times_s[1]"),
+    ("samples", 10 ** 30, "outputs.samples"),
+], ids=["empty", "subdir", "dotdot", "absolute_csv", "absolute_geometry", "summary_is_csv",
+        "geometry_is_summary", "snapshot_names_collide", "samples_too_many"])
+def test_outputs_must_be_writable_and_distinct(key, value, path, tmp_path, capsys):
+    # each output is one plain file name under --output-dir, no two share a
+    # file, and the sample count is capped; a violation writes nothing
+    doc = short_line_doc()
+    doc["outputs"]["geometry_dir"] = "geom"
+    doc["outputs"][key] = str(tmp_path / "outside") if value == "<outside>" else value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = cli_main(["simulate", str(p), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]
+
+
+@pytest.mark.parametrize("mode,key,value", [
+    ("determinant_scan", "grid_n", 1),
+    ("determinant_scan", "grid_n", 1002),
+    ("determinant_scan", "grid_n", 10 ** 6),
+    ("determinant_scan", "grid_n", 51.0),
+    ("controllability", "p_rows", 0),
+    ("controllability", "p_rows", 6),
+    ("controllability", "p_rows", True),
+])
+def test_sizes_are_bounded_integers(mode, key, value, tmp_path, capsys):
+    doc = {"mode": mode, "params": dict(TABLE1), "initial": dict(REST), key: 2}
+    scenario_from_dict(doc)
+    doc[key] = value
+    with pytest.raises(ScenarioValidationError, match=rf"^{key}: expected an integer in"):
+        scenario_from_dict(doc)
+    assert_cli_rejects(doc, key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("mode", ["closed_loop", "controllability", "determinant_scan"])
+def test_parameters_the_drag_kernel_cannot_invert_are_rejected(mode, tmp_path, capsys):
+    # a segment length that underflows the drag matrix fails validation
+    # instead of ending a run with a SingularMatrixError traceback
+    doc = short_line_doc()
+    if mode != "closed_loop":
+        doc = {"mode": mode, "params": dict(TABLE1), "initial": dict(REST)}
+    doc["params"]["ell_um"] = 1e-300
+    with pytest.raises(ScenarioValidationError, match=r"^params: drag matrix singular"):
+        scenario_from_dict(doc)
+    assert_cli_rejects(doc, "params", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("start_x_um,duration_s", [(1e4, 0.004), (1e5, 0.1)])
+def test_line_far_from_the_origin_tracks_exactly(scenario_dir, tmp_path, start_x_um,
+                                                 duration_s):
+    # the same line as table1_line_ok, started far from the origin
+    doc = json.loads((scenario_dir / "table1_line_ok.json").read_text(encoding="utf-8"))
+    doc["initial"]["x_um"] = doc["trajectory"]["start_x_um"] = start_x_um
+    doc["trajectory"]["duration_s"] = duration_s
+    doc["outputs"] = {"csv": "r.csv", "summary": "s.json", "samples": 100}
+    result = run_scenario(scenario_from_dict(doc, name="far_line"), tmp_path)
+    assert result.exit_code == EXIT_COMPLETED
+    assert result.summary["tracking_error_um"] <= 1e-8
 
 
 def test_open_loop_requires_field_program():
@@ -346,7 +462,7 @@ def test_rk45_trial_stage_outside_the_shape_range_is_rejected(scenario_dir, tmp_
     doc["trajectory"]["duration_s"] = 0.001
     doc["initial"]["alpha1_rad"] = 0.3
     doc["outputs"] = {"csv": "r.csv", "summary": "s.json", "samples": 50}
-    doc["integrator"]["h_init_s"] = 1e-4
+    monkeypatch.setattr(bentswimmer.integrators, "H_INIT", 1e-4)
     assert doc["integrator"]["method"] == "adaptive_explicit_rk45"
     outside = []
     tracking_integrate = tracking.integrate
@@ -424,11 +540,12 @@ def test_run_open_loop_piecewise_field(tmp_path):
     np.testing.assert_array_equal(at_b[:, 1:6], alone.data[-1:, 1:6])
 
 
-def test_run_integrator_failure_exit_code(tmp_path):
+def test_run_integrator_failure_exit_code(tmp_path, monkeypatch):
     from bentswimmer.scenario import EXIT_INTEGRATOR_FAILURE
 
+    monkeypatch.setattr(bentswimmer.integrators, "MAX_STEPS", 50)
     doc = short_line_doc()
-    doc["integrator"] = {"method": "adaptive_explicit_rk45", "max_steps": 50}
+    doc["integrator"] = {"method": "adaptive_explicit_rk45"}
     scn = scenario_from_dict(doc, name="starved")
     result = run_scenario(scn, tmp_path)
     assert result.exit_code == EXIT_INTEGRATOR_FAILURE

@@ -31,7 +31,7 @@ from bentswimmer.tracking import (
     tracking_determinant,
     waypoint_trajectory,
 )
-from bentswimmer.tracking import _solve_controls_batch, _solve_controls_raw
+from bentswimmer.tracking import _solve_controls_raw
 
 from conftest import drag_matrix
 from oracles import cofactor_inverse, feedback_residual
@@ -114,8 +114,16 @@ def test_trajectory_presets_are_consistent():
     circ = circle_trajectory((0.0, 5.0), 5.0, 20.0, turns=1.0, phase=-math.pi / 2)
     wps = waypoint_trajectory([0.0, 0.5, 1.0, 1.5], [0, 1, 3, 4], [0, 1, -1, 0])
     const = constant_trajectory((2.0, 3.0), 1.0)
+    # the supplied derivatives against central differences of (f, g), at
+    # interior times, relative to the speed
     for traj in (line, circ, wps, const):
-        assert traj.max_derivative_mismatch() < 1e-6
+        step = 1e-6 * traj.horizon
+        for t in np.linspace(0.0, traj.horizon, 27)[1:-1]:
+            fd_f = (traj.f(t + step) - traj.f(t - step)) / (2 * step)
+            fd_g = (traj.g(t + step) - traj.g(t - step)) / (2 * step)
+            scale = max(1.0, abs(fd_f), abs(fd_g))
+            assert abs(traj.df(t) - fd_f) < 1e-6 * scale
+            assert abs(traj.dg(t) - fd_g) < 1e-6 * scale
     assert circ.start() == pytest.approx((0.0, 0.0), abs=1e-12)
     assert circ.horizon == pytest.approx(2 * math.pi / 20.0)
     assert wps.f(0.5) == pytest.approx(1.0, abs=1e-12)
@@ -291,8 +299,8 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
     # the run's own eps_d, then one equal to a sampled |D| that makes about
     # half the rows singular, that row included
     for eps_d in (DEFAULT_EPS_D, float(np.sort(np.abs(d_run))[d_run.size // 2])):
-        h_par, h_perp, d, resid = _solve_controls_batch(
-            states, traj.df(t, np), traj.dg(t, np), params, eps_d)
+        h_par, h_perp, d, resid = _solve_controls_raw(
+            states.T, traj.df(t, np), traj.dg(t, np), params, eps_d, np)
         singular = np.abs(d) <= eps_d
         assert (np.isnan(h_par) == singular).all() and (np.isnan(h_perp) == singular).all()
         assert (np.isnan(resid) == singular).all()
