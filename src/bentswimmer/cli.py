@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -64,13 +65,17 @@ def _print_matrix(name: str, m) -> None:
         print("   " + "  ".join(f"{v:+.6e}" for v in row))
 
 
+def _config_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_CONFIG_ERROR
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _config_error(str(exc))
 
     if args.command == "validate":
         print(f"{args.scenario}: OK ({scenario.mode} mode, sha256 {scenario.sha256()[:12]})")
@@ -79,12 +84,12 @@ def main(argv=None) -> int:
 
     expected = _EXPECTED_MODE[args.command]
     if scenario.mode not in expected:
-        print(
-            f"error: {args.command} expects a scenario in mode "
-            f"{' or '.join(expected)}, got {scenario.mode!r}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
+        return _config_error(f"{args.command} expects a scenario in mode "
+                             f"{' or '.join(expected)}, got {scenario.mode!r}")
+    try:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        return _config_error(f"--output-dir: cannot create {args.output_dir}: {exc.strerror}")
 
     result = run_scenario(scenario, args.output_dir)
     summary = result.summary

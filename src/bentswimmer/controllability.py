@@ -35,6 +35,8 @@ from .dynamics import _raw_fields
 from .model import SwimmerParams, SwimmerState, rotation_block
 
 EQUILIBRIUM_TOL = 1e-9
+# the rank test counts singular values above this fraction of the largest
+RANK_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class PartialControllabilityResult:
     controllable: bool
     rank: int
     p: int
-    threshold: float
 
 
 def linearize(equilibrium: SwimmerState, params: SwimmerParams) -> LinearizedSystem:
@@ -88,24 +89,18 @@ def kalman_matrix(lin: LinearizedSystem) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def partial_controllability(
-    k: np.ndarray, p: int, rel_tol: float = 1e-10
-) -> PartialControllabilityResult:
+def partial_controllability(k: np.ndarray, p: int) -> PartialControllabilityResult:
     """Rank test on the first p rows of the Kalman matrix.
 
-    Rank is counted from singular values above rel_tol * sigma_max; the
-    threshold is a knob because the algebraic test lives in exact arithmetic.
+    Rank is counted from singular values above RANK_REL_TOL * sigma_max: the
+    algebraic test lives in exact arithmetic, the SVD in floating point.
     """
     if not 1 <= p <= 5:
         raise ValueError(f"p must be in 1..5, got {p!r}")
-    sub = k[:p, :]
-    sv = np.linalg.svd(sub, compute_uv=False)
+    sv = np.linalg.svd(k[:p, :], compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
-    threshold = rel_tol * smax
-    rank = int(np.sum(sv > threshold)) if smax > 0.0 else 0
-    return PartialControllabilityResult(
-        controllable=(rank == p), rank=rank, p=p, threshold=threshold
-    )
+    rank = int(np.sum(sv > RANK_REL_TOL * smax)) if smax > 0.0 else 0
+    return PartialControllabilityResult(controllable=(rank == p), rank=rank, p=p)
 
 
 def bent_submatrix_determinant(alpha0: float, params: SwimmerParams) -> float:

@@ -57,16 +57,12 @@ from .model import ControlField, SwimmerParams, SwimmerState
 DET_WARN_FLOOR = 1e-14
 
 
-def mobility_entries(a1, a2, ell: float, xi: float, eta: float, xp=math) -> list[list]:
-    """Closed-form 5x5 drag matrix at theta = 0, as a list of row lists.
-
-    With xp=math (the default) the shape is a pair of floats; with xp=numpy
-    it is a pair of arrays and each entry is an array over the shapes (an
-    entry that does not depend on the shape stays a float). Both run the
-    same operations in the same order. The entries come from _drag_upper.
+def mobility_entries(a1: float, a2: float, ell: float, xi: float, eta: float) -> list[list]:
+    """Closed-form 5x5 drag matrix at theta = 0, as a list of row lists of
+    floats. The entries come from _drag_upper.
     """
-    (m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, m33, m34, m44) = (
-        _drag_upper(xp.cos(a1), xp.sin(a1), xp.cos(a1 + a2), xp.sin(a1 + a2), ell, xi, eta))
+    (m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, m33, m34, m44) = _drag_upper(
+        math.cos(a1), math.sin(a1), math.cos(a1 + a2), math.sin(a1 + a2), ell, xi, eta)
     return [
         [m00, m01, m02, m03, m04],
         [m01, m11, m12, m13, m14],

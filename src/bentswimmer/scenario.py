@@ -45,8 +45,6 @@ from .linalg import SingularMatrixError
 from .model import SwimmerParams, SwimmerState, joint_points
 from .records import SimRecord, write_csv, write_rows
 from .tracking import (
-    DEFAULT_EPS_D,
-    INITIAL_POSITION_TOL,
     OUTCOME_COMPLETED,
     OUTCOME_FAILURE,
     OUTCOME_SINGULAR,
@@ -68,7 +66,6 @@ EXIT_SINGULAR_ABORT = 2
 EXIT_INTEGRATOR_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
-MODES = ("open_loop", "closed_loop", "controllability", "determinant_scan")
 # size caps: at the cap, a run's samples took about 20 s and wrote 216 MB of
 # CSV, and a determinant scan about 5 s and 57 MB (2 vCPUs, x86_64)
 MAX_SAMPLES = 1_000_000
@@ -139,17 +136,20 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario. Of trajectory, field_program, grid_n and p_rows,
+    only the mode's own key (_MODE_KEYS) is read; the others keep their
+    defaults."""
+
     name: str
     mode: str
     params: SwimmerParams
     initial: SwimmerState
-    trajectory: Trajectory | None
-    field_program: FieldProgram | None
     integrator: IntegratorOptions
     outputs: OutputSpec
-    eps_d: float
-    grid_n: int
-    p_rows: int
+    trajectory: Trajectory | None = None
+    field_program: FieldProgram | None = None
+    grid_n: int = 101
+    p_rows: int = 2
     raw: dict = field(repr=False, default_factory=dict)
 
     def canonical_json(self) -> str:
@@ -162,6 +162,16 @@ class Scenario:
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ScenarioValidationError(f"{path}: {message}")
+
+
+def _at(path: str, fn, *args):
+    """fn(*args), with the model's ValueError or SingularMatrixError reported
+    at path. A ScenarioValidationError is neither: it already names its own
+    path and passes through."""
+    try:
+        return fn(*args)
+    except (ValueError, SingularMatrixError) as exc:
+        raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
 def _check_keys(d: dict, allowed: set[str], required: set[str], path: str):
@@ -219,33 +229,22 @@ _PARAM_KEYS = {
 _INITIAL_KEYS = {"x_um", "y_um", "theta_rad", "alpha1_rad", "alpha2_rad"}
 _INTEGRATOR_KEYS = {"method", "abs_tol", "rel_tol"}
 _OUTPUT_KEYS = {"csv", "summary", "geometry_dir", "samples", "snapshot_times_s"}
-_TOP_KEYS = {
-    "name", "mode", "params", "initial", "trajectory", "field_program",
-    "integrator", "outputs", "eps_d", "grid_n", "p_rows",
-}
 
 
 def _parse_params(d: dict, path: str) -> SwimmerParams:
     _check_keys(d, _PARAM_KEYS, _PARAM_KEYS, path)
-    kwargs = {k: _number(d, k, path) for k in _PARAM_KEYS}
-    try:
-        return SwimmerParams.from_table_units(**kwargs)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
+    return SwimmerParams.from_table_units(**{k: _number(d, k, path) for k in _PARAM_KEYS})
 
 
 def _parse_initial(d: dict, path: str) -> SwimmerState:
     _check_keys(d, _INITIAL_KEYS, _INITIAL_KEYS, path)
-    try:
-        return SwimmerState(
-            x=_number(d, "x_um", path),
-            y=_number(d, "y_um", path),
-            theta=_number(d, "theta_rad", path),
-            alpha1=_number(d, "alpha1_rad", path),
-            alpha2=_number(d, "alpha2_rad", path),
-        )
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
+    return SwimmerState(
+        x=_number(d, "x_um", path),
+        y=_number(d, "y_um", path),
+        theta=_number(d, "theta_rad", path),
+        alpha1=_number(d, "alpha1_rad", path),
+        alpha2=_number(d, "alpha2_rad", path),
+    )
 
 
 def _parse_integrator(d: dict | None, path: str) -> IntegratorOptions:
@@ -256,10 +255,7 @@ def _parse_integrator(d: dict | None, path: str) -> IntegratorOptions:
     if "method" in d:
         _require(d["method"] in METHODS, f"{path}.method", f"must be one of {METHODS}")
         kwargs["method"] = d["method"]
-    try:
-        return IntegratorOptions(**kwargs)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
+    return IntegratorOptions(**kwargs)
 
 
 _TRAJ_KEYS = {
@@ -280,32 +276,29 @@ def _parse_trajectory(d: dict, path: str) -> Trajectory:
              f"must be one of {sorted(_TRAJ_KEYS)}")
     keys = _TRAJ_KEYS[preset]
     _check_keys(d, keys, keys - {"phase_rad"}, path)
-    try:
-        if preset == "line":
-            return line_trajectory(
-                start=(_number(d, "start_x_um", path), _number(d, "start_y_um", path)),
-                heading=_number(d, "heading_rad", path),
-                speed=_number(d, "speed_um_s", path),
-                horizon=_number(d, "duration_s", path),
-            )
-        if preset == "circle":
-            return circle_trajectory(
-                center=(_number(d, "center_x_um", path), _number(d, "center_y_um", path)),
-                radius=_number(d, "radius_um", path),
-                angular_rate=_number(d, "angular_rate_rad_s", path),
-                turns=_number(d, "turns", path),
-                phase=_number(d, "phase_rad", path) if "phase_rad" in d else 0.0,
-            )
-        if preset == "waypoint_spline":
-            return waypoint_trajectory(*(
-                _number_list(d, k, path) for k in ("times_s", "x_um", "y_um")
-            ))
-        return constant_trajectory(
-            point=(_number(d, "x_um", path), _number(d, "y_um", path)),
+    if preset == "line":
+        return line_trajectory(
+            start=(_number(d, "start_x_um", path), _number(d, "start_y_um", path)),
+            heading=_number(d, "heading_rad", path),
+            speed=_number(d, "speed_um_s", path),
             horizon=_number(d, "duration_s", path),
         )
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
+    if preset == "circle":
+        return circle_trajectory(
+            center=(_number(d, "center_x_um", path), _number(d, "center_y_um", path)),
+            radius=_number(d, "radius_um", path),
+            angular_rate=_number(d, "angular_rate_rad_s", path),
+            turns=_number(d, "turns", path),
+            phase=_number(d, "phase_rad", path) if "phase_rad" in d else 0.0,
+        )
+    if preset == "waypoint_spline":
+        return waypoint_trajectory(*(
+            _number_list(d, k, path) for k in ("times_s", "x_um", "y_um")
+        ))
+    return constant_trajectory(
+        point=(_number(d, "x_um", path), _number(d, "y_um", path)),
+        horizon=_number(d, "duration_s", path),
+    )
 
 
 def _parse_field_program(items, path: str) -> FieldProgram:
@@ -320,10 +313,7 @@ def _parse_field_program(items, path: str) -> FieldProgram:
             _number(piece, "h_par_uT", ppath),
             _number(piece, "h_perp_uT", ppath),
         ))
-    try:
-        return FieldProgram(pieces=tuple(pieces))
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
+    return FieldProgram(pieces=tuple(pieces))
 
 
 def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
@@ -350,75 +340,42 @@ def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
     return spec
 
 
+# each mode's own key, valid in that mode only: (key, parser, required)
+_MODE_KEYS = {
+    "open_loop": ("field_program", _parse_field_program, True),
+    "closed_loop": ("trajectory", _parse_trajectory, True),
+    "controllability": ("p_rows", lambda v, path: _as_integer(v, path, 1, 5), False),
+    "determinant_scan": ("grid_n", lambda v, path: _as_integer(v, path, 2, MAX_GRID_N), False),
+}
+MODES = tuple(_MODE_KEYS)
+_TOP_KEYS = {"name", "mode", "params", "initial", "integrator", "outputs",
+             *(key for key, _, _ in _MODE_KEYS.values())}
+
+
 def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     _require(isinstance(doc, dict), "<root>", "scenario must be a JSON object")
     _check_keys(doc, _TOP_KEYS, {"mode", "params", "initial"}, "<root>")
     mode = doc["mode"]
     _require(mode in MODES, "mode", f"must be one of {MODES}")
-    params = _parse_params(doc["params"], "params")
-    initial = _parse_initial(doc["initial"], "initial")
-    integrator = _parse_integrator(doc.get("integrator"), "integrator")
+    params = _at("params", _parse_params, doc["params"], "params")
+    initial = _at("initial", _parse_initial, doc["initial"], "initial")
+    integrator = _at("integrator", _parse_integrator, doc.get("integrator"), "integrator")
     outputs = _parse_outputs(doc.get("outputs"), "outputs")
-
     # the drag kernel at the initial shape: parameters it cannot invert
     # (say, a segment length that underflows) fail here, not mid-run
-    try:
-        _raw_fields(initial.alpha1, initial.alpha2, params)
-    except SingularMatrixError as exc:
-        raise ScenarioValidationError(f"params: {exc}") from exc
+    _at("params", _raw_fields, initial.alpha1, initial.alpha2, params)
 
-    eps_d = DEFAULT_EPS_D
-    if "eps_d" in doc:
-        eps_d = _as_number(doc["eps_d"], "eps_d")
-        _require(eps_d > 0.0, "eps_d", "must be positive")
-
-    grid_n = 101
-    if "grid_n" in doc:
-        _require(mode == "determinant_scan", "grid_n",
-                 "only valid in determinant_scan mode")
-        grid_n = _as_integer(doc["grid_n"], "grid_n", 2, MAX_GRID_N)
-
-    p_rows = 2
-    if "p_rows" in doc:
-        _require(mode == "controllability", "p_rows",
-                 "only valid in controllability mode")
-        p_rows = _as_integer(doc["p_rows"], "p_rows", 1, 5)
-
-    trajectory = None
-    field_program = None
+    for other, (key, _, _) in _MODE_KEYS.items():
+        _require(key not in doc or other == mode, key, f"only valid in {other} mode")
+    key, parse, required = _MODE_KEYS[mode]
+    _require(key in doc or not required, key, f"required in {mode} mode")
+    own = {key: _at(key, parse, doc[key], key)} if key in doc else {}
     if mode == "closed_loop":
-        _require("trajectory" in doc, "trajectory", "required in closed_loop mode")
-        _require("field_program" not in doc, "field_program",
-                 "not allowed in closed_loop mode")
-        trajectory = _parse_trajectory(doc["trajectory"], "trajectory")
-        fx0, gy0 = trajectory.start()
-        _require(
-            math.hypot(initial.x - fx0, initial.y - gy0) <= INITIAL_POSITION_TOL,
-            "initial",
-            f"closed-loop initial position ({initial.x}, {initial.y}) must equal "
-            f"the trajectory start ({fx0}, {gy0}); runs are rejected, not shifted",
-        )
-    elif mode == "open_loop":
-        _require("field_program" in doc, "field_program", "required in open_loop mode")
-        _require("trajectory" not in doc, "trajectory",
-                 "not allowed in open_loop mode")
-        field_program = _parse_field_program(doc["field_program"], "field_program")
-    else:
-        _require("trajectory" not in doc, "trajectory",
-                 f"not allowed in {mode} mode")
-        _require("field_program" not in doc, "field_program",
-                 f"not allowed in {mode} mode")
-        if mode == "controllability":
-            _require(
-                abs(initial.alpha1) <= 1e-9
-                and abs(initial.alpha2 - params.alpha0) <= 1e-9,
-                "initial",
-                "controllability mode linearizes at a rest state: "
-                "alpha1_rad must be 0 and alpha2_rad must equal alpha0_rad",
-            )
-
+        _at("initial", own[key].check_start, initial)
+    elif mode == "controllability":  # linearize holds the rest-state rule
+        _at("initial", linearize, initial, params)
     if mode in ("closed_loop", "open_loop"):
-        horizon = (trajectory or field_program).horizon
+        horizon = own[key].horizon
         for i, t in enumerate(outputs.snapshot_times_s):
             _require(0.0 <= t <= horizon, f"outputs.snapshot_times_s[{i}]",
                      f"{t} s lies outside the run [0, {horizon}] s")
@@ -430,33 +387,21 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     # keep an immutable snapshot for hashing and canonical serialization
     raw = json.loads(json.dumps(doc, sort_keys=True))
 
-    return Scenario(
-        name=name,
-        mode=mode,
-        params=params,
-        initial=initial,
-        trajectory=trajectory,
-        field_program=field_program,
-        integrator=integrator,
-        outputs=outputs,
-        eps_d=eps_d,
-        grid_n=grid_n,
-        p_rows=p_rows,
-        raw=raw,
-    )
+    return Scenario(name=name, mode=mode, params=params, initial=initial,
+                    integrator=integrator, outputs=outputs, raw=raw, **own)
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, not readable
+        raise ScenarioError(f"{path}: cannot read the scenario: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too long an integer, too deep
         raise ScenarioParseError(f"{path}: cannot read the scenario: {exc}") from exc
     return scenario_from_dict(doc, name=path.stem)
 
@@ -523,8 +468,6 @@ def simulate_open_loop(
 class RunResult:
     exit_code: int
     summary: dict
-    record: SimRecord | None = None
-    status: TrackingStatus | None = None
 
 
 def _write_geometry_snapshots(record, scenario, outdir: Path):
@@ -565,12 +508,11 @@ def _tracking_error(record: SimRecord, traj: Trajectory) -> float:
     return float(np.max(np.hypot(ex, ey)))
 
 
-def _exit_code_for(outcome: str) -> int:
-    return {
-        OUTCOME_COMPLETED: EXIT_COMPLETED,
-        OUTCOME_SINGULAR: EXIT_SINGULAR_ABORT,
-        OUTCOME_FAILURE: EXIT_INTEGRATOR_FAILURE,
-    }[outcome]
+_EXIT_CODES = {
+    OUTCOME_COMPLETED: EXIT_COMPLETED,
+    OUTCOME_SINGULAR: EXIT_SINGULAR_ABORT,
+    OUTCOME_FAILURE: EXIT_INTEGRATOR_FAILURE,
+}
 
 
 def run_scenario(scenario: Scenario, outdir) -> RunResult:
@@ -594,7 +536,6 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                 scenario.trajectory,
                 scenario.params,
                 scenario.integrator,
-                eps_d=scenario.eps_d,
                 samples=scenario.outputs.samples,
                 snapshot_times=scenario.outputs.snapshot_times_s,
             )
@@ -632,8 +573,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
             written, skipped = _write_geometry_snapshots(record, scenario, outdir)
             summary["geometry_snapshots"] = written
             summary["geometry_snapshots_skipped_s"] = skipped
-        exit_code = _exit_code_for(status.outcome)
-        result_record, result_status = record, status
+        exit_code = _EXIT_CODES[status.outcome]
 
     elif scenario.mode == "controllability":
         lin = linearize(scenario.initial, scenario.params)
@@ -665,7 +605,6 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
             }
         )
         exit_code = EXIT_COMPLETED
-        result_record, result_status = None, None
 
     else:  # determinant_scan
         scan = scan_determinant(scenario.params, scenario.grid_n)
@@ -686,16 +625,13 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
             }
         )
         exit_code = EXIT_COMPLETED
-        result_record, result_status = None, None
 
     summary["wall_time_s"] = time.perf_counter() - t_wall
     summary["exit_code"] = exit_code
     summary_path = outdir / scenario.outputs.summary
     summary["summary_path"] = str(summary_path)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    return RunResult(
-        exit_code=exit_code, summary=summary, record=result_record, status=result_status
-    )
+    return RunResult(exit_code=exit_code, summary=summary)
 
 
 __all__ = [

@@ -43,8 +43,11 @@ from .integrators import (
 from .model import ControlField, SwimmerParams, SwimmerState
 from .records import CSV_COLUMNS, SimRecord, emit_lab_frame_controls
 
-DEFAULT_EPS_D = 1e-8
+# the |D| floor: at or below it the feedback aborts the run
+EPS_D = 1e-8
 INITIAL_POSITION_TOL = 1e-9
+# scan_determinant's off-origin minimum skips the shapes within this radius
+EXCLUSION_RADIUS = 0.05
 # accepted nodes per batch in the run diagnostics: one batch over a long run,
 # or batches of 1,000, raise the peak memory of a benchmark process measurably
 _NODE_CHUNK = 500
@@ -111,6 +114,17 @@ class Trajectory:
 
     def start(self) -> tuple[float, float]:
         return (self.f(0.0), self.g(0.0))
+
+    def check_start(self, initial: SwimmerState) -> None:
+        """Raise ValueError unless the initial position is the demand's start:
+        exact tracking has no error-correcting term, so a run that starts off
+        the demand is rejected, not shifted."""
+        fx0, gy0 = self.start()
+        if math.hypot(initial.x - fx0, initial.y - gy0) > INITIAL_POSITION_TOL:
+            raise ValueError(
+                f"closed-loop initial position ({initial.x}, {initial.y}) must equal "
+                f"the trajectory start ({fx0}, {gy0}); runs are rejected, not shifted"
+            )
 
 
 def line_trajectory(
@@ -233,7 +247,7 @@ class DeterminantScan:
     Grid points sit half a cell inside the boundary (folded shapes with
     |alpha| = pi are excluded as non-physical). d_origin is reported
     separately; min_abs_off_origin excludes a ball of radius
-    `exclusion_radius` around the origin.
+    `exclusion_radius` (EXCLUSION_RADIUS when the scan ran) around the origin.
     """
 
     grid: np.ndarray
@@ -251,15 +265,14 @@ def tracking_determinant(alpha1, alpha2, params: SwimmerParams, xp=math):
     return f1[0] * f2[1] - f1[1] * f2[0]
 
 
-def scan_determinant(
-    params: SwimmerParams, grid_n: int, exclusion_radius: float = 0.05
-) -> DeterminantScan:
+def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n!r}")
     step = 2.0 * math.pi / grid_n
     pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
     # one batch per grid row keeps the kernel's temporaries O(grid_n)
     values = np.array([tracking_determinant(u, pts, params, np) for u in pts])
+    exclusion_radius = EXCLUSION_RADIUS
     # math.hypot(u, v) >= max(|u|, |v|), so only cells with both |u| and |v|
     # inside the radius need the exact test
     far = np.abs(pts) > exclusion_radius
@@ -347,11 +360,11 @@ def solve_tracking_controls(
     fprime: float,
     gprime: float,
     params: SwimmerParams,
-    eps_d: float = DEFAULT_EPS_D,
 ) -> ControlField:
-    """Field making (xdot, ydot) = (fprime, gprime) at this state."""
+    """Field making (xdot, ydot) = (fprime, gprime) at this state; raises
+    TrackingSingularity when |D| <= EPS_D."""
     z = [state.x, state.y, state.theta, state.alpha1, state.alpha2]
-    h_par, h_perp, _, _ = _solve_controls_raw(z, fprime, gprime, params, eps_d)
+    h_par, h_perp, _, _ = _solve_controls_raw(z, fprime, gprime, params, EPS_D)
     return ControlField(h_par=h_par, h_perp=h_perp)
 
 
@@ -460,25 +473,19 @@ def simulate_closed_loop(
     traj: Trajectory,
     params: SwimmerParams,
     opts: IntegratorOptions | None = None,
-    eps_d: float = DEFAULT_EPS_D,
     samples: int = 1000,
     snapshot_times=(),
 ) -> tuple[SimRecord, TrackingStatus]:
     """Drive the position along traj with the per-instant feedback solve.
 
-    The initial position must equal (f(0), g(0)); exact tracking has no
-    error-correcting term, so a mismatched start is rejected rather than
-    silently shifted. On the NDF, x and y are held to POSITION_TOL_FACTOR of
-    the tolerances in opts.
+    The initial position must equal (f(0), g(0)) (Trajectory.check_start),
+    and the run aborts where |D| <= EPS_D. On the NDF, x and y are held to
+    POSITION_TOL_FACTOR of the tolerances in opts.
     """
     if opts is None:
         opts = IntegratorOptions(method=METHOD_RK45)
-    fx0, gy0 = traj.start()
-    if math.hypot(initial.x - fx0, initial.y - gy0) > INITIAL_POSITION_TOL:
-        raise ValueError(
-            f"initial position ({initial.x}, {initial.y}) does not match the "
-            f"trajectory start ({fx0}, {gy0})"
-        )
+    traj.check_start(initial)
+    eps_d = EPS_D
     rhs = _closed_loop_rhs(params, traj, eps_d)
     z0 = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
     if opts.method == METHOD_RK45:
@@ -498,7 +505,8 @@ def simulate_closed_loop(
 
 
 __all__ = [
-    "DEFAULT_EPS_D",
+    "EPS_D",
+    "EXCLUSION_RADIUS",
     "INITIAL_POSITION_TOL",
     "OUTCOME_COMPLETED",
     "OUTCOME_SINGULAR",

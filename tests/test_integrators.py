@@ -144,7 +144,7 @@ def test_rk45_matches_reference_on_a_closed_loop_circle():
     traj = tracking.circle_trajectory((st.x - 5.0, st.y), 5.0, 1200.0)
     z0 = [st.x, st.y, st.theta, st.alpha1, st.alpha2]
     span = (0.0, 0.05 * traj.horizon)
-    rhs = tracking._closed_loop_rhs(p, traj, tracking.DEFAULT_EPS_D)
+    rhs = tracking._closed_loop_rhs(p, traj, tracking.EPS_D)
     o = opts(METHOD_RK45)
     got = integrate(rhs, z0, span, o)
     assert got.n_steps > 50

@@ -229,10 +229,13 @@ def test_tolerances_must_be_finite(key, path, tmp_path, capsys):
     doc = short_line_doc()
     if path == "integrator":
         doc["integrator"] = {key: 1e-9}
-        path = f"integrator.{key}"
-    else:
-        doc[key] = 1e-8
-    assert_numbers_must_be_finite(doc, path, tmp_path, capsys)
+        assert_numbers_must_be_finite(doc, f"integrator.{key}", tmp_path, capsys)
+        return
+    # the |D| floor is the constant tracking.EPS_D: the key is unknown
+    doc[key] = 1e-8
+    with pytest.raises(UnknownKeyError, match=rf"^<root>: unknown key\(s\) \[{key!r}\]"):
+        scenario_from_dict(doc)
+    assert_cli_rejects(doc, "<root>", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("path", [
@@ -330,6 +333,43 @@ def test_line_far_from_the_origin_tracks_exactly(scenario_dir, tmp_path, start_x
     result = run_scenario(scenario_from_dict(doc, name="far_line"), tmp_path)
     assert result.exit_code == EXIT_COMPLETED
     assert result.summary["tracking_error_um"] <= 1e-8
+
+
+# each mode's own key, with a value that is valid in that mode
+MODE_KEYS = {
+    "closed_loop": ("trajectory", short_line_doc()["trajectory"]),
+    "open_loop": ("field_program", [{"until_t_s": 2e-3, "h_par_uT": 0.0, "h_perp_uT": 0.0}]),
+    "determinant_scan": ("grid_n", 11),
+    "controllability": ("p_rows", 2),
+}
+MODE_KEY_VALUES = dict(MODE_KEYS.values())
+
+
+@pytest.mark.parametrize("mode,change,path", [
+    *((mode, f"add_{key}", key) for mode, (own, _) in MODE_KEYS.items()
+      for key in MODE_KEY_VALUES if key != own),
+    ("closed_loop", "drop_trajectory", "trajectory"),
+    ("open_loop", "drop_field_program", "field_program"),
+    ("controllability", "bend_initial", "initial"),
+])
+def test_each_mode_key_belongs_to_its_mode(mode, change, path, tmp_path, capsys):
+    # trajectory, field_program, grid_n and p_rows are each valid only in
+    # their own mode, and the two simulation modes require theirs; a
+    # controllability scenario linearizes at a rest state
+    own, value = MODE_KEYS[mode]
+    doc = {"mode": mode, "params": dict(TABLE1), "initial": dict(REST),
+           "outputs": {"csv": "r.csv", "summary": "s.json"}, own: copy.deepcopy(value)}
+    scenario_from_dict(doc)
+    action, _, key = change.partition("_")
+    if action == "add":
+        doc[key] = copy.deepcopy(MODE_KEY_VALUES[key])
+    elif action == "drop":
+        del doc[key]
+    else:
+        doc["initial"]["alpha1_rad"] = 0.1
+    with pytest.raises(ScenarioValidationError, match=rf"^{path}: "):
+        scenario_from_dict(doc)
+    assert_cli_rejects(doc, path, tmp_path, capsys)
 
 
 def test_open_loop_requires_field_program():
@@ -657,6 +697,31 @@ def test_cli_validate_config_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "nested_100000_deep"])
+def test_cli_unreadable_scenario_is_a_config_error(kind, tmp_path, capsys):
+    p = tmp_path / "scn.json"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "nested_100000_deep":
+        p.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {p}: cannot read the scenario: ")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path, capsys):
+    # the error comes before the run: nothing is written, the file is unchanged
+    scn = tmp_path / "ok.json"
+    scn.write_text(json.dumps(short_line_doc()))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    outdir = blocker / "out" if under else blocker
+    assert cli_main(["simulate", str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: --output-dir: cannot create {outdir}: ")
+    assert blocker.read_text() == "keep"
+    assert sorted(tmp_path.iterdir()) == [blocker, scn]
 
 
 def test_cli_simulate_and_exit_codes(tmp_path):

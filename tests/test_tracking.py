@@ -17,7 +17,7 @@ from bentswimmer.integrators import (
 from bentswimmer.model import SwimmerState
 from bentswimmer.records import CSV_COLUMNS
 from bentswimmer.tracking import (
-    DEFAULT_EPS_D,
+    EPS_D,
     OUTCOME_COMPLETED,
     OUTCOME_SINGULAR,
     TrackingSingularity,
@@ -78,10 +78,12 @@ def test_scan_degenerate_grid(params):
 
 
 @pytest.mark.parametrize("radius", [0.05, 1.0, 10.0])
-def test_scan_minimum_follows_the_pointwise_rule(params, radius):
+def test_scan_minimum_follows_the_pointwise_rule(params, monkeypatch, radius):
     # first strict minimum of |D| in row-major order over the cells with
     # math.hypot(u, v) > radius; radius 10 excludes every cell
-    scan = scan_determinant(params, 21, exclusion_radius=radius)
+    monkeypatch.setattr(tracking, "EXCLUSION_RADIUS", radius)
+    scan = scan_determinant(params, 21)
+    assert scan.exclusion_radius == radius
     best, arg = math.inf, (math.nan, math.nan)
     for i, u in enumerate(scan.grid):
         for j, v in enumerate(scan.grid):
@@ -97,7 +99,8 @@ def test_scan_minimum_takes_the_first_of_tied_cells(params, monkeypatch, radius)
     # radius 3 every cell has |u|, |v| < 3, and only math.hypot keeps any
     monkeypatch.setattr(tracking, "tracking_determinant", lambda a1, a2, p, xp=math:
                         np.where(a1 + 0.0 * a2 < -2.9, math.nan, -2.0))
-    scan = scan_determinant(params, 21, exclusion_radius=radius)
+    monkeypatch.setattr(tracking, "EXCLUSION_RADIUS", radius)
+    scan = scan_determinant(params, 21)
     assert scan.min_abs_off_origin == 2.0
     assert scan.argmin_off_origin == (scan.grid[1], scan.grid[0])
 
@@ -179,7 +182,7 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
     # combination, and raises with the state's own D where |D| <= eps_d
     rng = np.random.default_rng(29)
     traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
-    rhs = tracking._closed_loop_rhs(params, traj, DEFAULT_EPS_D)
+    rhs = tracking._closed_loop_rhs(params, traj, EPS_D)
     singular = 0
     for k in range(400):
         t = float(rng.uniform(0.0, traj.horizon))
@@ -188,14 +191,14 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
                                 *rng.uniform(-spread, spread, 2))]
         f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
         d = f1[0] * f2[1] - f1[1] * f2[0]
-        if abs(d) <= DEFAULT_EPS_D:
+        if abs(d) <= EPS_D:
             with pytest.raises(TrackingSingularity) as caught:
                 rhs(t, z)
             assert caught.value.d_value == d
             singular += 1
         else:
             h_par, h_perp, d_solve, zdot = _solve_controls_raw(
-                z, traj.df(t), traj.dg(t), params, DEFAULT_EPS_D)
+                z, traj.df(t), traj.dg(t), params, EPS_D)
             assert d_solve == d
             assert rhs(t, z) == zdot == _combine_fields(z, h_par, h_perp, f0, f1, f2)
     assert 0 < singular < 80
@@ -298,7 +301,7 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
     d_run = record.column("d_value")
     # the run's own eps_d, then one equal to a sampled |D| that makes about
     # half the rows singular, that row included
-    for eps_d in (DEFAULT_EPS_D, float(np.sort(np.abs(d_run))[d_run.size // 2])):
+    for eps_d in (EPS_D, float(np.sort(np.abs(d_run))[d_run.size // 2])):
         h_par, h_perp, d, resid = _solve_controls_raw(
             states.T, traj.df(t, np), traj.dg(t, np), params, eps_d, np)
         singular = np.abs(d) <= eps_d
@@ -312,7 +315,7 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
                 continue
             got = (h_par[k], h_perp[k], d[k])
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-        if eps_d == DEFAULT_EPS_D:
+        if eps_d == EPS_D:
             np.testing.assert_array_equal(record.column("h_par"), h_par)
             np.testing.assert_array_equal(d_run, d)
 
@@ -337,7 +340,7 @@ def per_node_extrema(result, traj, params):
     for t, z in zip(result.t.tolist(), result.z.tolist()):
         fp, gp = traj.df(t), traj.dg(t)
         try:
-            h_par, h_perp, d, _ = _solve_controls_raw(z, fp, gp, params, DEFAULT_EPS_D)
+            h_par, h_perp, d, _ = _solve_controls_raw(z, fp, gp, params, EPS_D)
         except TrackingSingularity as sig:
             min_d = min(min_d, abs(sig.d_value))
             continue
@@ -377,17 +380,21 @@ def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
         # the abort's |D|, from the evaluation that ended the run, is below
         # every accepted node's
         assert status.outcome == OUTCOME_SINGULAR
-        assert status.min_abs_d == abs(result.signal.d_value) <= DEFAULT_EPS_D
+        assert status.min_abs_d == abs(result.signal.d_value) <= EPS_D
     else:
         assert status.outcome == OUTCOME_COMPLETED
 
 
-def test_custom_eps_d_is_honoured(params):
+def test_custom_eps_d_is_honoured(params, monkeypatch):
+    # the |D| floor is read when a run starts: a raised floor aborts earlier
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.2)
-    _, status = simulate_closed_loop(st, traj, params, eps_d=1e-2, samples=50)
-    assert status.outcome == OUTCOME_SINGULAR
-    assert status.min_abs_d <= 1e-2
+    _, at_default = simulate_closed_loop(st, traj, params, samples=50)
+    monkeypatch.setattr(tracking, "EPS_D", 1e-2)
+    _, status = simulate_closed_loop(st, traj, params, samples=50)
+    assert status.outcome == at_default.outcome == OUTCOME_SINGULAR
+    assert EPS_D < status.min_abs_d <= 1e-2
+    assert status.t_stop < at_default.t_stop
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
