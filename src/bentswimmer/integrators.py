@@ -14,8 +14,7 @@ Two methods, both for stiff systems, since the shape relaxation is stiff
 * ``trapezoidal_adaptive`` -- the name is kept for the scenario files; the
   solver is scipy's LSODA (Petzold 1983), which switches between Adams and
   BDF formulas and builds its own Jacobian. It is driven one accepted step at
-  a time so that a signal keeps every node accepted so far. scipy.integrate
-  is imported on the first LSODA run only.
+  a time. scipy.integrate is imported on the first LSODA run only.
 
 abs_tol and rel_tol are one float each, or a tuple with one per state
 component (the closed-loop driver holds the positions tighter that way).
@@ -23,14 +22,15 @@ A step that reaches a non-finite state ends the run with ``step_collapse``
 in both methods; neither error test rejects NaN by itself.
 
 The right-hand side is ``rhs(t, z) -> list[float]`` over plain float lists.
-An rhs may raise IntegrationSignal (or a subclass) to stop the run cleanly:
-the integrator returns everything accepted so far with status
-``terminated_by_signal`` instead of failing. The one exception is
-OutsideDomain raised at an NDF trial state (a predictor, Newton iterate or
-Jacobian probe): the state left the rhs's domain only because the step was
-too long, so the step is rejected and halved instead. Each accepted node
-gets a fresh slope, and dense output between accepted points is cubic
-Hermite.
+integrate() keeps one run contract for both methods: a node is kept only
+with its own slope, evaluated afresh at the start and at each accepted
+step, and dense output between nodes is cubic Hermite. An rhs may raise
+IntegrationSignal (or a subclass) to stop the run cleanly: the run ends at
+the last kept node with status ``terminated_by_signal`` (a signal at the
+first slope leaves the start alone, with a zero slope). The one exception
+is OutsideDomain raised at an NDF trial state (a predictor, Newton iterate
+or Jacobian probe): the state left the rhs's domain only because the step
+was too long, so the step is rejected and halved instead.
 
 All arithmetic is deterministic: identical inputs give bit-identical output.
 """
@@ -77,8 +77,9 @@ _SQRT_EPS = _EPS ** 0.5
 REL_TOL_MIN = 100 * _EPS
 # step control shared by both methods, read at call time: the first step
 # [s], the step below which a run ends with step_collapse [s], and the cap
-# that ends a run with max_steps (the NDF counts attempts, LSODA accepted
-# steps), so that a runaway run stops
+# on accepted steps that ends a run with max_steps, so that a runaway run
+# stops (every NDF rejection shrinks the step, so rejections end in
+# step_collapse)
 H_INIT = 1e-7
 H_MIN = 1e-14
 MAX_STEPS = 5_000_000
@@ -166,30 +167,56 @@ class IntegrationResult:
 
 
 def integrate(rhs, z0, t_span, opts: IntegratorOptions | None = None) -> IntegrationResult:
-    """Integrate zdot = rhs(t, z) over t_span with the selected method."""
+    """Integrate zdot = rhs(t, z) over t_span with the selected method, under
+    the run contract above: the drivers only take steps, and keep each
+    accepted (t, z) through run.keep."""
     if opts is None:
         opts = IntegratorOptions()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got {t_span!r}")
     z0 = [float(v) for v in z0]
-    if opts.method == METHOD_RK45:
-        return _integrate_ndf(rhs, z0, t0, t1, opts)
-    return _integrate_trapezoidal(rhs, z0, t0, t1, opts)
+    atol = _per_component(opts.abs_tol, len(z0))
+    rtol = _per_component(opts.rel_tol, len(z0))
+    solve = _integrate_ndf if opts.method == METHOD_RK45 else _integrate_lsoda
+    run = _Run(rhs)
+
+    def result(status, signal=None):
+        return IntegrationResult(
+            status, np.array(run.t), np.array(run.z), np.array(run.f), t_stop=run.t[-1],
+            signal=signal, n_steps=len(run.t) - 1, n_rejected=run.n_rejected, n_evals=run.n_evals)
+
+    try:
+        run.keep(t0, z0)
+        status = solve(run, t1, atol, rtol)
+    except IntegrationSignal as sig:
+        # built here: a local holding sig would close a cycle through its traceback
+        if not run.t:  # at the first slope: the start alone, with a zero slope
+            run.t, run.z, run.f = [t0], [z0], [[0.0] * len(z0)]
+        return result(STATUS_SIGNAL, sig)
+    return result(status)
 
 
-def _result(status, ts, zs, fs, signal, nstep, nrej, nev):
-    return IntegrationResult(
-        status=status,
-        t=np.array(ts),
-        z=np.array(zs),
-        f=np.array(fs),
-        t_stop=ts[-1],
-        signal=signal,
-        n_steps=nstep,
-        n_rejected=nrej,
-        n_evals=nev,
-    )
+class _Run:
+    """The nodes a run keeps, each with its own slope, and the run's counts."""
+
+    def __init__(self, rhs):
+        self.rhs = rhs
+        self.t, self.z, self.f = [], [], []  # node times, states and slopes
+        self.n_evals = 0  # rhs calls that returned
+        self.n_rejected = 0
+
+    def slope(self, t, z):
+        f = self.rhs(t, z)
+        self.n_evals += 1
+        return f
+
+    def keep(self, t, z):
+        """Keep (t, z) as a node once its own slope is known."""
+        f = self.slope(t, z)
+        self.t.append(t)
+        self.z.append(z)
+        self.f.append(list(f))
 
 
 def _per_component(tol, n: int) -> list[float]:
@@ -239,7 +266,7 @@ def _newton_matrix(J, c):
     return a, perm
 
 
-def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
+def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     """Variable-order NDF (orders 1-5) in quasi-constant step form, after
     Shampine & Reichelt 1997 and scipy's BDF solver.
 
@@ -252,28 +279,22 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
 
     A predictor, Newton iterate or Jacobian probe is a trial state:
     OutsideDomain there rejects the step and halves h, like a Newton
-    failure. Any other signal ends the run at the last node.
+    failure.
     """
+    rhs = run.slope
+    t, z0, f = run.t[0], run.z[0], run.f[0]
     n = len(z0)
-    atol = _per_component(opts.abs_tol, n)
-    rtol = _per_component(opts.rel_tol, n)
     rtol_min = min(rtol)
     newton_tol = max(10 * _EPS / rtol_min, min(0.03, rtol_min ** 0.5))
-    ts = [t0]
-    zs = [list(z0)]
-    fs: list[list[float]] = []
-    nstep = nrej = nev = 0
 
     def jacobian(t, y, f):
         """Forward differences through rhs at (t, y), whose slope is f."""
-        nonlocal nev
         cols = []
         for j in range(n):
             yj = list(y)
             yj[j] += _SQRT_EPS * max(abs(y[j]), atol[j]) * (1.0 if f[j] >= 0.0 else -1.0)
             step = yj[j] - y[j]
             fj = rhs(t, yj)
-            nev += 1
             cols.append([(a - b) / step for a, b in zip(fj, f)])
         return [list(row) for row in zip(*cols)]
 
@@ -281,7 +302,6 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
         """Simplified Newton iteration for d = y - y_pred solving
         d = c f(t, y) - psi, from y = y_pred, whose slope is f. Returns
         (converged, iterations, y, d)."""
-        nonlocal nev
         a, perm = lu
         y = y_pred
         d = [0.0] * n
@@ -289,7 +309,6 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
         for k in range(_NEWTON_MAXITER):
             if k:
                 f = rhs(t, y)
-                nev += 1
             if not all(map(math.isfinite, f)):
                 break
             dy = lu_solve(a, perm, [c * fq - pq - dq for fq, pq, dq in zip(f, psi, d)])
@@ -309,14 +328,7 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
             dy_norm_old = dy_norm
         return False, k + 1, y, d
 
-    t = t0
-    try:
-        f = rhs(t, z0)
-        nev += 1
-    except IntegrationSignal as sig:
-        return _result(STATUS_SIGNAL, ts, zs, [[0.0] * n], sig, 0, 0, nev)
-    fs.append(list(f))
-    h = min(H_INIT, t1 - t0)
+    h = min(H_INIT, t1 - t)
     D = [list(z0), [h * v for v in f]] + [[0.0] * n for _ in range(_MAX_ORDER + 1)]
     order = 1
     n_equal = 0  # steps taken at this h and order
@@ -324,8 +336,8 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
     fresh = False  # J was evaluated during the current step
     t_snap = 1e-14 * max(1.0, abs(t1))  # float-residue guard at the endpoint
     while t1 - t > t_snap:
-        if nstep + nrej >= MAX_STEPS:
-            return _result(STATUS_MAX_STEPS, ts, zs, fs, None, nstep, nrej, nev)
+        if len(run.t) > MAX_STEPS:
+            return STATUS_MAX_STEPS
         t_new = t + h
         if t1 - t_new <= t_snap:  # the last step ends on t1
             t_new = t1
@@ -343,7 +355,6 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
         converged = False
         try:
             f_pred = rhs(t_new, y_pred)
-            nev += 1
             if J is None:
                 J = jacobian(t_new, y_pred, f_pred)
                 fresh = True
@@ -358,44 +369,32 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
                 lu = None
         except (OutsideDomain, SingularMatrixError):
             pass  # a trial state outside the domain, or a singular I - c J
-        except IntegrationSignal as sig:
-            return _result(STATUS_SIGNAL, ts, zs, fs, sig, nstep, nrej, nev)
         if not converged:
-            nrej += 1
+            run.n_rejected += 1
             h *= 0.5
             _rescale(D, order, 0.5)
             n_equal = 0
             lu = None
             if h < H_MIN:
-                return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
+                return STATUS_STEP_COLLAPSE
             continue
         if not all(map(math.isfinite, y_new)):
-            return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
+            return STATUS_STEP_COLLAPSE
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
         scale = [a + r * abs(v) for a, r, v in zip(atol, rtol, y_new)]
         err = _rms([_ERROR_CONST[order] * v for v in d], scale)
         if err > 1.0:
             # Newton converged: the factored matrix is kept for the shorter step
-            nrej += 1
+            run.n_rejected += 1
             factor = max(_MIN_FACTOR, safety * err ** (-1.0 / (order + 1)))
             h *= factor
             _rescale(D, order, factor)
             n_equal = 0
             if h < H_MIN:
-                return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
+                return STATUS_STEP_COLLAPSE
             continue
-        # a node is kept only with its own slope: a signal here ends the run
-        # at the previous node
-        try:
-            f = rhs(t_new, y_new)
-            nev += 1
-        except IntegrationSignal as sig:
-            return _result(STATUS_SIGNAL, ts, zs, fs, sig, nstep, nrej, nev)
-        nstep += 1
+        run.keep(t_new, y_new)
         t = t_new
-        ts.append(t)
-        zs.append(y_new)
-        fs.append(list(f))
         fresh = False
         n_equal += 1
         # d is the (order + 1)-th difference at the new node
@@ -420,20 +419,20 @@ def _integrate_ndf(rhs, z0, t0, t1, opts) -> IntegrationResult:
         n_equal = 0
         lu = None
         if h < H_MIN and t1 - t > t_snap:
-            return _result(STATUS_STEP_COLLAPSE, ts, zs, fs, None, nstep, nrej, nev)
-    return _result(STATUS_COMPLETED, ts, zs, fs, None, nstep, nrej, nev)
+            return STATUS_STEP_COLLAPSE
+    return STATUS_COMPLETED
 
 
-def _integrate_trapezoidal(rhs, z0, t0, t1, opts) -> IntegrationResult:
-    """trapezoidal_adaptive: scipy's LSODA, advanced one accepted step at a time.
-
-    Each accepted node gets a fresh rhs(t, z) for the Hermite dense output. A
-    signal raised by the rhs, inside a solver step or at a node, ends the run
-    at the last node whose slope is known. LSODA retries failed steps
-    internally and does not report them, so n_rejected reads 0.
+def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
+    """trapezoidal_adaptive: scipy's LSODA, advanced one accepted step at a
+    time. LSODA retries failed steps internally and does not report them, so
+    n_rejected reads 0.
     """
     from scipy.integrate import LSODA  # ~0.7 s cold: loaded by LSODA runs only
 
+    # fun counts in a local, not in run: the LSODA object sits in a
+    # reference cycle, so whatever fun reaches lives until a cyclic collection
+    rhs = run.rhs
     nev = 0
 
     def fun(t, y):
@@ -442,29 +441,16 @@ def _integrate_trapezoidal(rhs, z0, t0, t1, opts) -> IntegrationResult:
         nev += 1
         return out
 
-    ts = [t0]
-    zs = [list(z0)]
+    t0 = run.t[0]
+    solver = LSODA(fun, t0, run.z[0], t1, first_step=min(H_INIT, t1 - t0), min_step=H_MIN,
+                   rtol=np.array(rtol), atol=np.array(atol))
     try:
-        fs = [list(fun(t0, np.array(z0)))]
-    except IntegrationSignal as sig:
-        return _result(STATUS_SIGNAL, ts, zs, [[0.0] * len(z0)], sig, 0, 0, nev)
-    solver = LSODA(
-        fun, t0, z0, t1,
-        first_step=min(H_INIT, t1 - t0),
-        min_step=H_MIN,
-        rtol=np.array(opts.rel_tol) if isinstance(opts.rel_tol, tuple) else opts.rel_tol,
-        atol=np.array(opts.abs_tol) if isinstance(opts.abs_tol, tuple) else opts.abs_tol,
-    )
-    nstep = 0
-    status, signal = STATUS_COMPLETED, None
-    with warnings.catch_warnings():
-        # a failed step is reported through solver.status; its text is noise
-        warnings.filterwarnings("ignore", message="lsoda: ", category=UserWarning)
-        while solver.status == "running":
-            if nstep >= MAX_STEPS:
-                status = STATUS_MAX_STEPS
-                break
-            try:
+        with warnings.catch_warnings():
+            # a failed step is reported through solver.status; its text is noise
+            warnings.filterwarnings("ignore", message="lsoda: ", category=UserWarning)
+            while solver.status == "running":
+                if len(run.t) > MAX_STEPS:
+                    return STATUS_MAX_STEPS
                 solver.step()
                 # scipy's LSODA does not enforce min_step, so H_MIN is checked
                 # here (only the step that ends the span may be shorter), and
@@ -474,18 +460,11 @@ def _integrate_trapezoidal(rhs, z0, t0, t1, opts) -> IntegrationResult:
                     or (solver.status == "running" and solver.step_size < H_MIN)
                     or not np.isfinite(solver.y).all()
                 ):
-                    status = STATUS_STEP_COLLAPSE
-                    break
-                t = float(solver.t)
-                f_new = fun(t, solver.y)
-            except IntegrationSignal as sig:
-                status, signal = STATUS_SIGNAL, sig
-                break
-            nstep += 1
-            ts.append(t)
-            zs.append(solver.y.tolist())
-            fs.append(list(f_new))
-    return _result(status, ts, zs, fs, signal, nstep, 0, nev)
+                    return STATUS_STEP_COLLAPSE
+                run.keep(float(solver.t), solver.y.tolist())
+    finally:
+        run.n_evals += nev
+    return STATUS_COMPLETED
 
 
 __all__ = [

@@ -34,7 +34,6 @@ from .controllability import (
 )
 from .dynamics import _raw_fields, _raw_state_derivative
 from .integrators import (
-    METHOD_TRAPEZOIDAL,
     METHODS,
     STATUS_COMPLETED,
     IntegrationResult,
@@ -414,7 +413,7 @@ def simulate_open_loop(
     initial: SwimmerState,
     program: FieldProgram,
     params: SwimmerParams,
-    opts: IntegratorOptions | None = None,
+    opts: IntegratorOptions = IntegratorOptions(),
     samples: int = 1000,
     snapshot_times=(),
 ) -> tuple[SimRecord, TrackingStatus]:
@@ -424,8 +423,6 @@ def simulate_open_loop(
     steppers never straddle a field discontinuity; the pieces' accepted
     nodes are then joined into one run.
     """
-    if opts is None:
-        opts = IntegratorOptions(method=METHOD_TRAPEZOIDAL)
     z = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
     t_prev = 0.0
     pieces = []
@@ -530,24 +527,18 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
     }
 
     if scenario.mode in ("closed_loop", "open_loop"):
-        if scenario.mode == "closed_loop":
-            record, status = simulate_closed_loop(
-                scenario.initial,
-                scenario.trajectory,
-                scenario.params,
-                scenario.integrator,
-                samples=scenario.outputs.samples,
-                snapshot_times=scenario.outputs.snapshot_times_s,
-            )
-        else:
-            record, status = simulate_open_loop(
-                scenario.initial,
-                scenario.field_program,
-                scenario.params,
-                scenario.integrator,
-                samples=scenario.outputs.samples,
-                snapshot_times=scenario.outputs.snapshot_times_s,
-            )
+        # the simulators are looked up here, at call time (the tracer wraps them)
+        simulate, drive = ((simulate_closed_loop, scenario.trajectory)
+                           if scenario.mode == "closed_loop"
+                           else (simulate_open_loop, scenario.field_program))
+        record, status = simulate(
+            scenario.initial,
+            drive,
+            scenario.params,
+            scenario.integrator,
+            samples=scenario.outputs.samples,
+            snapshot_times=scenario.outputs.snapshot_times_s,
+        )
         csv_path = outdir / scenario.outputs.csv
         write_csv(record, csv_path)
         summary.update(

@@ -472,7 +472,7 @@ def simulate_closed_loop(
     initial: SwimmerState,
     traj: Trajectory,
     params: SwimmerParams,
-    opts: IntegratorOptions | None = None,
+    opts: IntegratorOptions = IntegratorOptions(),
     samples: int = 1000,
     snapshot_times=(),
 ) -> tuple[SimRecord, TrackingStatus]:
@@ -482,8 +482,6 @@ def simulate_closed_loop(
     and the run aborts where |D| <= EPS_D. On the NDF, x and y are held to
     POSITION_TOL_FACTOR of the tolerances in opts.
     """
-    if opts is None:
-        opts = IntegratorOptions(method=METHOD_RK45)
     traj.check_start(initial)
     eps_d = EPS_D
     rhs = _closed_loop_rhs(params, traj, eps_d)

@@ -155,7 +155,7 @@ def _smooth(t, z):
     return [math.cos(t) - z[0], z[0], -3.0 * z[2]]
 
 
-def _logged_run():
+def _logged_run(method=METHOD_RK45):
     """A clean run of _smooth, and the (t, z) of every rhs call in order."""
     log = []
 
@@ -163,7 +163,7 @@ def _logged_run():
         log.append((t, list(z)))
         return _smooth(t, z)
 
-    return integrate(rhs, [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45)), log
+    return integrate(rhs, [1.0, 0.0, 2.0], (0.0, 1.0), opts(method)), log
 
 
 def _trial_call(kind, clean, log):
@@ -201,6 +201,7 @@ def test_rk45_signal_matches_reference(kind):
     kept = 1 if kind == "probe" else 4
     assert got.status == STATUS_SIGNAL and type(got.signal) is IntegrationSignal
     assert (got.n_steps, got.n_rejected) == (kept - 1, 0)
+    assert len(got.f) == len(got.t) == got.n_steps + 1
     for name in ("t", "z", "f"):
         np.testing.assert_array_equal(getattr(got, name), getattr(clean, name)[:kept])
 
@@ -215,6 +216,7 @@ def test_rk45_outside_domain_matches_reference(kind):
     if kind == "node":
         assert got.status == STATUS_SIGNAL and isinstance(got.signal, OutsideDomain)
         assert (got.n_steps, got.n_rejected) == (3, 0)
+        assert len(got.f) == len(got.t) == got.n_steps + 1
         np.testing.assert_array_equal(got.z, clean.z[:4])
         return
     assert got.status == STATUS_COMPLETED and got.n_rejected >= 1
@@ -271,6 +273,7 @@ def test_outside_domain_everywhere_past_the_start(method):
 
     got = integrate(rhs, [1.0], (0.0, 1.0), opts(method))
     assert got.n_steps == 0 and got.t_stop == 0.0
+    assert len(got.f) == len(got.t) == got.n_steps + 1
     if method == METHOD_RK45:
         # each attempt ends at its predictor: one evaluation, no probe
         assert (got.status, got.n_rejected, got.n_evals) == (STATUS_STEP_COLLAPSE, 24, 1)
@@ -369,21 +372,40 @@ def test_signal_terminates_early_not_failure(method):
     res = integrate(rhs, [0.0], (0.0, 1.0), opts(method))
     assert res.status == STATUS_SIGNAL
     assert isinstance(res.signal, Wall)
+    assert len(res.f) == len(res.t) == res.n_steps + 1
     assert res.t_stop <= 0.3 + 1e-12
     assert abs(res.z_final[0] - res.t_stop) < 1e-9  # partial solution kept
 
 
-def test_signal_at_a_node_keeps_only_nodes_with_their_own_slope():
-    # the signal comes at the slope of the fourth step's new node: the run
-    # must end at the third node, every kept node with its own slope
-    clean, log = _logged_run()
-    res = integrate(_failing_at(_trial_call("node", clean, log), IntegrationSignal),
-                    [1.0, 0.0, 2.0], (0.0, 1.0), opts(METHOD_RK45))
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_signal_at_a_node_keeps_only_nodes_with_their_own_slope(method):
+    # the signal comes at the slope of the fourth step's new node, the last
+    # call at that node (the NDF makes 2 there, LSODA 1): the run must end
+    # at the third node, every kept node with its own slope
+    clean, log = _logged_run(method)
+    node = clean.t[4], clean.z[4].tolist()
+    index = max(i for i, call in enumerate(log) if call == node)
+    res = integrate(_failing_at(index, IntegrationSignal), [1.0, 0.0, 2.0], (0.0, 1.0),
+                    opts(method))
     assert res.status == STATUS_SIGNAL
-    assert len(res.t) == len(res.z) == len(res.f) == 4
+    assert len(res.t) == len(res.z) == len(res.f) == res.n_steps + 1 == 4
+    assert res.n_evals == index
     assert res.t_stop == res.t[-1]
+    for name in ("t", "z", "f"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(clean, name)[:4])
     for t, z, f in zip(res.t, res.z, res.f):
         assert list(f) == _smooth(float(t), list(z))
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_signal_at_the_first_slope_keeps_the_start_alone(method):
+    # no node has its own slope yet: the start is kept with a zero slope
+    res = integrate(_failing_at(0, IntegrationSignal), [1.0, 0.0, 2.0], (0.0, 1.0),
+                    opts(method))
+    assert res.status == STATUS_SIGNAL and type(res.signal) is IntegrationSignal
+    assert (res.n_steps, res.n_rejected, res.n_evals) == (0, 0, 0)
+    assert res.t.tolist() == [0.0] and res.t_stop == 0.0
+    assert res.z.tolist() == [[1.0, 0.0, 2.0]] and res.f.tolist() == [[0.0] * 3]
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
@@ -418,10 +440,16 @@ def test_stiff_solver_failure_is_step_collapse(method, rhs, atol, rtol):
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_max_steps_reported(method, monkeypatch):
+    # MAX_STEPS counts accepted steps in both methods: the NDF's first
+    # predictor (the second rhs call) leaves the domain, and the rejected
+    # attempt does not count
     monkeypatch.setattr(integrators, "MAX_STEPS", 5)
-    res = integrate(lambda t, z: [-z[0]], [1.0], (0.0, 10.0), opts(method))
+    rhs = _failing_at(1, OutsideDomain) if method == METHOD_RK45 else _smooth
+    res = integrate(rhs, [1.0, 0.0, 2.0], (0.0, 10.0), opts(method))
     assert res.status == STATUS_MAX_STEPS
     assert res.t_stop < 10.0
+    assert res.n_steps == integrators.MAX_STEPS and len(res.t) == integrators.MAX_STEPS + 1
+    assert res.n_rejected == (1 if method == METHOD_RK45 else 0)
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])

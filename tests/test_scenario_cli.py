@@ -613,6 +613,23 @@ def test_open_loop_shape_guard_trips():
     assert (np.abs(rec.column("alpha2")) < math.pi).all()
 
 
+def test_open_loop_library_default_is_the_ndf():
+    # simulate_open_loop without opts runs what a scenario without an
+    # integrator block runs, IntegratorOptions() (the NDF), not LSODA
+    from bentswimmer.integrators import IntegratorOptions
+
+    scn = scenario_from_dict({
+        "mode": "open_loop", "params": dict(TABLE1), "initial": dict(REST),
+        "field_program": [{"until_t_s": 1e-4, "h_par_uT": 1e3, "h_perp_uT": 2e4}],
+    }, name="pulse")
+    assert scn.integrator == IntegratorOptions()
+    rec, status = simulate_open_loop(scn.initial, scn.field_program, scn.params, samples=20)
+    want, want_status = simulate_open_loop(scn.initial, scn.field_program, scn.params,
+                                           IntegratorOptions(), samples=20)
+    np.testing.assert_array_equal(rec.data, want.data)
+    assert status == want_status and status.integrator["solver"] == "ndf"
+
+
 def test_run_determinant_scan(tmp_path):
     doc = {
         "mode": "determinant_scan",
