@@ -21,6 +21,7 @@ driver stops with a graceful abort once |D| falls under a floor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -174,35 +175,84 @@ def circle_trajectory(
 
 def waypoint_trajectory(times, xs, ys) -> Trajectory:
     """C^1 (in fact C^2) cubic spline through waypoints, clamped to zero
-    velocity at both ends."""
-    from scipy.interpolate import CubicSpline
-
-    t = np.asarray(times, dtype=float)
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    velocity at both ends. Times outside the waypoints use the end cubics."""
+    # copies: the array path reads them at every call
+    t = np.array(times, dtype=float)
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
     if t.ndim != 1 or t.size < 3:
         raise ValueError("need at least 3 waypoint times")
+    if x.shape != t.shape or y.shape != t.shape:
+        raise ValueError("times, x and y must have equal lengths")
+    if not all(np.isfinite(a).all() for a in (t, x, y)):
+        raise ValueError("waypoint times, x and y must contain only finite values")
     if not (np.diff(t) > 0).all():
         raise ValueError("waypoint times must be strictly increasing")
     if t[0] != 0.0:
         raise ValueError("waypoint times must start at 0")
-    if x.shape != t.shape or y.shape != t.shape:
-        raise ValueError("times, x and y must have equal lengths")
-    sx = CubicSpline(t, x, bc_type="clamped")
-    sy = CubicSpline(t, y, bc_type="clamped")
+    (fx, dfx), (fy, dfy) = _clamped_spline(t, x), _clamped_spline(t, y)
+    return Trajectory(f=fx, g=fy, df=dfx, dg=dfy, horizon=float(t[-1]))
 
-    def evaluator(spline):
-        # a float for the right-hand side; one spline call per array of
-        # times, since per-time calls would dominate a run's output time
-        return lambda tt, xp=math: float(spline(tt)) if xp is math else spline(tt)
 
-    return Trajectory(
-        f=evaluator(sx),
-        g=evaluator(sy),
-        df=evaluator(sx.derivative()),
-        dg=evaluator(sy.derivative()),
-        horizon=float(t[-1]),
-    )
+def _clamped_spline(t: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
+    """Value and slope evaluators of the C^2 cubic through (t, y) with zero
+    slope at both ends.
+
+    The knot slopes m solve the interior rows of the continuity system
+
+        h[i] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i-1] m[i+1]
+            = 3 (h[i] delta[i-1] + h[i-1] delta[i]),
+
+    h the spacings and delta the chord slopes, by elimination without row
+    interchanges (LAPACK dgtsv's arithmetic whenever it does not pivot), with
+    m[0] = m[-1] = 0.0 exactly. Each interval's cubic is the Hermite cubic of
+    its end values and slopes, in powers of t - t[i].
+    """
+    h = np.diff(t)
+    delta = np.diff(y) / h
+    hl = h.tolist()
+    diag = (2 * (h[:-1] + h[1:])).tolist()
+    rhs = (3 * (h[1:] * delta[:-1] + h[:-1] * delta[1:])).tolist()
+    for j in range(1, len(diag)):
+        fact = hl[j + 1] / diag[j - 1]
+        diag[j] -= fact * hl[j - 1]
+        rhs[j] -= fact * rhs[j - 1]
+    m = [0.0] * (len(diag) + 2)
+    for j in reversed(range(len(diag))):
+        m[j + 1] = (rhs[j] - hl[j] * m[j + 2]) / diag[j]
+    m = np.array(m)
+    q = (m[:-1] + m[1:] - 2 * delta) / h
+    c2 = (delta - m[:-1]) / h - q
+    c3 = q / h
+    return (_piecewise_cubic(t, (y[:-1], m[:-1], c2, c3)),
+            _piecewise_cubic(t, (m[:-1], 2 * c2, 3 * c3)))
+
+
+def _piecewise_cubic(knots: np.ndarray, coefs: tuple) -> Callable:
+    """fn(t) or fn(times, numpy): sum of coefs[k][i] s^k with s = t - knots[i]
+    on the interval i = [knots[i], knots[i+1]) holding t (the last one
+    closed; the end intervals extend outward), summed in the order of
+    scipy's PPoly so that the two agree to the last bit."""
+    last = knots.size - 2
+    knot_list, inner = knots.tolist(), knots[1:-1]
+    rows = list(zip(*(c.tolist() for c in coefs)))
+
+    def fn(tt, xp=math):
+        # searching the inner knots alone clamps i to [0, last]
+        if xp is math:
+            i = bisect_right(knot_list, tt, 1, last + 1) - 1
+            s, cs = tt - knot_list[i], rows[i]
+        else:
+            i = np.searchsorted(inner, tt, side="right")
+            s, cs = tt - knots[i], [c[i] for c in coefs]
+        res = 0.0 + cs[0]
+        z = s
+        for c in cs[1:]:
+            res = res + c * z
+            z = z * s
+        return res
+
+    return fn
 
 
 def constant_trajectory(point: tuple[float, float], horizon: float) -> Trajectory:

@@ -467,32 +467,40 @@ def test_n_evals_counts_every_rhs_call(method):
 
 def test_scipy_integrate_loaded_by_stiff_runs_only():
     # LSODA's import costs ~0.7 s cold and ~47 MiB of peak memory, so
-    # nothing else may pay it: the NDF, scans and controllability need none
+    # nothing else may pay it: the NDF, scans, controllability, scenario
+    # loading and waypoint splines need no scipy module at all
     script = """
 import sys
 import bentswimmer
 from bentswimmer.dynamics import equilibrium_state
 from bentswimmer.integrators import IntegratorOptions
 from bentswimmer.model import SwimmerParams
-from bentswimmer.tracking import line_trajectory, scan_determinant, simulate_closed_loop
+from bentswimmer.scenario import load_scenario
+from bentswimmer.tracking import (line_trajectory, scan_determinant, simulate_closed_loop,
+                                  waypoint_trajectory)
 
 p = SwimmerParams.from_table_units(
     ell_um=10.0, eta_N_s_m2=12.4e-3, xi_N_s_m2=6.2e-3, m1_A_um2=1.6, m2_A_um2=2.4,
     m3_A_um2=3.2, kappa_N_um=8.3e-7, alpha0_rad=1.0)
-traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
-def run(method):
-    simulate_closed_loop(equilibrium_state(p), traj, p, IntegratorOptions(method=method),
-                         samples=5)
-run("adaptive_explicit_rk45")
+line = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
+waypoints = waypoint_trajectory([0.0, 0.0005, 0.001], [0.0, 0.02, 0.05], [0.0, 0.005, 0.0])
+def run(traj, method):
+    return simulate_closed_loop(equilibrium_state(p), traj, p,
+                                IntegratorOptions(method=method), samples=5)
+load_scenario(sys.argv[1])
+run(line, "adaptive_explicit_rk45")
+print(run(waypoints, "adaptive_explicit_rk45")[1].outcome)
 scan_determinant(p, 5)
-print("scipy.integrate" in sys.modules)
-run("trapezoidal_adaptive")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+run(line, "trapezoidal_adaptive")
 print("scipy.integrate" in sys.modules)
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.split() == ["False", "True"]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "scenarios" / "table1_waypoints.json")],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["completed", "[]", "True"]
 
 
 def test_methods_agree_on_smooth_problem():

@@ -147,6 +147,54 @@ def test_waypoint_validation():
         waypoint_trajectory([0.0, 1.0, 0.5], [0, 1, 2], [0, 1, 2])
     with pytest.raises(ValueError):
         waypoint_trajectory([0.1, 0.5, 1.0], [0, 1, 2], [0, 1, 2])
+    # a NaN or infinite waypoint would build a NaN demand without a word
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in (([0.0, 0.5, bad], [0, 1, 2], [0, 1, 2]),
+                     ([0.0, 0.5, 1.0], [0, bad, 2], [0, 1, 2]),
+                     ([0.0, 0.5, 1.0], [0, 1, 2], [bad, 1, 2])):
+            with pytest.raises(ValueError, match="only finite values"):
+                waypoint_trajectory(*args)
+
+
+# knots and values of the spline checks; "wide" has a 2 s spacing, where
+# scipy's tridiagonal solve interchanges rows and the spline does not
+WAYPOINT_SETS = {
+    "three": ([0.0, 0.5, 1.0], [0.0, 2.0, -1.0], [1.0, 1.5, 0.5]),
+    "shipped": ([0.0, 0.06, 0.12, 0.18], [0.0, 3.0, 5.0, 6.0], [0.0, 1.5, 4.0, 7.0]),
+    "uneven": ([0.0, 0.1, 0.5, 0.55, 1.3, 1.4], [0.3, -1.2, 0.8, 2.5, -0.4, 1.1],
+               [2.0, 1.0, 0.0, -3.0, 1.0, 0.5]),
+    "wide": ([0.0, 0.5, 2.5, 3.0, 4.0], [1.0, -0.5, 2.0, 0.7, -1.3], [0.0, 0.2, 0.1, 0.9, 0.4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WAYPOINT_SETS))
+def test_waypoint_spline_matches_scipy_clamped_cubic(case):
+    # scipy's clamped CubicSpline is the oracle, here only
+    from scipy.interpolate import CubicSpline
+
+    knots, xs, ys = (np.array(v) for v in WAYPOINT_SETS[case])
+    traj = waypoint_trajectory(knots, xs, ys)
+    outside = 0.01 * (knots[1] - knots[0])
+    times = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2,
+                            np.linspace(0.0, knots[-1], 41)[1:-1],
+                            [knots[0] - outside, knots[-1] + outside]])
+    for fn, dfn, values in ((traj.f, traj.df, xs), (traj.g, traj.dg, ys)):
+        spline = CubicSpline(knots, values, bc_type="clamped")
+        for ours, want in ((fn, spline(times)), (dfn, spline.derivative()(times))):
+            got = ours(times, np)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            # the right-hand side's float path and the output's array path
+            # give the same bits
+            assert np.array([ours(float(t)) for t in times]).tobytes() == got.tobytes()
+        # the first slope is the first cubic's constant term; the last is the
+        # last cubic's slope at its far end, zero up to rounding as in scipy
+        assert dfn(0.0) == 0.0
+        assert abs(dfn(knots[-1])) <= 1e-14 * np.abs(spline.derivative()(times)).max()
+    # the trajectory keeps its own copy of the waypoints
+    want = traj.f(times, np)
+    knots *= 2.0
+    xs *= 2.0
+    assert traj.f(times, np).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- feedback solve
