@@ -16,8 +16,7 @@ Two methods, both for stiff systems, since the shape relaxation is stiff
   BDF formulas and builds its own Jacobian. It is driven one accepted step at
   a time. scipy.integrate is imported on the first LSODA run only.
 
-abs_tol and rel_tol are one float each, or a tuple with one per state
-component (the closed-loop driver holds the positions tighter that way).
+abs_tol and rel_tol are one float each, shared by every state component.
 A step that reaches a non-finite state ends the run with ``step_collapse``
 in both methods; neither error test rejects NaN by itself.
 
@@ -98,17 +97,16 @@ class OutsideDomain(IntegrationSignal):
 @dataclass(frozen=True)
 class IntegratorOptions:
     method: str = METHOD_RK45
-    abs_tol: float | tuple[float, ...] = 1e-9
-    rel_tol: float | tuple[float, ...] = 1e-9
+    abs_tol: float = 1e-9
+    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        atols, rtols = (t if isinstance(t, tuple) else (t,)
-                        for t in (self.abs_tol, self.rel_tol))
-        if not (atols and rtols and all(0.0 < v < math.inf for v in atols + rtols)):
-            raise ValueError("tolerances must be positive and finite")
-        if min(rtols) < REL_TOL_MIN:
+        if not all(isinstance(v, (int, float)) and 0.0 < v < math.inf
+                   for v in (self.abs_tol, self.rel_tol)):
+            raise ValueError("tolerances must be positive and finite numbers")
+        if self.rel_tol < REL_TOL_MIN:
             raise ValueError(
                 f"rel_tol must be at least 100 machine epsilons ({REL_TOL_MIN:.3e}), "
                 f"got {self.rel_tol!r}"
@@ -123,11 +121,14 @@ class IntegrationResult:
     t: np.ndarray
     z: np.ndarray
     f: np.ndarray
-    t_stop: float
     signal: IntegrationSignal | None = None
     n_steps: int = 0
     n_rejected: int = 0
     n_evals: int = 0
+
+    @property
+    def t_stop(self) -> float:
+        return float(self.t[-1])
 
     @property
     def z_final(self) -> np.ndarray:
@@ -176,19 +177,17 @@ def integrate(rhs, z0, t_span, opts: IntegratorOptions | None = None) -> Integra
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got {t_span!r}")
     z0 = [float(v) for v in z0]
-    atol = _per_component(opts.abs_tol, len(z0))
-    rtol = _per_component(opts.rel_tol, len(z0))
     solve = _integrate_ndf if opts.method == METHOD_RK45 else _integrate_lsoda
     run = _Run(rhs)
 
     def result(status, signal=None):
         return IntegrationResult(
-            status, np.array(run.t), np.array(run.z), np.array(run.f), t_stop=run.t[-1],
-            signal=signal, n_steps=len(run.t) - 1, n_rejected=run.n_rejected, n_evals=run.n_evals)
+            status, np.array(run.t), np.array(run.z), np.array(run.f), signal=signal,
+            n_steps=len(run.t) - 1, n_rejected=run.n_rejected, n_evals=run.n_evals)
 
     try:
         run.keep(t0, z0)
-        status = solve(run, t1, atol, rtol)
+        status = solve(run, t1, opts.abs_tol, opts.rel_tol)
     except IntegrationSignal as sig:
         # built here: a local holding sig would close a cycle through its traceback
         if not run.t:  # at the first slope: the start alone, with a zero slope
@@ -217,15 +216,6 @@ class _Run:
         self.t.append(t)
         self.z.append(z)
         self.f.append(list(f))
-
-
-def _per_component(tol, n: int) -> list[float]:
-    """A tolerance (float, or tuple of one per component) as n floats."""
-    if not isinstance(tol, tuple):
-        return [tol] * n
-    if len(tol) != n:
-        raise ValueError(f"{len(tol)} tolerances for a state of dimension {n}")
-    return list(tol)
 
 
 def _rms(v, scale) -> float:
@@ -275,7 +265,7 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     corrector is a simplified Newton iteration on I - c J, with J from
     forward differences through rhs, kept until Newton fails to converge
     with it. The error norm is the RMS of the error over
-    abs_tol + rel_tol |z|, per component.
+    abs_tol + rel_tol |z|.
 
     A predictor, Newton iterate or Jacobian probe is a trial state:
     OutsideDomain there rejects the step and halves h, like a Newton
@@ -284,15 +274,14 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     rhs = run.slope
     t, z0, f = run.t[0], run.z[0], run.f[0]
     n = len(z0)
-    rtol_min = min(rtol)
-    newton_tol = max(10 * _EPS / rtol_min, min(0.03, rtol_min ** 0.5))
+    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
 
     def jacobian(t, y, f):
         """Forward differences through rhs at (t, y), whose slope is f."""
         cols = []
         for j in range(n):
             yj = list(y)
-            yj[j] += _SQRT_EPS * max(abs(y[j]), atol[j]) * (1.0 if f[j] >= 0.0 else -1.0)
+            yj[j] += _SQRT_EPS * max(abs(y[j]), atol) * (1.0 if f[j] >= 0.0 else -1.0)
             step = yj[j] - y[j]
             fj = rhs(t, yj)
             cols.append([(a - b) / step for a, b in zip(fj, f)])
@@ -347,7 +336,7 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
                 n_equal = 0
                 lu = None
         y_pred = [sum(col) for col in zip(*D[:order + 1])]
-        scale = [a + r * abs(v) for a, r, v in zip(atol, rtol, y_pred)]
+        scale = [atol + rtol * abs(v) for v in y_pred]
         alpha = _ALPHA[order]
         gamma = _GAMMA[1:order + 1]
         psi = [sum(map(mul, gamma, col)) / alpha for col in zip(*D[1:order + 1])]
@@ -381,7 +370,7 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
         if not all(map(math.isfinite, y_new)):
             return STATUS_STEP_COLLAPSE
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-        scale = [a + r * abs(v) for a, r, v in zip(atol, rtol, y_new)]
+        scale = [atol + rtol * abs(v) for v in y_new]
         err = _rms([_ERROR_CONST[order] * v for v in d], scale)
         if err > 1.0:
             # Newton converged: the factored matrix is kept for the shorter step
@@ -443,7 +432,7 @@ def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
 
     t0 = run.t[0]
     solver = LSODA(fun, t0, run.z[0], t1, first_step=min(H_INIT, t1 - t0), min_step=H_MIN,
-                   rtol=np.array(rtol), atol=np.array(atol))
+                   rtol=rtol, atol=atol)
     try:
         with warnings.catch_warnings():
             # a failed step is reported through solver.status; its text is noise

@@ -446,7 +446,6 @@ def simulate_open_loop(
         t=np.concatenate([r.t for r in pieces]),
         z=np.concatenate([r.z for r in pieces]),
         f=np.concatenate([r.f for r in pieces]),
-        t_stop=last.t_stop,
         signal=last.signal,
         n_steps=sum(r.n_steps for r in pieces),
         n_rejected=sum(r.n_rejected for r in pieces),

@@ -14,23 +14,23 @@ ones on the boundary of the physical square), where the feedback is
 undefined; with the tabulated parameters it vanishes nowhere else. With the
 feedback substituted, xdot = f' and ydot = g' hold identically in the
 remaining state, so the swimmer's position follows (f, g) exactly while the
-orientation and shape do whatever the closed-loop dynamics dictate. If the
-shape drifts toward straight, the solved field grows without bound; the
-driver stops with a graceful abort once |D| falls under a floor.
+orientation and shape do whatever the closed-loop dynamics dictate. The
+closed loop therefore integrates the position's deviation from (f, g), whose
+slope is the solve's rounding. If the shape drifts toward straight, the
+solved field grows without bound; the driver stops with a graceful abort
+once |D| falls under a floor.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import _raw_fields
 from .integrators import (
-    METHOD_RK45,
-    REL_TOL_MIN,
     SOLVERS,
     STATUS_COMPLETED,
     STATUS_SIGNAL,
@@ -38,7 +38,6 @@ from .integrators import (
     IntegrationSignal,
     IntegratorOptions,
     OutsideDomain,
-    _per_component,
     integrate,
 )
 from .model import ControlField, SwimmerParams, SwimmerState
@@ -52,11 +51,6 @@ EXCLUSION_RADIUS = 0.05
 # accepted nodes per batch in the run diagnostics: one batch over a long run,
 # or batches of 1,000, raise the peak memory of a benchmark process measurably
 _NODE_CHUNK = 500
-# closed loop on the NDF holds x and y to this fraction of the scenario's
-# tolerances: under the feedback they are quadratures of the demand, cheap to
-# hold tight, and at the scenario's own tolerances full-turn circles miss the
-# 1e-8 um exact-tracking bound
-POSITION_TOL_FACTOR = 1e-3
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_SINGULAR = "singular_abort"
@@ -346,9 +340,12 @@ def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
 
 
 def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, xp=math):
-    """Feedback solve at raw state z. Returns (h_par, h_perp, d, zdot), zdot
-    being the closed-loop derivative with the solved field substituted;
-    raises TrackingSingularity when |D| <= eps_d.
+    """Feedback solve at raw state z, of which only z[2..4] (theta and the
+    shape) are read: z[0..1] may hold the position or its deviation from the
+    demand. Returns (h_par, h_perp, d, zdot), zdot being the derivative of
+    (x, y, theta, alpha1, alpha2) with the solved field substituted, whose
+    rows 0-1 are (fprime, gprime) up to the solve's rounding; raises
+    TrackingSingularity when |D| <= eps_d.
 
     Hot path: zdot is dynamics._combine_fields(z, h_par, h_perp, f0, f1, f2)
     written out over the fields' entries, with the rotation by theta shared
@@ -419,12 +416,19 @@ def solve_tracking_controls(
 
 
 def _closed_loop_rhs(params, traj, eps_d):
+    """The closed-loop derivative of (x - f, y - g, theta, alpha1, alpha2):
+    rows 0-1 are the closed-loop velocity less the demand's, the rounding
+    defect of the feedback solve."""
     df, dg = traj.df, traj.dg
 
     def rhs(t, z):
         if not (-math.pi < z[3] < math.pi and -math.pi < z[4] < math.pi):
             raise ShapeRangeSignal(z[3], z[4])
-        return _solve_controls_raw(z, df(t), dg(t), params, eps_d)[3]
+        fp, gp = df(t), dg(t)
+        zdot = _solve_controls_raw(z, fp, gp, params, eps_d)[3]
+        zdot[0] -= fp
+        zdot[1] -= gp
+        return zdot
 
     return rhs
 
@@ -511,13 +515,6 @@ def record_run(
     return record, status
 
 
-def _tight_positions(tol, floor: float) -> tuple[float, ...]:
-    """Per-component tolerances with x and y scaled by POSITION_TOL_FACTOR,
-    but not below floor."""
-    tol = _per_component(tol, 5)
-    return tuple([max(POSITION_TOL_FACTOR * v, floor) for v in tol[:2]] + tol[2:])
-
-
 def simulate_closed_loop(
     initial: SwimmerState,
     traj: Trajectory,
@@ -529,19 +526,18 @@ def simulate_closed_loop(
     """Drive the position along traj with the per-instant feedback solve.
 
     The initial position must equal (f(0), g(0)) (Trajectory.check_start),
-    and the run aborts where |D| <= EPS_D. On the NDF, x and y are held to
-    POSITION_TOL_FACTOR of the tolerances in opts.
+    and the run aborts where |D| <= EPS_D. The integrated state is the
+    deviation (x - f(t), y - g(t)) with theta, alpha1 and alpha2: under the
+    feedback the deviation's derivative is the solve's rounding defect, so
+    the position holds the demand whatever the tolerances, which set the
+    error of the orientation and shape alone. The record's x and y are the
+    deviation plus (f, g).
     """
     traj.check_start(initial)
     eps_d = EPS_D
     rhs = _closed_loop_rhs(params, traj, eps_d)
-    z0 = [initial.x, initial.y, initial.theta, initial.alpha1, initial.alpha2]
-    if opts.method == METHOD_RK45:
-        opts = replace(
-            opts,
-            abs_tol=_tight_positions(opts.abs_tol, 0.0),
-            rel_tol=_tight_positions(opts.rel_tol, REL_TOL_MIN),
-        )
+    fx0, gy0 = traj.start()
+    z0 = [initial.x - fx0, initial.y - gy0, initial.theta, initial.alpha1, initial.alpha2]
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
     def fields_at(times, states):
@@ -549,7 +545,11 @@ def simulate_closed_loop(
             states.T, traj.df(times, np), traj.dg(times, np), params, eps_d, np
         )
 
-    return record_run(result, fields_at, opts.method, samples, snapshot_times)
+    record, status = record_run(result, fields_at, opts.method, samples, snapshot_times)
+    times = record.column("t")
+    record.data[:, 1] += traj.f(times, np)
+    record.data[:, 2] += traj.g(times, np)
+    return record, status
 
 
 __all__ = [

@@ -10,7 +10,6 @@ from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state
 from bentswimmer.integrators import (
     METHOD_RK45,
     METHOD_TRAPEZOIDAL,
-    REL_TOL_MIN,
     IntegratorOptions,
     integrate,
 )
@@ -226,8 +225,10 @@ def test_controls_residual_small_demand(params):
 
 def test_closed_loop_rhs_is_the_solve_combined(params):
     # seeded states, one in five nearly straight so that some are singular:
-    # the right-hand side equals the solved field pushed through the field
-    # combination, and raises with the state's own D where |D| <= eps_d
+    # the right-hand side is the solved field pushed through the field
+    # combination, less the demand (f', g') in rows 0-1 (its state is the
+    # deviation from the demand), and raises with the state's own D where
+    # |D| <= eps_d
     rng = np.random.default_rng(29)
     traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
     rhs = tracking._closed_loop_rhs(params, traj, EPS_D)
@@ -245,10 +246,14 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
             assert caught.value.d_value == d
             singular += 1
         else:
-            h_par, h_perp, d_solve, zdot = _solve_controls_raw(
-                z, traj.df(t), traj.dg(t), params, EPS_D)
+            fp, gp = traj.df(t), traj.dg(t)
+            h_par, h_perp, d_solve, zdot = _solve_controls_raw(z, fp, gp, params, EPS_D)
             assert d_solve == d
-            assert rhs(t, z) == zdot == _combine_fields(z, h_par, h_perp, f0, f1, f2)
+            combined = _combine_fields(z, h_par, h_perp, f0, f1, f2)
+            assert zdot == combined
+            got = rhs(t, z)
+            assert got[2:] == combined[2:]
+            assert got[:2] == [combined[0] - fp, combined[1] - gp]
     assert 0 < singular < 80
 
 
@@ -403,14 +408,14 @@ def per_node_extrema(result, traj, params):
 @pytest.mark.parametrize("case", ["rk45_circle", "lsoda_waypoints", "rk45_backward_line"])
 def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
     # min |D| and the max residual come from one batched pass over the
-    # accepted nodes, in chunks; the circle (table1_circle's geometry, 0.6 of
-    # a turn) has more nodes than one chunk
+    # accepted nodes, in chunks; the circle (table1_circle's geometry, a full
+    # turn) has more nodes than one chunk
     st = equilibrium_state(params)
     if case == "rk45_circle":
         st = dataclasses.replace(st, theta=math.pi / 2)
     method = METHOD_TRAPEZOIDAL if case == "lsoda_waypoints" else METHOD_RK45
     traj = {
-        "rk45_circle": lambda: circle_trajectory((0.0, 5.0), 5.0, 20.0, 0.6, -math.pi / 2),
+        "rk45_circle": lambda: circle_trajectory((0.0, 5.0), 5.0, 20.0, 1.0, -math.pi / 2),
         "lsoda_waypoints": lambda: waypoint_trajectory(
             [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0]),
         "rk45_backward_line": lambda: line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05),
@@ -446,9 +451,9 @@ def test_custom_eps_d_is_honoured(params, monkeypatch):
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
-def test_closed_loop_holds_the_positions_tighter_on_the_ndf(method, params, monkeypatch):
-    # x and y get POSITION_TOL_FACTOR of the tolerances, the relative one
-    # floored at REL_TOL_MIN; LSODA runs keep the scenario's
+def test_closed_loop_integrates_with_the_callers_options(method, params, monkeypatch):
+    # one pair of tolerances for every component under both methods: the
+    # deviation from the demand needs none of its own
     seen = []
 
     def keep(rhs, z0, t_span, opts):
@@ -460,9 +465,41 @@ def test_closed_loop_holds_the_positions_tighter_on_the_ndf(method, params, monk
     o = IntegratorOptions(method=method, abs_tol=1e-8, rel_tol=1e-11)
     _, status = simulate_closed_loop(equilibrium_state(params), traj, params, o, samples=5)
     assert status.outcome == OUTCOME_COMPLETED
-    if method == METHOD_TRAPEZOIDAL:
-        assert seen == [o]
-        return
-    tight = tracking.POSITION_TOL_FACTOR * 1e-8
-    assert seen[0].abs_tol == (tight, tight, 1e-8, 1e-8, 1e-8)
-    assert seen[0].rel_tol == (REL_TOL_MIN, REL_TOL_MIN, 1e-11, 1e-11, 1e-11)
+    assert len(seen) == 1 and seen[0] is o
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_closed_loop_first_row_is_the_initial_state(method, params):
+    # a start off the demand by less than INITIAL_POSITION_TOL is run, not
+    # shifted: the deviation starts at the offset and the record adds the
+    # demand back, so the first row is the initial state bit for bit
+    starts = {
+        "line_at_origin": line_trajectory((0.0, 0.0), 0.4, 50.0, 2e-3),
+        "line_off_origin": line_trajectory((12.5, -7.25), -2.0, 50.0, 2e-3),
+        # phase 0: cos and sin are exact there in math and numpy alike
+        "circle": circle_trajectory((0.0, 5.0), 5.0, 20.0, 0.01),
+    }
+    offsets = [(7e-10, 0.0), (-3e-10, 6e-10), (0.0, -0.99 * tracking.INITIAL_POSITION_TOL)]
+    for name, traj in starts.items():
+        fx0, gy0 = traj.start()
+        for dx, dy in offsets:
+            st = equilibrium_state(params, x=fx0 + dx, y=gy0 + dy, theta=0.3)
+            record, status = simulate_closed_loop(
+                st, traj, params, IntegratorOptions(method=method), samples=5)
+            assert status.outcome == OUTCOME_COMPLETED, name
+            assert record.data[0, :6].tolist() == [
+                0.0, st.x, st.y, st.theta, st.alpha1, st.alpha2], (name, dx, dy)
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_short_waypoint_run_tracks_to_rounding(method, params):
+    # at the default tolerances the position holds the demand to rounding,
+    # not to a tolerance: the integrated deviation has a rounding-sized slope
+    traj = waypoint_trajectory(
+        [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0])
+    record, status = simulate_closed_loop(
+        equilibrium_state(params), traj, params, IntegratorOptions(method=method), samples=300)
+    assert status.outcome == OUTCOME_COMPLETED
+    t = record.column("t")
+    err = np.hypot(record.column("x") - traj.f(t, np), record.column("y") - traj.g(t, np))
+    assert err.max() <= 1e-10
