@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from bentswimmer.integrators import (
 )
 from bentswimmer.model import SwimmerState
 from bentswimmer.records import CSV_COLUMNS
+from bentswimmer.scenario import load_scenario
 from bentswimmer.tracking import (
     EPS_D,
     OUTCOME_COMPLETED,
@@ -503,3 +506,31 @@ def test_short_waypoint_run_tracks_to_rounding(method, params):
     t = record.column("t")
     err = np.hypot(record.column("x") - traj.f(t, np), record.column("y") - traj.g(t, np))
     assert err.max() <= 1e-10
+
+
+# ------------------------------------------------------------- shape accuracy
+
+SHAPE_REFERENCE = Path(__file__).resolve().parent / "shape_reference.json"
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+@pytest.mark.parametrize("name", ["table1_circle", "table1_line_ok", "table1_waypoints"])
+def test_closed_loop_shape_matches_the_radau_reference(name, method, scenario_dir):
+    # the position holds the demand to rounding whatever the integrator does,
+    # so theta and the shape alone carry its error: at the scenario's own
+    # tolerances, under either method, they stay within 1e-6 rad of a Radau
+    # run at rtol 1e-12 (tests/make_shape_reference.py)
+    ref = json.loads(SHAPE_REFERENCE.read_text(encoding="utf-8"))["scenarios"][name]
+    scn = load_scenario(scenario_dir / f"{name}.json")
+    record, status = simulate_closed_loop(
+        scn.initial, scn.trajectory, scn.params,
+        dataclasses.replace(scn.integrator, method=method),
+        samples=scn.outputs.samples, snapshot_times=scn.outputs.snapshot_times_s)
+    assert status.outcome == OUTCOME_COMPLETED
+    t = record.column("t")
+    rows = np.searchsorted(t, ref["t"])
+    assert t[rows].tolist() == ref["t"]
+    gaps = {key: float(np.abs(record.column(key)[rows] - ref[key]).max())
+            for key in ("theta", "alpha1", "alpha2")}
+    print(f"{name} {method}: max |shape - reference| {gaps}")
+    assert max(gaps.values()) <= 1e-6, gaps
