@@ -15,10 +15,10 @@ undefined; with the tabulated parameters it vanishes nowhere else. With the
 feedback substituted, xdot = f' and ydot = g' hold identically in the
 remaining state, so the swimmer's position follows (f, g) exactly while the
 orientation and shape do whatever the closed-loop dynamics dictate. The
-closed loop therefore integrates the position's deviation from (f, g), whose
-slope is the solve's rounding. If the shape drifts toward straight, the
-solved field grows without bound; the driver stops with a graceful abort
-once |D| falls under a floor.
+closed loop therefore integrates (theta, alpha1, alpha2) alone, and the
+position is an output: the initial offset from the demand plus (f, g). If
+the shape drifts toward straight, the solved field grows without bound; the
+driver stops with a graceful abort once |D| falls under a floor.
 """
 from __future__ import annotations
 
@@ -250,14 +250,8 @@ def _piecewise_cubic(knots: np.ndarray, coefs: tuple) -> Callable:
 
 
 def constant_trajectory(point: tuple[float, float], horizon: float) -> Trajectory:
-    x0, y0 = float(point[0]), float(point[1])
-    return Trajectory(
-        f=lambda t, xp=math: x0,
-        g=lambda t, xp=math: y0,
-        df=lambda t, xp=math: 0.0,
-        dg=lambda t, xp=math: 0.0,
-        horizon=horizon,
-    )
+    """Rest at `point`: a line at zero speed."""
+    return line_trajectory(point, 0.0, 0.0, horizon)
 
 
 @dataclass(frozen=True)
@@ -340,18 +334,16 @@ def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
 
 
 def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, xp=math):
-    """Feedback solve at raw state z, of which only z[2..4] (theta and the
-    shape) are read: z[0..1] may hold the position or its deviation from the
-    demand. Returns (h_par, h_perp, d, zdot), zdot being the derivative of
-    (x, y, theta, alpha1, alpha2) with the solved field substituted, whose
-    rows 0-1 are (fprime, gprime) up to the solve's rounding; raises
+    """Feedback solve at z = (theta, alpha1, alpha2); the position is never
+    read. Returns (h_par, h_perp, d, zdot), zdot being the derivative of
+    (theta, alpha1, alpha2) with the solved field substituted; raises
     TrackingSingularity when |D| <= eps_d.
 
-    Hot path: zdot is dynamics._combine_fields(z, h_par, h_perp, f0, f1, f2)
-    written out over the fields' entries, with the rotation by theta shared
-    with the demand's.
+    Hot path: zdot is rows 2-4 of dynamics._combine_fields(z, h_par, h_perp,
+    f0, f1, f2) written out over the fields' entries; the position rows,
+    (fprime, gprime) up to the solve's rounding, are not formed.
 
-    With xp=numpy, z is five arrays over the states (the rows of an (n, 5)
+    With xp=numpy, z is three arrays over the states (the rows of an (n, 3)
     state array's transpose), and the same operations in the same order give
     arrays (h_par, h_perp, d, residual) for the run diagnostics. Rows with
     |D| <= eps_d get NaN fields and a NaN residual, and keep their D. The
@@ -360,15 +352,15 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, 
     blow-up, where an absolute defect saturates at |H|*eps regardless of the
     solve's quality).
     """
-    f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params, xp)
+    f0, f1, f2, _, _, _ = _raw_fields(z[1], z[2], params, xp)
     f00, f01, f02, f03, f04 = f0
     f10, f11, f12, f13, f14 = f1
     f20, f21, f22, f23, f24 = f2
     d = f10 * f21 - f11 * f20
     if xp is math and abs(d) <= eps_d:
-        raise TrackingSingularity(d, z[3], z[4])
-    c = xp.cos(z[2])
-    s = xp.sin(z[2])
+        raise TrackingSingularity(d, z[1], z[2])
+    c = xp.cos(z[0])
+    s = xp.sin(z[0])
     # body-frame demand: rotate (f', g') by -theta
     bx = c * fprime + s * gprime
     by = -s * fprime + c * gprime
@@ -390,11 +382,7 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, 
         return h_par, h_perp, d, resid
     h_par = (r1 * f21 - r2 * f20) / d
     h_perp = (f10 * r2 - f11 * r1) / d
-    w0 = f00 + h_par * f10 + h_perp * f20
-    w1 = f01 + h_par * f11 + h_perp * f21
     zdot = [
-        c * w0 - s * w1,
-        s * w0 + c * w1,
         f02 + h_par * f12 + h_perp * f22,
         f03 + h_par * f13 + h_perp * f23,
         f04 + h_par * f14 + h_perp * f24,
@@ -410,25 +398,19 @@ def solve_tracking_controls(
 ) -> ControlField:
     """Field making (xdot, ydot) = (fprime, gprime) at this state; raises
     TrackingSingularity when |D| <= EPS_D."""
-    z = [state.x, state.y, state.theta, state.alpha1, state.alpha2]
+    z = [state.theta, state.alpha1, state.alpha2]
     h_par, h_perp, _, _ = _solve_controls_raw(z, fprime, gprime, params, EPS_D)
     return ControlField(h_par=h_par, h_perp=h_perp)
 
 
 def _closed_loop_rhs(params, traj, eps_d):
-    """The closed-loop derivative of (x - f, y - g, theta, alpha1, alpha2):
-    rows 0-1 are the closed-loop velocity less the demand's, the rounding
-    defect of the feedback solve."""
+    """The closed-loop derivative of (theta, alpha1, alpha2)."""
     df, dg = traj.df, traj.dg
 
     def rhs(t, z):
-        if not (-math.pi < z[3] < math.pi and -math.pi < z[4] < math.pi):
-            raise ShapeRangeSignal(z[3], z[4])
-        fp, gp = df(t), dg(t)
-        zdot = _solve_controls_raw(z, fp, gp, params, eps_d)[3]
-        zdot[0] -= fp
-        zdot[1] -= gp
-        return zdot
+        if not (-math.pi < z[1] < math.pi and -math.pi < z[2] < math.pi):
+            raise ShapeRangeSignal(z[1], z[2])
+        return _solve_controls_raw(z, df(t), dg(t), params, eps_d)[3]
 
     return rhs
 
@@ -463,10 +445,13 @@ def record_run(
 ) -> tuple[SimRecord, TrackingStatus]:
     """Sample a finished run into a record and map its status to an outcome.
 
-    fields_at(times, states) gives arrays (h_par, h_perp, d, residual) over
-    the given states, one row each; a NaN field marks a state where it is
-    undefined. It runs once over the samples for the record, and over the
-    accepted nodes for min |D| and the max residual.
+    The run's state fills the trailing columns of (x, y, theta, alpha1,
+    alpha2): all five in open loop, the last three in closed loop, whose
+    caller fills x and y. fields_at(times, states) gives arrays (h_par,
+    h_perp, d, residual) over the given states, one row each; a NaN field
+    marks a state where it is undefined. It runs once over the samples for
+    the record, and over the accepted nodes for min |D| and the max
+    residual.
     """
     if result.status == STATUS_COMPLETED:
         outcome, detail = OUTCOME_COMPLETED, ""
@@ -483,7 +468,7 @@ def record_run(
     h_par, h_perp, d, _ = fields_at(times, states)
     data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
     data[:, 0] = times
-    data[:, 1:6] = states
+    data[:, 6 - states.shape[1]:6] = states
     data[:, 6] = h_par
     data[:, 7] = h_perp
     data[:, 10] = d
@@ -526,18 +511,15 @@ def simulate_closed_loop(
     """Drive the position along traj with the per-instant feedback solve.
 
     The initial position must equal (f(0), g(0)) (Trajectory.check_start),
-    and the run aborts where |D| <= EPS_D. The integrated state is the
-    deviation (x - f(t), y - g(t)) with theta, alpha1 and alpha2: under the
-    feedback the deviation's derivative is the solve's rounding defect, so
-    the position holds the demand whatever the tolerances, which set the
-    error of the orientation and shape alone. The record's x and y are the
-    deviation plus (f, g).
+    and the run aborts where |D| <= EPS_D. Under the feedback (xdot, ydot) =
+    (f', g') holds identically, so only theta, alpha1 and alpha2 are
+    integrated, and the tolerances set their error alone. The record's x and
+    y are the initial offset from the demand plus (f, g).
     """
     traj.check_start(initial)
     eps_d = EPS_D
     rhs = _closed_loop_rhs(params, traj, eps_d)
-    fx0, gy0 = traj.start()
-    z0 = [initial.x - fx0, initial.y - gy0, initial.theta, initial.alpha1, initial.alpha2]
+    z0 = [initial.theta, initial.alpha1, initial.alpha2]
     result = integrate(rhs, z0, (0.0, traj.horizon), opts)
 
     def fields_at(times, states):
@@ -546,9 +528,10 @@ def simulate_closed_loop(
         )
 
     record, status = record_run(result, fields_at, opts.method, samples, snapshot_times)
+    fx0, gy0 = traj.start()
     times = record.column("t")
-    record.data[:, 1] += traj.f(times, np)
-    record.data[:, 2] += traj.g(times, np)
+    record.data[:, 1] = (initial.x - fx0) + traj.f(times, np)
+    record.data[:, 2] = (initial.y - gy0) + traj.g(times, np)
     return record, status
 
 

@@ -228,10 +228,9 @@ def test_controls_residual_small_demand(params):
 
 def test_closed_loop_rhs_is_the_solve_combined(params):
     # seeded states, one in five nearly straight so that some are singular:
-    # the right-hand side is the solved field pushed through the field
-    # combination, less the demand (f', g') in rows 0-1 (its state is the
-    # deviation from the demand), and raises with the state's own D where
-    # |D| <= eps_d
+    # the right-hand side, over (theta, alpha1, alpha2), is the solved field
+    # pushed through rows 2-4 of the field combination, whatever the
+    # position, and raises with the state's own D where |D| <= eps_d
     rng = np.random.default_rng(29)
     traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
     rhs = tracking._closed_loop_rhs(params, traj, EPS_D)
@@ -239,9 +238,11 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
     for k in range(400):
         t = float(rng.uniform(0.0, traj.horizon))
         spread = 1e-4 if k % 5 == 0 else 3.0
-        z = [float(v) for v in (*rng.uniform(-20.0, 20.0, 2), rng.uniform(-math.pi, math.pi),
-                                *rng.uniform(-spread, spread, 2))]
-        f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
+        full = [float(v) for v in (*rng.uniform(-20.0, 20.0, 2),
+                                   rng.uniform(-math.pi, math.pi),
+                                   *rng.uniform(-spread, spread, 2))]
+        z = full[2:]
+        f0, f1, f2, _, _, _ = _raw_fields(z[1], z[2], params)
         d = f1[0] * f2[1] - f1[1] * f2[0]
         if abs(d) <= EPS_D:
             with pytest.raises(TrackingSingularity) as caught:
@@ -252,11 +253,9 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
             fp, gp = traj.df(t), traj.dg(t)
             h_par, h_perp, d_solve, zdot = _solve_controls_raw(z, fp, gp, params, EPS_D)
             assert d_solve == d
-            combined = _combine_fields(z, h_par, h_perp, f0, f1, f2)
-            assert zdot == combined
-            got = rhs(t, z)
-            assert got[2:] == combined[2:]
-            assert got[:2] == [combined[0] - fp, combined[1] - gp]
+            combined = _combine_fields(full, h_par, h_perp, f0, f1, f2)
+            assert zdot == combined[2:]
+            assert rhs(t, z) == combined[2:]
     assert 0 < singular < 80
 
 
@@ -353,7 +352,7 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
     record, status = simulate_closed_loop(st, traj, params, samples=200)
     assert status.outcome == OUTCOME_SINGULAR
     t = record.column("t")
-    states = record.data[:, 1:6]
+    states = record.data[:, 3:6]
     d_run = record.column("d_value")
     # the run's own eps_d, then one equal to a sampled |D| that makes about
     # half the rows singular, that row included
@@ -400,9 +399,9 @@ def per_node_extrema(result, traj, params):
         except TrackingSingularity as sig:
             min_d = min(min_d, abs(sig.d_value))
             continue
-        f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
+        f0, f1, f2, _, _, _ = _raw_fields(z[1], z[2], params)
         min_d = min(min_d, abs(d))
-        max_resid = max(max_resid, feedback_residual(f0, f1, f2, z[2], fp, gp, h_par, h_perp))
+        max_resid = max(max_resid, feedback_residual(f0, f1, f2, z[0], fp, gp, h_par, h_perp))
     if isinstance(result.signal, TrackingSingularity):
         min_d = min(min_d, abs(result.signal.d_value))
     return min_d, max_resid
@@ -455,27 +454,29 @@ def test_custom_eps_d_is_honoured(params, monkeypatch):
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_closed_loop_integrates_with_the_callers_options(method, params, monkeypatch):
-    # one pair of tolerances for every component under both methods: the
-    # deviation from the demand needs none of its own
+    # under both methods, one integration of (theta, alpha1, alpha2) alone,
+    # from the initial orientation and shape, with the caller's options: the
+    # feedback fixes the position, which needs no component of its own
     seen = []
 
     def keep(rhs, z0, t_span, opts):
-        seen.append(opts)
+        seen.append((list(z0), opts))
         return integrate(rhs, z0, t_span, opts)
 
     monkeypatch.setattr(tracking, "integrate", keep)
-    traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
+    traj = line_trajectory((3.0, -4.0), 0.0, 50.0, 0.001)
+    st = equilibrium_state(params, x=3.0, y=-4.0, theta=0.7)
     o = IntegratorOptions(method=method, abs_tol=1e-8, rel_tol=1e-11)
-    _, status = simulate_closed_loop(equilibrium_state(params), traj, params, o, samples=5)
+    _, status = simulate_closed_loop(st, traj, params, o, samples=5)
     assert status.outcome == OUTCOME_COMPLETED
-    assert len(seen) == 1 and seen[0] is o
+    assert seen == [([st.theta, st.alpha1, st.alpha2], o)] and seen[0][1] is o
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_closed_loop_first_row_is_the_initial_state(method, params):
     # a start off the demand by less than INITIAL_POSITION_TOL is run, not
-    # shifted: the deviation starts at the offset and the record adds the
-    # demand back, so the first row is the initial state bit for bit
+    # shifted: every row's x and y are the start's offset from the demand
+    # plus the demand, so the first row is the initial state bit for bit
     starts = {
         "line_at_origin": line_trajectory((0.0, 0.0), 0.4, 50.0, 2e-3),
         "line_off_origin": line_trajectory((12.5, -7.25), -2.0, 50.0, 2e-3),
@@ -492,12 +493,15 @@ def test_closed_loop_first_row_is_the_initial_state(method, params):
             assert status.outcome == OUTCOME_COMPLETED, name
             assert record.data[0, :6].tolist() == [
                 0.0, st.x, st.y, st.theta, st.alpha1, st.alpha2], (name, dx, dy)
+            t = record.column("t")
+            assert record.column("x").tolist() == ((st.x - fx0) + traj.f(t, np)).tolist()
+            assert record.column("y").tolist() == ((st.y - gy0) + traj.g(t, np)).tolist()
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_short_waypoint_run_tracks_to_rounding(method, params):
     # at the default tolerances the position holds the demand to rounding,
-    # not to a tolerance: the integrated deviation has a rounding-sized slope
+    # not to a tolerance: it is the demand, never integrated
     traj = waypoint_trajectory(
         [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0])
     record, status = simulate_closed_loop(
