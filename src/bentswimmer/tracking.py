@@ -339,9 +339,9 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, 
     (theta, alpha1, alpha2) with the solved field substituted; raises
     TrackingSingularity when |D| <= eps_d.
 
-    Hot path: zdot is rows 2-4 of dynamics._combine_fields(z, h_par, h_perp,
-    f0, f1, f2) written out over the fields' entries; the position rows,
-    (fprime, gprime) up to the solve's rounding, are not formed.
+    Hot path: zdot is rows 2-4 of dynamics._combine_fields at any position
+    with these angles, written out over the fields' entries; the position
+    rows, (fprime, gprime) up to the solve's rounding, are not formed.
 
     With xp=numpy, z is three arrays over the states (the rows of an (n, 3)
     state array's transpose), and the same operations in the same order give

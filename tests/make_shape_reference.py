@@ -1,6 +1,7 @@
-"""Write the closed-loop shape reference that test_shape_accuracy reads.
+"""Write the closed-loop shape reference that
+test_tracking.py::test_closed_loop_shape_matches_the_radau_reference reads.
 
-For each shipped closed-loop scenario that completes, integrate the full
+For table1_circle, table1_line_ok and table1_waypoints, integrate the full
 five-component dynamics with the public API's solved field,
 
     zdot = state_derivative(s, solve_tracking_controls(s, f'(t), g'(t), p), p),
@@ -11,7 +12,7 @@ stretch between two kept times is its own solve, so every kept state is a
 step end, not an interpolant. Nothing here runs the package's closed-loop
 right-hand side or its integrators.
 
-Run from the repository root (a few minutes):
+Run from the repository root (about 10 s):
 
     PYTHONPATH=src python tests/make_shape_reference.py
 """
