@@ -47,7 +47,6 @@ from .tracking import (
     TrackingStatus,
     Trajectory,
     circle_trajectory,
-    constant_trajectory,
     line_trajectory,
     scan_determinant,
     simulate_closed_loop,

@@ -91,7 +91,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # a file, or a path under one
         return _config_error(f"--output-dir: cannot create {args.output_dir}: {exc.strerror}")
 
-    result = run_scenario(scenario, args.output_dir)
+    try:
+        result = run_scenario(scenario, args.output_dir)
+    except OSError as exc:  # an output path taken, say by a directory; earlier files stay
+        return _config_error(f"cannot write {exc.filename or args.output_dir}: {exc.strerror}")
     summary = result.summary
 
     if args.command == "check-controllability":

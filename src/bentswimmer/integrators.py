@@ -103,7 +103,7 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not all(isinstance(v, (int, float)) and 0.0 < v < math.inf
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < math.inf
                    for v in (self.abs_tol, self.rel_tol)):
             raise ValueError("tolerances must be positive and finite numbers")
         if self.rel_tol < REL_TOL_MIN:
@@ -358,56 +358,48 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
                 lu = None
         except (OutsideDomain, SingularMatrixError):
             pass  # a trial state outside the domain, or a singular I - c J
+        if converged:
+            if not all(map(math.isfinite, y_new)):
+                return STATUS_STEP_COLLAPSE
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = [atol + rtol * abs(v) for v in y_new]
+            err = _rms([_ERROR_CONST[order] * v for v in d], scale)
+        # a rejection, or a new order and step, sets the factor of one resize
         if not converged:
             run.n_rejected += 1
-            h *= 0.5
-            _rescale(D, order, 0.5)
-            n_equal = 0
+            factor = 0.5
             lu = None
-            if h < H_MIN:
-                return STATUS_STEP_COLLAPSE
-            continue
-        if not all(map(math.isfinite, y_new)):
-            return STATUS_STEP_COLLAPSE
-        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-        scale = [atol + rtol * abs(v) for v in y_new]
-        err = _rms([_ERROR_CONST[order] * v for v in d], scale)
-        if err > 1.0:
-            # Newton converged: the factored matrix is kept for the shorter step
+        elif err > 1.0:  # Newton converged: the factored matrix is kept
             run.n_rejected += 1
             factor = max(_MIN_FACTOR, safety * err ** (-1.0 / (order + 1)))
-            h *= factor
-            _rescale(D, order, factor)
-            n_equal = 0
-            if h < H_MIN:
-                return STATUS_STEP_COLLAPSE
-            continue
-        run.keep(t_new, y_new)
-        t = t_new
-        fresh = False
-        n_equal += 1
-        # d is the (order + 1)-th difference at the new node
-        D[order + 2] = [p - q for p, q in zip(d, D[order + 1])]
-        D[order + 1] = d
-        for i in range(order, -1, -1):
-            D[i] = [p + q for p, q in zip(D[i], D[i + 1])]
-        if n_equal < order + 1:
-            continue
-        # after order + 1 equal steps: pick the order, and the step, that
-        # promise the largest step at the same error
-        err_m = _rms([_ERROR_CONST[order - 1] * v for v in D[order]], scale) if order > 1 else math.inf
-        err_p = (_rms([_ERROR_CONST[order + 1] * v for v in D[order + 2]], scale)
-                 if order < _MAX_ORDER else math.inf)
-        growth = [math.inf if e == 0.0 else e ** (-1.0 / k)
-                  for e, k in ((err_m, order), (err, order + 1), (err_p, order + 2))]
-        best = max(growth)
-        order += growth.index(best) - 1
-        factor = min(_MAX_FACTOR, safety * best)
+        else:
+            run.keep(t_new, y_new)
+            t = t_new
+            fresh = False
+            n_equal += 1
+            # d is the (order + 1)-th difference at the new node
+            D[order + 2] = [p - q for p, q in zip(d, D[order + 1])]
+            D[order + 1] = d
+            for i in range(order, -1, -1):
+                D[i] = [p + q for p, q in zip(D[i], D[i + 1])]
+            if n_equal < order + 1:
+                continue
+            # after order + 1 equal steps: pick the order, and the step, that
+            # promise the largest step at the same error
+            err_m = (_rms([_ERROR_CONST[order - 1] * v for v in D[order]], scale)
+                     if order > 1 else math.inf)
+            err_p = (_rms([_ERROR_CONST[order + 1] * v for v in D[order + 2]], scale)
+                     if order < _MAX_ORDER else math.inf)
+            growth = [math.inf if e == 0.0 else e ** (-1.0 / k)
+                      for e, k in ((err_m, order), (err, order + 1), (err_p, order + 2))]
+            best = max(growth)
+            order += growth.index(best) - 1
+            factor = min(_MAX_FACTOR, safety * best)
+            lu = None
         h *= factor
         _rescale(D, order, factor)
         n_equal = 0
-        lu = None
-        if h < H_MIN and t1 - t > t_snap:
+        if h < H_MIN and t1 - t > t_snap:  # the step onto t1 may be shorter
             return STATUS_STEP_COLLAPSE
     return STATUS_COMPLETED
 
@@ -431,8 +423,7 @@ def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
         return out
 
     t0 = run.t[0]
-    solver = LSODA(fun, t0, run.z[0], t1, first_step=min(H_INIT, t1 - t0), min_step=H_MIN,
-                   rtol=rtol, atol=atol)
+    solver = LSODA(fun, t0, run.z[0], t1, first_step=min(H_INIT, t1 - t0), rtol=rtol, atol=atol)
     try:
         with warnings.catch_warnings():
             # a failed step is reported through solver.status; its text is noise
@@ -441,9 +432,9 @@ def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
                 if len(run.t) > MAX_STEPS:
                     return STATUS_MAX_STEPS
                 solver.step()
-                # scipy's LSODA does not enforce min_step, so H_MIN is checked
-                # here (only the step that ends the span may be shorter), and
-                # its error test passes NaN, so a non-finite state fails too
+                # scipy's LSODA ignores its min_step, so H_MIN is checked here
+                # (only the step that ends the span may be shorter), and its
+                # error test passes NaN, so a non-finite state fails too
                 if (
                     solver.status == "failed"
                     or (solver.status == "running" and solver.step_size < H_MIN)

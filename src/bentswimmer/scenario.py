@@ -51,7 +51,6 @@ from .tracking import (
     Trajectory,
     TrackingStatus,
     circle_trajectory,
-    constant_trajectory,
     line_trajectory,
     record_run,
     scan_determinant,
@@ -263,7 +262,6 @@ _TRAJ_KEYS = {
     "circle": {"preset", "center_x_um", "center_y_um", "radius_um",
                "angular_rate_rad_s", "turns", "phase_rad"},
     "waypoint_spline": {"preset", "times_s", "x_um", "y_um"},
-    "constant": {"preset", "x_um", "y_um", "duration_s"},
 }
 
 
@@ -290,14 +288,7 @@ def _parse_trajectory(d: dict, path: str) -> Trajectory:
             turns=_number(d, "turns", path),
             phase=_number(d, "phase_rad", path) if "phase_rad" in d else 0.0,
         )
-    if preset == "waypoint_spline":
-        return waypoint_trajectory(*(
-            _number_list(d, k, path) for k in ("times_s", "x_um", "y_um")
-        ))
-    return constant_trajectory(
-        point=(_number(d, "x_um", path), _number(d, "y_um", path)),
-        horizon=_number(d, "duration_s", path),
-    )
+    return waypoint_trajectory(*(_number_list(d, k, path) for k in ("times_s", "x_um", "y_um")))
 
 
 def _parse_field_program(items, path: str) -> FieldProgram:

@@ -249,11 +249,6 @@ def _piecewise_cubic(knots: np.ndarray, coefs: tuple) -> Callable:
     return fn
 
 
-def constant_trajectory(point: tuple[float, float], horizon: float) -> Trajectory:
-    """Rest at `point`: a line at zero speed."""
-    return line_trajectory(point, 0.0, 0.0, horizon)
-
-
 @dataclass(frozen=True)
 class TrackingStatus:
     """How an open- or closed-loop run ended, and its extrema and counts.
@@ -333,11 +328,11 @@ def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
     )
 
 
-def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, xp=math):
+def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, xp=math):
     """Feedback solve at z = (theta, alpha1, alpha2); the position is never
     read. Returns (h_par, h_perp, d, zdot), zdot being the derivative of
     (theta, alpha1, alpha2) with the solved field substituted; raises
-    TrackingSingularity when |D| <= eps_d.
+    TrackingSingularity when |D| <= EPS_D, the floor read at call time.
 
     Hot path: zdot is rows 2-4 of dynamics._combine_fields at any position
     with these angles, written out over the fields' entries; the position
@@ -346,7 +341,7 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, 
     With xp=numpy, z is three arrays over the states (the rows of an (n, 3)
     state array's transpose), and the same operations in the same order give
     arrays (h_par, h_perp, d, residual) for the run diagnostics. Rows with
-    |D| <= eps_d get NaN fields and a NaN residual, and keep their D. The
+    |D| <= EPS_D get NaN fields and a NaN residual, and keep their D. The
     residual is the 2x2 system defect scaled by the magnitude of the
     participating terms (the solved field can reach 1e6 internal units near
     blow-up, where an absolute defect saturates at |H|*eps regardless of the
@@ -357,7 +352,7 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, 
     f10, f11, f12, f13, f14 = f1
     f20, f21, f22, f23, f24 = f2
     d = f10 * f21 - f11 * f20
-    if xp is math and abs(d) <= eps_d:
+    if xp is math and abs(d) <= EPS_D:
         raise TrackingSingularity(d, z[1], z[2])
     c = xp.cos(z[0])
     s = xp.sin(z[0])
@@ -367,7 +362,7 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, eps_d: float, 
     r1 = bx - f00
     r2 = by - f01
     if xp is not math:
-        singular = np.abs(d) <= eps_d
+        singular = np.abs(d) <= EPS_D
         with np.errstate(divide="ignore", invalid="ignore"):
             h_par = np.where(singular, math.nan, (r1 * f21 - r2 * f20) / d)
             h_perp = np.where(singular, math.nan, (f10 * r2 - f11 * r1) / d)
@@ -399,18 +394,18 @@ def solve_tracking_controls(
     """Field making (xdot, ydot) = (fprime, gprime) at this state; raises
     TrackingSingularity when |D| <= EPS_D."""
     z = [state.theta, state.alpha1, state.alpha2]
-    h_par, h_perp, _, _ = _solve_controls_raw(z, fprime, gprime, params, EPS_D)
+    h_par, h_perp, _, _ = _solve_controls_raw(z, fprime, gprime, params)
     return ControlField(h_par=h_par, h_perp=h_perp)
 
 
-def _closed_loop_rhs(params, traj, eps_d):
+def _closed_loop_rhs(params, traj):
     """The closed-loop derivative of (theta, alpha1, alpha2)."""
     df, dg = traj.df, traj.dg
 
     def rhs(t, z):
         if not (-math.pi < z[1] < math.pi and -math.pi < z[2] < math.pi):
             raise ShapeRangeSignal(z[1], z[2])
-        return _solve_controls_raw(z, df(t), dg(t), params, eps_d)[3]
+        return _solve_controls_raw(z, df(t), dg(t), params)[3]
 
     return rhs
 
@@ -517,15 +512,11 @@ def simulate_closed_loop(
     y are the initial offset from the demand plus (f, g).
     """
     traj.check_start(initial)
-    eps_d = EPS_D
-    rhs = _closed_loop_rhs(params, traj, eps_d)
     z0 = [initial.theta, initial.alpha1, initial.alpha2]
-    result = integrate(rhs, z0, (0.0, traj.horizon), opts)
+    result = integrate(_closed_loop_rhs(params, traj), z0, (0.0, traj.horizon), opts)
 
     def fields_at(times, states):
-        return _solve_controls_raw(
-            states.T, traj.df(times, np), traj.dg(times, np), params, eps_d, np
-        )
+        return _solve_controls_raw(states.T, traj.df(times, np), traj.dg(times, np), params, np)
 
     record, status = record_run(result, fields_at, opts.method, samples, snapshot_times)
     fx0, gy0 = traj.start()
@@ -550,7 +541,6 @@ __all__ = [
     "line_trajectory",
     "circle_trajectory",
     "waypoint_trajectory",
-    "constant_trajectory",
     "tracking_determinant",
     "scan_determinant",
     "solve_tracking_controls",

@@ -12,9 +12,10 @@ stretch between two kept times is its own solve, so every kept state is a
 step end, not an interpolant. Nothing here runs the package's closed-loop
 right-hand side or its integrators.
 
-Run from the repository root (about 10 s):
+Run from the repository root (about 10 s); the output path defaults to
+tests/shape_reference.json:
 
-    PYTHONPATH=src python tests/make_shape_reference.py
+    PYTHONPATH=src python tests/make_shape_reference.py [OUTPUT]
 """
 from __future__ import annotations
 
@@ -67,7 +68,8 @@ def shape_reference(scenario) -> dict:
             "alpha2": list(alpha2)}
 
 
-def main() -> int:
+def main(argv) -> int:
+    out = Path(argv[0]) if argv else OUT
     doc = {
         "made_by": "tests/make_shape_reference.py",
         "solver": f"scipy {scipy.__version__} Radau, rtol {RTOL}, atol {ATOL}",
@@ -76,9 +78,9 @@ def main() -> int:
     for name in SCENARIOS:
         doc["scenarios"][name] = shape_reference(load_scenario(ROOT / "scenarios" / f"{name}.json"))
         print(f"{name}: {len(doc['scenarios'][name]['t'])} times", file=sys.stderr)
-    OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

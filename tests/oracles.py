@@ -8,6 +8,7 @@ expansion, and torque sums from explicit planar cross products.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -186,3 +187,147 @@ def feedback_residual(f0, f1, f2, theta, fprime, gprime, h_par, h_perp) -> float
         abs(f1[0] * h_par + f2[0] * h_perp - r1),
         abs(f1[1] * h_par + f2[1] * h_perp - r2),
     ) / scale
+
+
+def ndf_reference(run, t1, atol, rtol) -> str:
+    """integrators._integrate_ndf written with one resize block per case: a
+    Newton failure halves h and drops the LU, a failed error test shrinks h
+    and keeps it, and the order/step choice after order + 1 equal steps
+    rescales and drops it, each with its own H_MIN test. The helpers,
+    constants and step control are the module's own, looked up at call time,
+    so only the step loop is independent; its float operations must be the
+    production loop's, in the same order."""
+    from bentswimmer import integrators as ig
+
+    rhs = run.slope
+    t, z0, f = run.t[0], run.z[0], run.f[0]
+    n = len(z0)
+    newton_tol = max(10 * ig._EPS / rtol, min(0.03, rtol ** 0.5))
+
+    def jacobian(t, y, f):
+        cols = []
+        for j in range(n):
+            yj = list(y)
+            yj[j] += ig._SQRT_EPS * max(abs(y[j]), atol) * (1.0 if f[j] >= 0.0 else -1.0)
+            step = yj[j] - y[j]
+            fj = rhs(t, yj)
+            cols.append([(a - b) / step for a, b in zip(fj, f)])
+        return [list(row) for row in zip(*cols)]
+
+    def newton(t, y_pred, f, c, psi, lu, scale):
+        a, perm = lu
+        y = y_pred
+        d = [0.0] * n
+        dy_norm_old = None
+        for k in range(ig._NEWTON_MAXITER):
+            if k:
+                f = rhs(t, y)
+            if not all(map(math.isfinite, f)):
+                break
+            dy = ig.lu_solve(a, perm, [c * fq - pq - dq for fq, pq, dq in zip(f, psi, d)])
+            dy_norm = ig._rms(dy, scale)
+            if not dy_norm < math.inf:
+                break
+            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+            if rate is not None and (
+                rate >= 1.0
+                or rate ** (ig._NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > newton_tol
+            ):
+                break
+            d = [p + q for p, q in zip(d, dy)]
+            y = [p + q for p, q in zip(y_pred, d)]
+            if dy_norm == 0.0 or (rate is not None and rate / (1.0 - rate) * dy_norm < newton_tol):
+                return True, k + 1, y, d
+            dy_norm_old = dy_norm
+        return False, k + 1, y, d
+
+    h = min(ig.H_INIT, t1 - t)
+    D = [list(z0), [h * v for v in f]] + [[0.0] * n for _ in range(ig._MAX_ORDER + 1)]
+    order = 1
+    n_equal = 0
+    J = lu = None
+    fresh = False
+    t_snap = 1e-14 * max(1.0, abs(t1))
+    while t1 - t > t_snap:
+        if len(run.t) > ig.MAX_STEPS:
+            return ig.STATUS_MAX_STEPS
+        t_new = t + h
+        if t1 - t_new <= t_snap:
+            t_new = t1
+            if t1 - t != h:
+                ig._rescale(D, order, (t1 - t) / h)
+                h = t1 - t
+                n_equal = 0
+                lu = None
+        y_pred = [sum(col) for col in zip(*D[:order + 1])]
+        scale = [atol + rtol * abs(v) for v in y_pred]
+        alpha = ig._ALPHA[order]
+        gamma = ig._GAMMA[1:order + 1]
+        psi = [sum(map(mul, gamma, col)) / alpha for col in zip(*D[1:order + 1])]
+        c = h / alpha
+        converged = False
+        try:
+            f_pred = rhs(t_new, y_pred)
+            if J is None:
+                J = jacobian(t_new, y_pred, f_pred)
+                fresh = True
+            while True:
+                if lu is None:
+                    lu = ig._newton_matrix(J, c)
+                converged, n_iter, y_new, d = newton(t_new, y_pred, f_pred, c, psi, lu, scale)
+                if converged or fresh:
+                    break
+                J = jacobian(t_new, y_pred, f_pred)
+                fresh = True
+                lu = None
+        except (ig.OutsideDomain, ig.SingularMatrixError):
+            pass
+        if not converged:
+            run.n_rejected += 1
+            h *= 0.5
+            ig._rescale(D, order, 0.5)
+            n_equal = 0
+            lu = None
+            if h < ig.H_MIN:
+                return ig.STATUS_STEP_COLLAPSE
+            continue
+        if not all(map(math.isfinite, y_new)):
+            return ig.STATUS_STEP_COLLAPSE
+        safety = 0.9 * (2 * ig._NEWTON_MAXITER + 1) / (2 * ig._NEWTON_MAXITER + n_iter)
+        scale = [atol + rtol * abs(v) for v in y_new]
+        err = ig._rms([ig._ERROR_CONST[order] * v for v in d], scale)
+        if err > 1.0:
+            run.n_rejected += 1
+            factor = max(ig._MIN_FACTOR, safety * err ** (-1.0 / (order + 1)))
+            h *= factor
+            ig._rescale(D, order, factor)
+            n_equal = 0
+            if h < ig.H_MIN:
+                return ig.STATUS_STEP_COLLAPSE
+            continue
+        run.keep(t_new, y_new)
+        t = t_new
+        fresh = False
+        n_equal += 1
+        D[order + 2] = [p - q for p, q in zip(d, D[order + 1])]
+        D[order + 1] = d
+        for i in range(order, -1, -1):
+            D[i] = [p + q for p, q in zip(D[i], D[i + 1])]
+        if n_equal < order + 1:
+            continue
+        err_m = (ig._rms([ig._ERROR_CONST[order - 1] * v for v in D[order]], scale)
+                 if order > 1 else math.inf)
+        err_p = (ig._rms([ig._ERROR_CONST[order + 1] * v for v in D[order + 2]], scale)
+                 if order < ig._MAX_ORDER else math.inf)
+        growth = [math.inf if e == 0.0 else e ** (-1.0 / k)
+                  for e, k in ((err_m, order), (err, order + 1), (err_p, order + 2))]
+        best = max(growth)
+        order += growth.index(best) - 1
+        factor = min(ig._MAX_FACTOR, safety * best)
+        h *= factor
+        ig._rescale(D, order, factor)
+        n_equal = 0
+        lu = None
+        if h < ig.H_MIN and t1 - t > t_snap:
+            return ig.STATUS_STEP_COLLAPSE
+    return ig.STATUS_COMPLETED

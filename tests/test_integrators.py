@@ -26,7 +26,7 @@ from bentswimmer.integrators import (
 )
 from bentswimmer import integrators
 
-from oracles import hermite_sample
+from oracles import hermite_sample, ndf_reference
 
 
 def opts(method, **kw):
@@ -43,6 +43,10 @@ def test_options_validation():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="must be positive and finite"):
             IntegratorOptions(abs_tol=bad)
+    # a bool is an int, but not a number: True is not a tolerance of 1.0
+    for key in ("abs_tol", "rel_tol"):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            IntegratorOptions(**{key: True})
     # one number each: a sequence of per-component tolerances is rejected
     for bad in ((1e-9,) * 5, [1e-9] * 5):
         for key in ("abs_tol", "rel_tol"):
@@ -149,7 +153,7 @@ def test_rk45_matches_reference_on_a_closed_loop_circle():
     traj = tracking.circle_trajectory((st.x - 5.0, st.y), 5.0, 1200.0)
     z0 = [st.theta, st.alpha1, st.alpha2]
     span = (0.0, 0.05 * traj.horizon)
-    rhs = tracking._closed_loop_rhs(p, traj, tracking.EPS_D)
+    rhs = tracking._closed_loop_rhs(p, traj)
     o = opts(METHOD_RK45)
     got = integrate(rhs, z0, span, o)
     assert got.n_steps > 50
@@ -229,6 +233,83 @@ def test_rk45_outside_domain_matches_reference(kind):
     np.testing.assert_array_equal(got.z[:k], clean.z[:k])
     assert got.t[k] - got.t[k - 1] == pytest.approx((clean.t[k] - clean.t[k - 1]) / 2,
                                                     rel=1e-12)
+
+
+def _ndf_runs(case, monkeypatch):
+    """The integration results of one NDF case, in order."""
+    from bentswimmer import scenario, tracking
+    from bentswimmer.dynamics import equilibrium_state
+
+    from conftest import table1
+
+    z0 = [1.0, 0.0, 2.0]
+    if case == "stiff_linear":
+        return [integrate(_stiff_linear, [1.0, -0.5, 0.25, 2.0, -1.0], (0.0, 0.05),
+                          opts(METHOD_RK45, abs_tol=1e-8, rel_tol=1e-8))]
+    if case == "closed_loop_circle":
+        p = table1()
+        st = equilibrium_state(p)
+        traj = tracking.circle_trajectory((st.x - 5.0, st.y), 5.0, 1200.0)
+        return [integrate(tracking._closed_loop_rhs(p, traj), [st.theta, st.alpha1, st.alpha2],
+                          (0.0, 0.25 * traj.horizon), opts(METHOD_RK45))]
+    if case == "open_loop_pieces":
+        # three strong pieces and a relaxation, one integrate() each
+        p = table1()
+        pieces = [(1.5e-4 * (k + 1), 1e4 * math.cos(a), 1e4 * math.sin(a))
+                  for k, a in enumerate((0.3, 2.1, -1.2))] + [(9.5e-4, 0.0, 0.0)]
+        runs = []
+
+        def keep(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(scenario, "integrate", keep)
+        scenario.simulate_open_loop(equilibrium_state(p), scenario.FieldProgram(tuple(pieces)),
+                                    p, opts(METHOD_RK45), samples=10)
+        return runs
+    if case == "outside_domain_everywhere":
+        def rhs(t, z):
+            if t > 0.0:
+                raise OutsideDomain(f"t = {t}")
+            return [-z[0]]
+
+        return [integrate(rhs, [1.0], (0.0, 1.0), opts(METHOD_RK45))]
+    if case == "step_collapse":
+        monkeypatch.setattr(integrators, "H_MIN", 1e-6)
+        monkeypatch.setattr(integrators, "H_INIT", 1e-3)
+        return [integrate(lambda t, z: [1e12 * math.sin(1e9 * t)], [0.0], (0.0, 1.0),
+                          opts(METHOD_RK45, abs_tol=1e-12, rel_tol=1e-12))]
+    if case == "max_steps":
+        monkeypatch.setattr(integrators, "MAX_STEPS", 5)
+        return [integrate(_failing_at(1, OutsideDomain), z0, (0.0, 10.0), opts(METHOD_RK45))]
+    # a signal, or OutsideDomain, at one call of a clean run of _smooth
+    kind, signal = case.split("-")
+    clean, log = _logged_run()
+    signal = {"signal": IntegrationSignal, "outside": OutsideDomain}[signal]
+    return [integrate(_failing_at(_trial_call(kind, clean, log), signal), z0, (0.0, 1.0),
+                      opts(METHOD_RK45))]
+
+
+@pytest.mark.parametrize("case", [
+    "stiff_linear", "closed_loop_circle", "open_loop_pieces", "outside_domain_everywhere",
+    "step_collapse", "max_steps",
+    *(f"{kind}-{signal}" for kind in ("probe", "predictor", "newton", "node")
+      for signal in ("signal", "outside")),
+])
+def test_ndf_matches_the_reference_step_loop(case, monkeypatch):
+    # the NDF's arithmetic is pinned: the step loop with one resize block per
+    # step change (oracles.ndf_reference) keeps the same nodes, slopes, status
+    # and counts, bit for bit
+    got = _ndf_runs(case, monkeypatch)
+    monkeypatch.setattr(integrators, "_integrate_ndf", ndf_reference)
+    want = _ndf_runs(case, monkeypatch)
+    assert len(got) == len(want) >= 1
+    for g, w in zip(got, want):
+        assert (g.status, g.n_steps, g.n_rejected, g.n_evals) == (
+            w.status, w.n_steps, w.n_rejected, w.n_evals)
+        for name in ("t", "z", "f"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_newton_solves_go_through_the_module_globals(monkeypatch):

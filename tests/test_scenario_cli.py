@@ -177,9 +177,13 @@ def assert_cli_rejects(doc, path, tmp_path, capsys):
     ("integrator", 5, "integrator"),
     ("trajectory", 5, "trajectory"),
     ("trajectory", {"preset": ["line"]}, "trajectory.preset"),
+    # a demand at rest is a line at zero speed: the constant preset is gone
+    ("trajectory", {"preset": "constant", "x_um": 0.0, "y_um": 0.0, "duration_s": 0.01},
+     "trajectory.preset"),
     ("initial", "abc", "initial"),
     ("outputs", ["r.csv"], "outputs"),
-], ids=["params", "integrator", "trajectory", "preset_list", "initial_string", "outputs"])
+], ids=["params", "integrator", "trajectory", "preset_list", "preset_constant",
+        "initial_string", "outputs"])
 def test_malformed_block_names_its_path(block, value, path, tmp_path, capsys):
     doc = short_line_doc()
     doc[block] = value
@@ -739,6 +743,32 @@ def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path
     assert capsys.readouterr().err.startswith(f"error: --output-dir: cannot create {outdir}: ")
     assert blocker.read_text() == "keep"
     assert sorted(tmp_path.iterdir()) == [blocker, scn]
+
+
+@pytest.mark.parametrize("blocked", ["csv", "summary", "geometry_dir"])
+def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_path, capsys):
+    # a directory where the CSV or the summary goes, or a file where the
+    # snapshots go, ends the run with one error line naming the path; the
+    # outputs written before it stay, and run_scenario itself still raises
+    scn = tmp_path / "ok.json"
+    doc = short_line_doc()
+    doc["outputs"].update(geometry_dir="geom", snapshot_times_s=[0.0])
+    scn.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    path = outdir / {"csv": "r.csv", "summary": "s.json", "geometry_dir": "geom"}[blocked]
+    if blocked == "geometry_dir":
+        path.write_text("keep")
+    else:
+        path.mkdir()
+    with pytest.raises(OSError):
+        run_scenario(load_scenario(scn), outdir)
+    assert cli_main(["simulate", str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    written = {"csv": [], "summary": ["r.csv", "geom"], "geometry_dir": ["r.csv"]}[blocked]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted([path.name, *written])
+    assert path.is_dir() != (blocked == "geometry_dir")
 
 
 def test_cli_simulate_and_exit_codes(tmp_path):

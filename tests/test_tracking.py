@@ -25,7 +25,6 @@ from bentswimmer.tracking import (
     TrackingSingularity,
     Trajectory,
     circle_trajectory,
-    constant_trajectory,
     line_trajectory,
     scan_determinant,
     simulate_closed_loop,
@@ -118,7 +117,7 @@ def test_trajectory_presets_are_consistent():
     line = line_trajectory((1.0, -2.0), math.radians(30), 5.0, 2.0)
     circ = circle_trajectory((0.0, 5.0), 5.0, 20.0, turns=1.0, phase=-math.pi / 2)
     wps = waypoint_trajectory([0.0, 0.5, 1.0, 1.5], [0, 1, 3, 4], [0, 1, -1, 0])
-    const = constant_trajectory((2.0, 3.0), 1.0)
+    const = line_trajectory((2.0, 3.0), 0.0, 0.0, 1.0)
     # the supplied derivatives against central differences of (f, g), at
     # interior times, relative to the speed
     for traj in (line, circ, wps, const):
@@ -230,10 +229,10 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
     # seeded states, one in five nearly straight so that some are singular:
     # the right-hand side, over (theta, alpha1, alpha2), is the solved field
     # pushed through rows 2-4 of the field combination, whatever the
-    # position, and raises with the state's own D where |D| <= eps_d
+    # position, and raises with the state's own D where |D| <= EPS_D
     rng = np.random.default_rng(29)
     traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
-    rhs = tracking._closed_loop_rhs(params, traj, EPS_D)
+    rhs = tracking._closed_loop_rhs(params, traj)
     singular = 0
     for k in range(400):
         t = float(rng.uniform(0.0, traj.horizon))
@@ -251,7 +250,7 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
             singular += 1
         else:
             fp, gp = traj.df(t), traj.dg(t)
-            h_par, h_perp, d_solve, zdot = _solve_controls_raw(z, fp, gp, params, EPS_D)
+            h_par, h_perp, d_solve, zdot = _solve_controls_raw(z, fp, gp, params)
             assert d_solve == d
             combined = _combine_fields(full, h_par, h_perp, f0, f1, f2)
             assert zdot == combined[2:]
@@ -292,8 +291,9 @@ def test_noninteraction_exact_velocity(params):
 # ------------------------------------------------------------- closed loop
 
 def test_constant_trajectory_stays_at_rest(params):
+    # a demand at rest is a line at zero speed
     st = equilibrium_state(params, x=1.0, y=2.0)
-    traj = constant_trajectory((1.0, 2.0), 1e-3)
+    traj = line_trajectory((1.0, 2.0), 0.0, 0.0, 1e-3)
     record, status = simulate_closed_loop(
         st, traj, params,
         IntegratorOptions(method="trapezoidal_adaptive"),
@@ -309,7 +309,7 @@ def test_constant_trajectory_stays_at_rest(params):
 
 def test_initial_position_mismatch_rejected(params):
     st = equilibrium_state(params)
-    traj = constant_trajectory((0.5, 0.0), 1.0)
+    traj = line_trajectory((0.5, 0.0), 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         simulate_closed_loop(st, traj, params)
 
@@ -346,7 +346,7 @@ def test_backward_line_aborts_with_blowup(params):
     assert tail.max() >= 10.0 * np.median(h)
 
 
-def test_batched_feedback_fields_match_the_per_state_solve(params):
+def test_batched_feedback_fields_match_the_per_state_solve(params, monkeypatch):
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05)
     record, status = simulate_closed_loop(st, traj, params, samples=200)
@@ -354,17 +354,18 @@ def test_batched_feedback_fields_match_the_per_state_solve(params):
     t = record.column("t")
     states = record.data[:, 3:6]
     d_run = record.column("d_value")
-    # the run's own eps_d, then one equal to a sampled |D| that makes about
+    # the run's own floor, then one equal to a sampled |D| that makes about
     # half the rows singular, that row included
     for eps_d in (EPS_D, float(np.sort(np.abs(d_run))[d_run.size // 2])):
+        monkeypatch.setattr(tracking, "EPS_D", eps_d)
         h_par, h_perp, d, resid = _solve_controls_raw(
-            states.T, traj.df(t, np), traj.dg(t, np), params, eps_d, np)
+            states.T, traj.df(t, np), traj.dg(t, np), params, np)
         singular = np.abs(d) <= eps_d
         assert (np.isnan(h_par) == singular).all() and (np.isnan(h_perp) == singular).all()
         assert (np.isnan(resid) == singular).all()
         for k, z in enumerate(states.tolist()):
             try:
-                want = _solve_controls_raw(z, traj.df(t[k]), traj.dg(t[k]), params, eps_d)[:3]
+                want = _solve_controls_raw(z, traj.df(t[k]), traj.dg(t[k]), params)[:3]
             except TrackingSingularity as sig:
                 assert singular[k] and d[k] == pytest.approx(sig.d_value, rel=1e-14, abs=0.0)
                 continue
@@ -395,7 +396,7 @@ def per_node_extrema(result, traj, params):
     for t, z in zip(result.t.tolist(), result.z.tolist()):
         fp, gp = traj.df(t), traj.dg(t)
         try:
-            h_par, h_perp, d, _ = _solve_controls_raw(z, fp, gp, params, EPS_D)
+            h_par, h_perp, d, _ = _solve_controls_raw(z, fp, gp, params)
         except TrackingSingularity as sig:
             min_d = min(min_d, abs(sig.d_value))
             continue
@@ -441,7 +442,7 @@ def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
 
 
 def test_custom_eps_d_is_honoured(params, monkeypatch):
-    # the |D| floor is read when a run starts: a raised floor aborts earlier
+    # the |D| floor is read at call time: a raised floor aborts earlier
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.2)
     _, at_default = simulate_closed_loop(st, traj, params, samples=50)
