@@ -329,20 +329,20 @@ def control_vector_fields(
 def _raw_state_derivative(
     z: list[float], h_par: float, h_perp: float, params: SwimmerParams
 ) -> list[float]:
-    """Zdot for z = [x, y, theta, alpha1, alpha2] as a list. Hot path."""
+    """Zdot = R_theta (F0 + H_par F1 + H_perp F2) for z = [x, y, theta,
+    alpha1, alpha2], as a list. Hot path."""
     f0, f1, f2, _, _, _ = _raw_fields(z[3], z[4], params)
-    return _combine_fields(z, h_par, h_perp, f0, f1, f2)
-
-
-def _combine_fields(z, h_par, h_perp, f0, f1, f2) -> list[float]:
-    """R_theta (F0 + H_par F1 + H_perp F2) at orientation z[2], as a list."""
     w0 = f0[0] + h_par * f1[0] + h_perp * f2[0]
     w1 = f0[1] + h_par * f1[1] + h_perp * f2[1]
     c = math.cos(z[2])
     s = math.sin(z[2])
+    return [c * w0 - s * w1, s * w0 + c * w1, *_shape_rates(f0, f1, f2, h_par, h_perp)]
+
+
+def _shape_rates(f0, f1, f2, h_par, h_perp) -> list[float]:
+    """Rows 2-4 of F0 + H_par F1 + H_perp F2, the rates of theta, alpha1 and
+    alpha2 (R_theta leaves them alone), as a list."""
     return [
-        c * w0 - s * w1,
-        s * w0 + c * w1,
         f0[2] + h_par * f1[2] + h_perp * f2[2],
         f0[3] + h_par * f1[3] + h_perp * f2[3],
         f0[4] + h_par * f1[4] + h_perp * f2[4],

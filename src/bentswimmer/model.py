@@ -27,6 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 PN_PER_N = 1e12
+# each configuration-file key of SwimmerParams: (field, factor from the key's
+# unit to the internal one). Drag coefficients carry over unchanged (1 N s
+# m^-2 = 1 pN s um^-2); stiffness is rescaled from N um to pN um.
+_TABLE_UNITS = {
+    "ell_um": ("ell", 1.0),
+    "eta_N_s_m2": ("eta", 1.0),
+    "xi_N_s_m2": ("xi", 1.0),
+    "m1_A_um2": ("m1", 1.0),
+    "m2_A_um2": ("m2", 1.0),
+    "m3_A_um2": ("m3", 1.0),
+    "kappa_N_um": ("kappa", PN_PER_N),
+    "alpha0_rad": ("alpha0", 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -63,45 +76,17 @@ class SwimmerParams:
             raise ValueError(f"alpha0 must lie in (-pi, pi), got {self.alpha0!r}")
 
     @classmethod
-    def from_table_units(
-        cls,
-        ell_um: float,
-        eta_N_s_m2: float,
-        xi_N_s_m2: float,
-        m1_A_um2: float,
-        m2_A_um2: float,
-        m3_A_um2: float,
-        kappa_N_um: float,
-        alpha0_rad: float,
-    ) -> "SwimmerParams":
-        """Build from the mixed lab units used in configuration files.
-
-        Drag coefficients carry over unchanged (1 N s m^-2 = 1 pN s um^-2);
-        stiffness is rescaled from N um to pN um.
-        """
-        return cls(
-            ell=ell_um,
-            xi=xi_N_s_m2,
-            eta=eta_N_s_m2,
-            m1=m1_A_um2,
-            m2=m2_A_um2,
-            m3=m3_A_um2,
-            kappa=kappa_N_um * PN_PER_N,
-            alpha0=alpha0_rad,
-        )
+    def from_table_units(cls, **values: float) -> "SwimmerParams":
+        """Build from the mixed lab units used in configuration files: one
+        keyword per key of _TABLE_UNITS, each scaled by its factor."""
+        if values.keys() != _TABLE_UNITS.keys():
+            raise TypeError(f"from_table_units() takes exactly the keywords "
+                            f"{list(_TABLE_UNITS)}, got {sorted(values)}")
+        return cls(**{name: values[key] * factor for key, (name, factor) in _TABLE_UNITS.items()})
 
     def table_units(self) -> dict:
         """Echo the parameters back in configuration-file units."""
-        return {
-            "ell_um": self.ell,
-            "eta_N_s_m2": self.eta,
-            "xi_N_s_m2": self.xi,
-            "m1_A_um2": self.m1,
-            "m2_A_um2": self.m2,
-            "m3_A_um2": self.m3,
-            "kappa_N_um": self.kappa / PN_PER_N,
-            "alpha0_rad": self.alpha0,
-        }
+        return {key: getattr(self, name) / factor for key, (name, factor) in _TABLE_UNITS.items()}
 
 
 @dataclass(frozen=True)

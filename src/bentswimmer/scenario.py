@@ -15,6 +15,7 @@ offending field path. Exit-code contract (also used by run_scenario):
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -41,7 +42,7 @@ from .integrators import (
     integrate,
 )
 from .linalg import SingularMatrixError
-from .model import SwimmerParams, SwimmerState, joint_points
+from .model import _TABLE_UNITS, SwimmerParams, SwimmerState, joint_points
 from .records import SimRecord, write_csv, write_rows
 from .tracking import (
     OUTCOME_COMPLETED,
@@ -219,19 +220,14 @@ def _number_list(d: dict, key: str, path: str) -> list[float]:
     return [_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(v)]
 
 
-_PARAM_KEYS = {
-    "ell_um", "eta_N_s_m2", "xi_N_s_m2",
-    "m1_A_um2", "m2_A_um2", "m3_A_um2",
-    "kappa_N_um", "alpha0_rad",
-}
 _INITIAL_KEYS = {"x_um", "y_um", "theta_rad", "alpha1_rad", "alpha2_rad"}
 _INTEGRATOR_KEYS = {"method", "abs_tol", "rel_tol"}
 _OUTPUT_KEYS = {"csv", "summary", "geometry_dir", "samples", "snapshot_times_s"}
 
 
 def _parse_params(d: dict, path: str) -> SwimmerParams:
-    _check_keys(d, _PARAM_KEYS, _PARAM_KEYS, path)
-    return SwimmerParams.from_table_units(**{k: _number(d, k, path) for k in _PARAM_KEYS})
+    _check_keys(d, _TABLE_UNITS.keys(), _TABLE_UNITS.keys(), path)
+    return SwimmerParams.from_table_units(**{k: _number(d, k, path) for k in _TABLE_UNITS})
 
 
 def _parse_initial(d: dict, path: str) -> SwimmerState:
@@ -463,7 +459,6 @@ def _write_geometry_snapshots(record, scenario, outdir: Path):
     Returns (written paths, requested times after an early stop).
     """
     gdir = outdir / scenario.outputs.geometry_dir
-    gdir.mkdir(parents=True, exist_ok=True)
     times = record.column("t")
     written, skipped = [], []
     for t_snap in scenario.outputs.snapshot_times_s:
@@ -503,9 +498,22 @@ _EXIT_CODES = {
 
 
 def run_scenario(scenario: Scenario, outdir) -> RunResult:
-    """Execute a scenario and write its outputs under outdir."""
+    """Execute a scenario and write its outputs under outdir.
+
+    The paths the mode writes are checked before it runs: a directory at the
+    summary path, or at the CSV path of a simulation or scan, raises
+    IsADirectoryError, and a simulation's geometry_dir is made here.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    outputs = scenario.outputs
+    csv_path, summary_path = outdir / outputs.csv, outdir / outputs.summary
+    for path in (summary_path,) if scenario.mode == "controllability" else (summary_path, csv_path):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    simulation = scenario.mode in ("closed_loop", "open_loop")
+    if simulation and outputs.geometry_dir:
+        (outdir / outputs.geometry_dir).mkdir(exist_ok=True)
     t_wall = time.perf_counter()
 
     summary: dict = {
@@ -516,7 +524,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
         "field_unit": "uT (pN per A.um)",
     }
 
-    if scenario.mode in ("closed_loop", "open_loop"):
+    if simulation:
         # the simulators are looked up here, at call time (the tracer wraps them)
         simulate, drive = ((simulate_closed_loop, scenario.trajectory)
                            if scenario.mode == "closed_loop"
@@ -526,10 +534,9 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
             drive,
             scenario.params,
             scenario.integrator,
-            samples=scenario.outputs.samples,
-            snapshot_times=scenario.outputs.snapshot_times_s,
+            samples=outputs.samples,
+            snapshot_times=outputs.snapshot_times_s,
         )
-        csv_path = outdir / scenario.outputs.csv
         write_csv(record, csv_path)
         summary.update(
             {
@@ -550,7 +557,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
         )
         if scenario.mode == "closed_loop":
             summary["tracking_error_um"] = _tracking_error(record, scenario.trajectory)
-        if scenario.outputs.geometry_dir:
+        if outputs.geometry_dir:
             written, skipped = _write_geometry_snapshots(record, scenario, outdir)
             summary["geometry_snapshots"] = written
             summary["geometry_snapshots_skipped_s"] = skipped
@@ -589,12 +596,11 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
 
     else:  # determinant_scan
         scan = scan_determinant(scenario.params, scenario.grid_n)
-        grid_path = outdir / scenario.outputs.csv
         n = scenario.grid_n
         cells = np.column_stack(
             (np.repeat(scan.grid, n), np.tile(scan.grid, n), scan.values.ravel())
         )
-        write_rows(grid_path, "alpha1,alpha2,d_value", cells)
+        write_rows(csv_path, "alpha1,alpha2,d_value", cells)
         summary.update(
             {
                 "grid_n": scenario.grid_n,
@@ -602,14 +608,13 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                 "min_abs_d_off_origin": scan.min_abs_off_origin,
                 "argmin_off_origin": list(scan.argmin_off_origin),
                 "exclusion_radius": scan.exclusion_radius,
-                "csv": str(grid_path),
+                "csv": str(csv_path),
             }
         )
         exit_code = EXIT_COMPLETED
 
     summary["wall_time_s"] = time.perf_counter() - t_wall
     summary["exit_code"] = exit_code
-    summary_path = outdir / scenario.outputs.summary
     summary["summary_path"] = str(summary_path)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return RunResult(exit_code=exit_code, summary=summary)

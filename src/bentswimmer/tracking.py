@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _raw_fields
+from .dynamics import _raw_fields, _shape_rates
 from .integrators import (
     SOLVERS,
     STATUS_COMPLETED,
@@ -334,9 +334,9 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, xp=math):
     (theta, alpha1, alpha2) with the solved field substituted; raises
     TrackingSingularity when |D| <= EPS_D, the floor read at call time.
 
-    Hot path: zdot is rows 2-4 of dynamics._combine_fields at any position
-    with these angles, written out over the fields' entries; the position
-    rows, (fprime, gprime) up to the solve's rounding, are not formed.
+    Hot path: zdot is dynamics._shape_rates at the solved field, the rows
+    that the open-loop right-hand side shares; the position rows, (fprime,
+    gprime) up to the solve's rounding, are not formed.
 
     With xp=numpy, z is three arrays over the states (the rows of an (n, 3)
     state array's transpose), and the same operations in the same order give
@@ -348,41 +348,32 @@ def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, xp=math):
     solve's quality).
     """
     f0, f1, f2, _, _, _ = _raw_fields(z[1], z[2], params, xp)
-    f00, f01, f02, f03, f04 = f0
-    f10, f11, f12, f13, f14 = f1
-    f20, f21, f22, f23, f24 = f2
+    f10, f11, f20, f21 = f1[0], f1[1], f2[0], f2[1]
     d = f10 * f21 - f11 * f20
     if xp is math and abs(d) <= EPS_D:
         raise TrackingSingularity(d, z[1], z[2])
+    # a singular row divides by NaN, which gives NaN and raises no warning
+    divisor = d if xp is math else np.where(np.abs(d) <= EPS_D, math.nan, d)
     c = xp.cos(z[0])
     s = xp.sin(z[0])
     # body-frame demand: rotate (f', g') by -theta
     bx = c * fprime + s * gprime
     by = -s * fprime + c * gprime
-    r1 = bx - f00
-    r2 = by - f01
-    if xp is not math:
-        singular = np.abs(d) <= EPS_D
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_par = np.where(singular, math.nan, (r1 * f21 - r2 * f20) / d)
-            h_perp = np.where(singular, math.nan, (f10 * r2 - f11 * r1) / d)
-        ab = np.abs
-        scale = 1.0 + ab(r1) + ab(r2) + (ab(h_par) + ab(h_perp)) * (
-            ab(f10) + ab(f11) + ab(f20) + ab(f21)
-        )
-        resid = np.maximum(
-            ab(f10 * h_par + f20 * h_perp - r1),
-            ab(f11 * h_par + f21 * h_perp - r2),
-        ) / scale
-        return h_par, h_perp, d, resid
-    h_par = (r1 * f21 - r2 * f20) / d
-    h_perp = (f10 * r2 - f11 * r1) / d
-    zdot = [
-        f02 + h_par * f12 + h_perp * f22,
-        f03 + h_par * f13 + h_perp * f23,
-        f04 + h_par * f14 + h_perp * f24,
-    ]
-    return h_par, h_perp, d, zdot
+    r1 = bx - f0[0]
+    r2 = by - f0[1]
+    h_par = (r1 * f21 - r2 * f20) / divisor
+    h_perp = (f10 * r2 - f11 * r1) / divisor
+    if xp is math:
+        return h_par, h_perp, d, _shape_rates(f0, f1, f2, h_par, h_perp)
+    ab = np.abs
+    scale = 1.0 + ab(r1) + ab(r2) + (ab(h_par) + ab(h_perp)) * (
+        ab(f10) + ab(f11) + ab(f20) + ab(f21)
+    )
+    resid = np.maximum(
+        ab(f10 * h_par + f20 * h_perp - r1),
+        ab(f11 * h_par + f21 * h_perp - r2),
+    ) / scale
+    return h_par, h_perp, d, resid
 
 
 def solve_tracking_controls(

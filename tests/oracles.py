@@ -331,3 +331,67 @@ def ndf_reference(run, t1, atol, rtol) -> str:
         if h < ig.H_MIN and t1 - t > t_snap:
             return ig.STATUS_STEP_COLLAPSE
     return ig.STATUS_COMPLETED
+
+
+def combine_fields_reference(z, h_par, h_perp, f0, f1, f2) -> list[float]:
+    """dynamics._combine_fields before the shape rates were shared: R_theta
+    (F0 + H_par F1 + H_perp F2) at orientation z[2], as a list. With
+    dynamics._raw_fields at (z[3], z[4]) it is _raw_state_derivative's
+    arithmetic, to the last bit."""
+    w0 = f0[0] + h_par * f1[0] + h_perp * f2[0]
+    w1 = f0[1] + h_par * f1[1] + h_perp * f2[1]
+    c = math.cos(z[2])
+    s = math.sin(z[2])
+    return [
+        c * w0 - s * w1,
+        s * w0 + c * w1,
+        f0[2] + h_par * f1[2] + h_perp * f2[2],
+        f0[3] + h_par * f1[3] + h_perp * f2[3],
+        f0[4] + h_par * f1[4] + h_perp * f2[4],
+    ]
+
+
+def solve_controls_reference(z, fprime, gprime, params, xp=math):
+    """tracking._solve_controls_raw with each quotient written twice, once
+    for floats and once for arrays (under np.errstate, NaN put in by
+    np.where), and zdot written over the unpacked field entries. The kernel,
+    TrackingSingularity and EPS_D are the module's own, looked up at call
+    time; the float operations must be the production solve's, in the same
+    order."""
+    from bentswimmer import tracking
+
+    f0, f1, f2, _, _, _ = tracking._raw_fields(z[1], z[2], params, xp)
+    f00, f01, f02, f03, f04 = f0
+    f10, f11, f12, f13, f14 = f1
+    f20, f21, f22, f23, f24 = f2
+    d = f10 * f21 - f11 * f20
+    if xp is math and abs(d) <= tracking.EPS_D:
+        raise tracking.TrackingSingularity(d, z[1], z[2])
+    c = xp.cos(z[0])
+    s = xp.sin(z[0])
+    bx = c * fprime + s * gprime
+    by = -s * fprime + c * gprime
+    r1 = bx - f00
+    r2 = by - f01
+    if xp is not math:
+        singular = np.abs(d) <= tracking.EPS_D
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_par = np.where(singular, math.nan, (r1 * f21 - r2 * f20) / d)
+            h_perp = np.where(singular, math.nan, (f10 * r2 - f11 * r1) / d)
+        ab = np.abs
+        scale = 1.0 + ab(r1) + ab(r2) + (ab(h_par) + ab(h_perp)) * (
+            ab(f10) + ab(f11) + ab(f20) + ab(f21)
+        )
+        resid = np.maximum(
+            ab(f10 * h_par + f20 * h_perp - r1),
+            ab(f11 * h_par + f21 * h_perp - r2),
+        ) / scale
+        return h_par, h_perp, d, resid
+    h_par = (r1 * f21 - r2 * f20) / d
+    h_perp = (f10 * r2 - f11 * r1) / d
+    zdot = [
+        f02 + h_par * f12 + h_perp * f22,
+        f03 + h_par * f13 + h_perp * f23,
+        f04 + h_par * f14 + h_perp * f24,
+    ]
+    return h_par, h_perp, d, zdot

@@ -33,6 +33,22 @@ def test_params_unit_conversion():
     assert echo["kappa_N_um"] == pytest.approx(8.3e-7, rel=1e-15)
 
 
+def test_params_from_table_units_takes_exactly_the_eight_keys():
+    keys = ["ell_um", "eta_N_s_m2", "xi_N_s_m2", "m1_A_um2", "m2_A_um2", "m3_A_um2",
+            "kappa_N_um", "alpha0_rad"]
+    echo = table1().table_units()
+    assert list(echo) == keys
+    assert SwimmerParams.from_table_units(**echo) == table1()
+    missing = dict(echo)
+    del missing["kappa_N_um"]
+    with pytest.raises(TypeError, match="kappa_N_um"):
+        SwimmerParams.from_table_units(**missing)
+    with pytest.raises(TypeError, match="kappa_N_m"):
+        SwimmerParams.from_table_units(**missing, kappa_N_m=8.3e-13)
+    with pytest.raises(TypeError, match="gamma_rad"):
+        SwimmerParams.from_table_units(**echo, gamma_rad=0.0)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         SwimmerState(0, 0, 0, math.pi, 0.0)

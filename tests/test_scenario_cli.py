@@ -748,8 +748,8 @@ def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path
 @pytest.mark.parametrize("blocked", ["csv", "summary", "geometry_dir"])
 def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_path, capsys):
     # a directory where the CSV or the summary goes, or a file where the
-    # snapshots go, ends the run with one error line naming the path; the
-    # outputs written before it stay, and run_scenario itself still raises
+    # snapshots go, ends the command with one error line naming the path,
+    # before the run: nothing is written, and run_scenario itself raises
     scn = tmp_path / "ok.json"
     doc = short_line_doc()
     doc["outputs"].update(geometry_dir="geom", snapshot_times_s=[0.0])
@@ -766,9 +766,30 @@ def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_p
     assert cli_main(["simulate", str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
-    written = {"csv": [], "summary": ["r.csv", "geom"], "geometry_dir": ["r.csv"]}[blocked]
-    assert sorted(p.name for p in outdir.iterdir()) == sorted([path.name, *written])
+    assert [p.name for p in outdir.iterdir()] == [path.name]
     assert path.is_dir() != (blocked == "geometry_dir")
+
+
+@pytest.mark.parametrize("mode, command, extra, blocked, code, left", [
+    ("determinant_scan", "scan-determinant", {"grid_n": 11}, "s.json", EXIT_CONFIG_ERROR,
+     ["s.json"]),
+    ("controllability", "check-controllability", {}, "record.csv", 0, ["record.csv", "s.json"]),
+], ids=["determinant_scan", "controllability"])
+def test_cli_output_paths_are_checked_before_the_run(mode, command, extra, blocked, code, left,
+                                                     tmp_path, capsys):
+    # a scan with a directory at its summary path writes no grid CSV; a
+    # controllability run writes no CSV, so a directory at that name is no
+    # obstacle
+    doc = {"mode": mode, "params": dict(TABLE1), "initial": dict(REST),
+           "outputs": {"summary": "s.json"}, **extra}
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    (outdir / blocked).mkdir(parents=True)
+    assert cli_main([command, str(scn), "--output-dir", str(outdir)]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else f"error: cannot write {outdir / blocked}: Is a directory\n")
+    assert sorted(p.name for p in outdir.iterdir()) == left
 
 
 def test_cli_simulate_and_exit_codes(tmp_path):

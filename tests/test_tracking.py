@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bentswimmer import tracking
-from bentswimmer.dynamics import _combine_fields, _raw_fields
+from bentswimmer.dynamics import _raw_fields, _raw_state_derivative
 from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state_derivative
 from bentswimmer.integrators import (
     METHOD_RK45,
@@ -35,7 +35,8 @@ from bentswimmer.tracking import (
 from bentswimmer.tracking import _solve_controls_raw
 
 from conftest import drag_matrix
-from oracles import cofactor_inverse, feedback_residual
+from oracles import (cofactor_inverse, combine_fields_reference, feedback_residual,
+                     solve_controls_reference)
 
 
 # ---------------------------------------------------------------- determinant
@@ -227,9 +228,9 @@ def test_controls_residual_small_demand(params):
 
 def test_closed_loop_rhs_is_the_solve_combined(params):
     # seeded states, one in five nearly straight so that some are singular:
-    # the right-hand side, over (theta, alpha1, alpha2), is the solved field
-    # pushed through rows 2-4 of the field combination, whatever the
-    # position, and raises with the state's own D where |D| <= EPS_D
+    # the right-hand side, over (theta, alpha1, alpha2), is rows 2-4 of the
+    # open-loop right-hand side at the solved field, whatever the position,
+    # and raises with the state's own D where |D| <= EPS_D
     rng = np.random.default_rng(29)
     traj = circle_trajectory((0.0, 0.0), 5.0, 1200.0)
     rhs = tracking._closed_loop_rhs(params, traj)
@@ -252,10 +253,67 @@ def test_closed_loop_rhs_is_the_solve_combined(params):
             fp, gp = traj.df(t), traj.dg(t)
             h_par, h_perp, d_solve, zdot = _solve_controls_raw(z, fp, gp, params)
             assert d_solve == d
-            combined = _combine_fields(full, h_par, h_perp, f0, f1, f2)
+            combined = _raw_state_derivative(full, h_par, h_perp, params)
             assert zdot == combined[2:]
             assert rhs(t, z) == combined[2:]
     assert 0 < singular < 80
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_tail_and_feedback_solve_keep_their_arithmetic(params):
+    # the shared shape rates, the one-quotient feedback solve and the
+    # open-loop right-hand side against their earlier, separately written
+    # arithmetic (oracles), bit for bit and with no floating-point warning:
+    # seeded states, a quarter of them nearly straight and some exactly
+    # straight (D = 0) so that some are singular, with random demands and
+    # random fields
+    rng = np.random.default_rng(61)
+    n = 2000
+    spread = np.where(np.arange(n) % 4 == 0, 1e-4, 3.0)
+    states = np.column_stack((rng.uniform(-20.0, 20.0, (n, 2)),
+                              rng.uniform(-2 * math.pi, 2 * math.pi, n),
+                              rng.uniform(-1.0, 1.0, (n, 2)) * spread[:, None]))
+    states[::200, 3:] = 0.0
+    demands = rng.uniform(-200.0, 200.0, (n, 2))
+    fields = rng.uniform(-2000.0, 2000.0, (n, 2))
+    raised = 0
+    for full, (fp, gp), (hp, hq) in zip(states.tolist(), demands.tolist(), fields.tolist()):
+        f0, f1, f2, _, _, _ = _raw_fields(full[3], full[4], params)
+        assert bits(_raw_state_derivative(full, hp, hq, params)) == bits(
+            combine_fields_reference(full, hp, hq, f0, f1, f2))
+        z = full[2:]
+        try:
+            want = solve_controls_reference(z, fp, gp, params)
+        except TrackingSingularity as sig:
+            with pytest.raises(TrackingSingularity) as caught:
+                _solve_controls_raw(z, fp, gp, params)
+            assert bits(caught.value.d_value) == bits(sig.d_value)
+            raised += 1
+            continue
+        h_par, h_perp, d, zdot = _solve_controls_raw(z, fp, gp, params)
+        assert bits([h_par, h_perp, d, *zdot]) == bits([*want[:3], *want[3]])
+    assert 0 < raised < n // 4
+
+    # the array path over 5,000 rows, the singular ones NaN in the same places
+    rng = np.random.default_rng(67)
+    n = 5000
+    spread = np.where(np.arange(n) % 4 == 0, 1e-4, 3.0)
+    z = (rng.uniform(-2 * math.pi, 2 * math.pi, n),
+         *(rng.uniform(-1.0, 1.0, (2, n)) * spread))
+    z[1][::250] = z[2][::250] = 0.0
+    fp, gp = rng.uniform(-200.0, 200.0, (2, n))
+    got = _solve_controls_raw(z, fp, gp, params, np)
+    want = solve_controls_reference(z, fp, gp, params, np)
+    singular = np.abs(want[2]) <= EPS_D
+    assert 0 < singular.sum() < n // 4
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (n,) and bits(g) == bits(w)
+    for g in (got[0], got[1], got[3]):
+        assert (np.isnan(g) == singular).all()
 
 
 def test_noninteraction_exact_velocity(params):
