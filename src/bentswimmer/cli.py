@@ -91,9 +91,11 @@ def main(argv=None) -> int:
     except OSError as exc:  # a file, or a path under one
         return _config_error(f"--output-dir: cannot create {args.output_dir}: {exc.strerror}")
 
+    # a blocked output path is found before the run and writes nothing; only
+    # after an error at the write (a permission, a full disk) earlier files stay
     try:
         result = run_scenario(scenario, args.output_dir)
-    except OSError as exc:  # an output path taken, say by a directory; earlier files stay
+    except OSError as exc:
         return _config_error(f"cannot write {exc.filename or args.output_dir}: {exc.strerror}")
     summary = result.summary
 

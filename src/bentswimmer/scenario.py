@@ -43,7 +43,7 @@ from .integrators import (
 )
 from .linalg import SingularMatrixError
 from .model import _TABLE_UNITS, SwimmerParams, SwimmerState, joint_points
-from .records import SimRecord, write_csv, write_rows
+from .records import CSV_COLUMNS, SimRecord, write_csv, write_rows
 from .tracking import (
     OUTCOME_COMPLETED,
     OUTCOME_FAILURE,
@@ -72,8 +72,11 @@ MAX_GRID_N = 1001
 # an output name is a single file name from the POSIX portable character
 # set, so each output is created inside the output directory and nowhere else
 _PLAIN_NAME = re.compile(r"[A-Za-z0-9._-]{1,255}")
-# a geometry snapshot file is named by its time, to 6 decimals
-_SNAPSHOT_NAME = "snapshot_{:.6f}.json"
+
+
+def _snapshot_name(t: float) -> str:
+    """A geometry snapshot file is named by its time, to 6 decimals; -0.0 is 0.0."""
+    return f"snapshot_{t + 0.0:.6f}.json"
 
 
 class ScenarioError(Exception):
@@ -220,7 +223,9 @@ def _number_list(d: dict, key: str, path: str) -> list[float]:
     return [_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(v)]
 
 
-_INITIAL_KEYS = {"x_um", "y_um", "theta_rad", "alpha1_rad", "alpha2_rad"}
+# each initial key and the SwimmerState field it sets
+_INITIAL_KEYS = {"x_um": "x", "y_um": "y", "theta_rad": "theta", "alpha1_rad": "alpha1",
+                 "alpha2_rad": "alpha2"}
 _INTEGRATOR_KEYS = {"method", "abs_tol", "rel_tol"}
 _OUTPUT_KEYS = {"csv", "summary", "geometry_dir", "samples", "snapshot_times_s"}
 
@@ -231,14 +236,8 @@ def _parse_params(d: dict, path: str) -> SwimmerParams:
 
 
 def _parse_initial(d: dict, path: str) -> SwimmerState:
-    _check_keys(d, _INITIAL_KEYS, _INITIAL_KEYS, path)
-    return SwimmerState(
-        x=_number(d, "x_um", path),
-        y=_number(d, "y_um", path),
-        theta=_number(d, "theta_rad", path),
-        alpha1=_number(d, "alpha1_rad", path),
-        alpha2=_number(d, "alpha2_rad", path),
-    )
+    _check_keys(d, _INITIAL_KEYS.keys(), _INITIAL_KEYS.keys(), path)
+    return SwimmerState(**{name: _number(d, key, path) for key, name in _INITIAL_KEYS.items()})
 
 
 def _parse_integrator(d: dict | None, path: str) -> IntegratorOptions:
@@ -320,7 +319,7 @@ def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
              f"{spec.geometry_dir!r} is also csv or summary")
     first = {}
     for i, t in enumerate(spec.snapshot_times_s):
-        other = first.setdefault(_SNAPSHOT_NAME.format(t), t)
+        other = first.setdefault(_snapshot_name(t), t)
         _require(other == t, f"{path}.snapshot_times_s[{i}]",
                  f"{t} s would share a snapshot file with {other} s")
     return spec
@@ -453,36 +452,6 @@ class RunResult:
     summary: dict
 
 
-def _write_geometry_snapshots(record, scenario, outdir: Path):
-    """Write one file per distinct snapshot time reached by the run.
-
-    Returns (written paths, requested times after an early stop).
-    """
-    gdir = outdir / scenario.outputs.geometry_dir
-    times = record.column("t")
-    written, skipped = [], []
-    for t_snap in scenario.outputs.snapshot_times_s:
-        if t_snap > times[-1]:
-            skipped.append(t_snap)
-            continue
-        idx = int(np.argmin(np.abs(times - t_snap)))
-        path = gdir / _SNAPSHOT_NAME.format(times[idx])
-        if str(path) in written:
-            continue
-        row = record.data[idx]
-        state = SwimmerState(
-            x=row[1], y=row[2], theta=row[3], alpha1=row[4], alpha2=row[5]
-        )
-        pts = joint_points(state, scenario.params)
-        payload = {
-            "t_s": float(times[idx]),
-            "points_um": [[float(p[0]), float(p[1])] for p in pts],
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        written.append(str(path))
-    return written, skipped
-
-
 def _tracking_error(record: SimRecord, traj: Trajectory) -> float:
     times = record.column("t")
     ex = record.column("x") - traj.f(times, np)
@@ -500,20 +469,26 @@ _EXIT_CODES = {
 def run_scenario(scenario: Scenario, outdir) -> RunResult:
     """Execute a scenario and write its outputs under outdir.
 
-    The paths the mode writes are checked before it runs: a directory at the
-    summary path, or at the CSV path of a simulation or scan, raises
-    IsADirectoryError, and a simulation's geometry_dir is made here.
+    Every path the mode writes is named before it runs: the summary, the CSV
+    of a simulation or scan, and a simulation's snapshot plan, which maps
+    each requested time to its file under geometry_dir, first request first.
+    A directory at any of them raises IsADirectoryError, and geometry_dir is
+    made here, so a blocked path writes nothing. After the run, each planned
+    time up to t_stop, a sample time exactly, is written from its own row.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = scenario.outputs
     csv_path, summary_path = outdir / outputs.csv, outdir / outputs.summary
-    for path in (summary_path,) if scenario.mode == "controllability" else (summary_path, csv_path):
+    simulation = scenario.mode in ("closed_loop", "open_loop")
+    gdir = outdir / outputs.geometry_dir if simulation and outputs.geometry_dir else None
+    snapshots = {t: gdir / _snapshot_name(t) for t in outputs.snapshot_times_s} if gdir else {}
+    files = (summary_path,) if scenario.mode == "controllability" else (summary_path, csv_path)
+    for path in (*files, *snapshots.values()):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
-    simulation = scenario.mode in ("closed_loop", "open_loop")
-    if simulation and outputs.geometry_dir:
-        (outdir / outputs.geometry_dir).mkdir(exist_ok=True)
+    if gdir:
+        gdir.mkdir(exist_ok=True)
     t_wall = time.perf_counter()
 
     summary: dict = {
@@ -547,20 +522,23 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
                 "min_abs_d_state_set": "accepted_nodes",
                 "max_field_norm_uT": status.max_field_norm,
                 "max_feedback_residual": status.max_feedback_residual,
-                "final_state": {
-                    k: float(record.data[-1][i])
-                    for i, k in enumerate(("t", "x", "y", "theta", "alpha1", "alpha2"))
-                },
+                "final_state": {k: float(v) for k, v in zip(CSV_COLUMNS[:6], record.data[-1])},
                 "csv": str(csv_path),
                 "integrator": status.integrator,
             }
         )
         if scenario.mode == "closed_loop":
             summary["tracking_error_um"] = _tracking_error(record, scenario.trajectory)
-        if outputs.geometry_dir:
-            written, skipped = _write_geometry_snapshots(record, scenario, outdir)
-            summary["geometry_snapshots"] = written
-            summary["geometry_snapshots_skipped_s"] = skipped
+        if gdir:
+            reached = {t: path for t, path in snapshots.items() if t <= status.t_stop}
+            for t, path in reached.items():
+                row = record.data[np.searchsorted(record.column("t"), t)]
+                pts = joint_points(SwimmerState(*row[1:6]), scenario.params)
+                payload = {"t_s": float(row[0]), "points_um": pts.tolist()}
+                path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+            summary["geometry_snapshots"] = [str(path) for path in reached.values()]
+            summary["geometry_snapshots_skipped_s"] = [
+                t for t in outputs.snapshot_times_s if t > status.t_stop]
         exit_code = _EXIT_CODES[status.outcome]
 
     elif scenario.mode == "controllability":

@@ -115,7 +115,8 @@ class Trajectory:
         exact tracking has no error-correcting term, so a run that starts off
         the demand is rejected, not shifted."""
         fx0, gy0 = self.start()
-        if math.hypot(initial.x - fx0, initial.y - gy0) > INITIAL_POSITION_TOL:
+        # not <=, so that a NaN start fails too
+        if not math.hypot(initial.x - fx0, initial.y - gy0) <= INITIAL_POSITION_TOL:
             raise ValueError(
                 f"closed-loop initial position ({initial.x}, {initial.y}) must equal "
                 f"the trajectory start ({fx0}, {gy0}); runs are rejected, not shifted"
@@ -404,7 +405,8 @@ def _closed_loop_rhs(params, traj):
 def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
     base = np.linspace(0.0, t_stop, samples)
     if extra:
-        base = np.concatenate([base, [t for t in extra if 0.0 <= t <= t_stop]])
+        # t + 0.0: a requested -0.0 enters as the start, 0.0
+        base = np.concatenate([base, [t + 0.0 for t in extra if 0.0 <= t <= t_stop]])
     return np.unique(base)
 
 

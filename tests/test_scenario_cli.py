@@ -12,6 +12,7 @@ import pytest
 import bentswimmer
 from bentswimmer.cli import main as cli_main
 from bentswimmer import records
+from bentswimmer.model import SwimmerState, joint_points
 from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
 from bentswimmer.scenario import (
     EXIT_COMPLETED,
@@ -690,20 +691,45 @@ def test_geometry_snapshots_written(tmp_path):
     np.testing.assert_allclose(
         np.linalg.norm(np.diff(pts, axis=0), axis=1), 10.0, rtol=1e-9
     )
-    assert "geometry_snapshots" in result.summary
+    assert result.summary["geometry_snapshots"] == [str(f) for f in files]
+    # each file holds the joints of the CSV row at its time, bit for bit
+    rec = read_csv(tmp_path / "r.csv")
+    for f, t in zip(files, [0.0, 0.005, 0.01]):
+        payload = json.loads(f.read_text())
+        (row,) = rec.data[rec.column("t") == t]
+        state = SwimmerState(x=row[1], y=row[2], theta=row[3], alpha1=row[4], alpha2=row[5])
+        assert payload["t_s"] == t
+        assert payload["points_um"] == joint_points(state, scn.params).tolist()
+
+
+def test_negative_zero_snapshot_time_is_the_start(scenario_dir, tmp_path):
+    # -0.0 is the start: the record, the file name and t_s read 0.0, and it
+    # shares the start's file; a repeated request writes one file
+    doc = json.loads((scenario_dir / "table1_line_ok.json").read_text())
+    doc["outputs"]["snapshot_times_s"] = [0.0, -0.0, 0.025, 0.025]
+    result = run_scenario(scenario_from_dict(doc), tmp_path)
+    assert result.exit_code == EXIT_COMPLETED
+    first_t = (tmp_path / "line_ok_record.csv").read_text().splitlines()[1].split(",")[0]
+    assert first_t == "0.0"
+    gdir = tmp_path / "line_ok_geometry"
+    names = ["snapshot_0.000000.json", "snapshot_0.025000.json"]
+    assert sorted(p.name for p in gdir.iterdir()) == names
+    assert result.summary["geometry_snapshots"] == [str(gdir / n) for n in names]
+    assert '"t_s": 0.0,' in (gdir / names[0]).read_text()
 
 
 def test_geometry_snapshots_after_abort_are_skipped(tmp_path):
     doc = short_line_doc(heading=math.pi, duration=0.05)
     doc["outputs"]["geometry_dir"] = "geom"
-    doc["outputs"]["snapshot_times_s"] = [0.01, 0.03, 0.01, 0.05]
+    doc["outputs"]["snapshot_times_s"] = [0.01, 0.03, 0.01, 0.05, 0.03]
     result = run_scenario(scenario_from_dict(doc, name="snap_abort"), tmp_path)
     assert result.exit_code == EXIT_SINGULAR_ABORT
     assert result.summary["t_stop_s"] < 0.03
     files = list((tmp_path / "geom").glob("snapshot_*.json"))
     assert [f.name for f in files] == ["snapshot_0.010000.json"]
     assert result.summary["geometry_snapshots"] == [str(files[0])]
-    assert result.summary["geometry_snapshots_skipped_s"] == [0.03, 0.05]
+    # every request past the stop, in request order, repeats included
+    assert result.summary["geometry_snapshots_skipped_s"] == [0.03, 0.05, 0.03]
 
 
 # ----------------------------------------------------------------------- CLI
@@ -745,28 +771,31 @@ def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path
     assert sorted(tmp_path.iterdir()) == [blocker, scn]
 
 
-@pytest.mark.parametrize("blocked", ["csv", "summary", "geometry_dir"])
+@pytest.mark.parametrize("blocked", ["csv", "summary", "geometry_dir", "snapshot"])
 def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_path, capsys):
-    # a directory where the CSV or the summary goes, or a file where the
-    # snapshots go, ends the command with one error line naming the path,
-    # before the run: nothing is written, and run_scenario itself raises
+    # a directory where the CSV, the summary or a snapshot goes, or a file
+    # where the snapshots go, ends the command with one error line naming
+    # the path, before the run: nothing is written, and run_scenario itself
+    # raises
     scn = tmp_path / "ok.json"
     doc = short_line_doc()
     doc["outputs"].update(geometry_dir="geom", snapshot_times_s=[0.0])
     scn.write_text(json.dumps(doc))
     outdir = tmp_path / "out"
     outdir.mkdir()
-    path = outdir / {"csv": "r.csv", "summary": "s.json", "geometry_dir": "geom"}[blocked]
+    path = outdir / {"csv": "r.csv", "summary": "s.json", "geometry_dir": "geom",
+                     "snapshot": "geom/snapshot_0.000000.json"}[blocked]
     if blocked == "geometry_dir":
         path.write_text("keep")
     else:
-        path.mkdir()
+        path.mkdir(parents=True)
     with pytest.raises(OSError):
         run_scenario(load_scenario(scn), outdir)
     assert cli_main(["simulate", str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
-    assert [p.name for p in outdir.iterdir()] == [path.name]
+    # only the blocking path, and for a snapshot the geom directory above it
+    assert sorted(outdir.rglob("*")) == sorted({path, *path.parents} - {outdir, *outdir.parents})
     assert path.is_dir() != (blocked == "geometry_dir")
 
 

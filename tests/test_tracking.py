@@ -372,6 +372,27 @@ def test_initial_position_mismatch_rejected(params):
         simulate_closed_loop(st, traj, params)
 
 
+@pytest.mark.parametrize("traj", [
+    line_trajectory((math.nan, 0.0), 0.0, 1.0, 0.01),
+    line_trajectory((0.0, 0.0), math.nan, 1.0, 0.01),
+    circle_trajectory((-1.0, 0.0), math.nan, 20.0, 0.01),
+], ids=["nan_start", "nan_heading", "nan_radius"])
+def test_non_finite_trajectory_start_rejected(traj, params):
+    # a NaN start is no distance from any initial position: it is rejected,
+    # not run with NaN positions in every row
+    st = equilibrium_state(params)
+    with pytest.raises(ValueError, match="must equal the trajectory start"):
+        simulate_closed_loop(st, traj, params)
+
+
+def test_negative_zero_snapshot_time_samples_the_start():
+    # np.unique keeps either zero of a tie; a requested -0.0 enters as 0.0
+    times = tracking._sample_times(0.1, 1000, (0.0, -0.0, 0.025, 0.025))
+    assert math.copysign(1.0, times[0]) == 1.0
+    # the zeros and the repeated 0.025 add one sample to the 1,000
+    assert times.size == 1001 and 0.025 in times
+
+
 def test_short_line_tracks_exactly(params):
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.02)
