@@ -166,12 +166,12 @@ def _require(cond: bool, path: str, message: str):
         raise ScenarioValidationError(f"{path}: {message}")
 
 
-def _at(path: str, fn, *args):
-    """fn(*args), with the model's ValueError or SingularMatrixError reported
-    at path. A ScenarioValidationError is neither: it already names its own
-    path and passes through."""
+def _at(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the model's ValueError or SingularMatrixError
+    reported at path. A ScenarioValidationError is neither: it already names
+    its own path and passes through."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ValueError, SingularMatrixError) as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
@@ -188,8 +188,17 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], path: str):
         raise ScenarioValidationError(f"{path}: missing required key(s) {sorted(missing)}")
 
 
-def _number(d: dict, key: str, path: str) -> float:
-    return _as_number(d[key], f"{path}.{key}")
+def _read(d: dict, path: str, keys: dict, optional=()) -> dict:
+    """The object d read through its key table: each present key by its
+    reader at path.key, in table order. A key not in the table is unknown;
+    one absent from d is missing unless it is optional."""
+    _check_keys(d, keys.keys(), keys.keys() - set(optional), path)
+    return {k: read(d[k], f"{path}.{k}") for k, read in keys.items() if k in d}
+
+
+def _read_optional(doc: dict, key: str, keys: dict) -> dict:
+    """An optional block, every key optional: absent or null reads as no keys."""
+    return {} if doc.get(key) is None else _read(doc[key], key, keys, optional=keys)
 
 
 def _as_number(v, path: str) -> float:
@@ -202,6 +211,11 @@ def _as_number(v, path: str) -> float:
         raise ScenarioValidationError(f"{path}: integer too large for a float") from None
     _require(math.isfinite(x), path, f"expected a finite number, got {x}")
     return x
+
+
+def _as_numbers(v, path: str) -> tuple[float, ...]:
+    _require(isinstance(v, list), path, "expected a list")
+    return tuple(_as_number(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
 def _as_integer(v, path: str, lo: int, hi: int) -> int:
@@ -217,46 +231,34 @@ def _as_name(v, path: str) -> str:
     return v
 
 
-def _number_list(d: dict, key: str, path: str) -> list[float]:
-    v = d[key]
-    _require(isinstance(v, list), f"{path}.{key}", "expected a list")
-    return [_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(v)]
+def _as_method(v, path: str) -> str:
+    _require(v in METHODS, path, f"must be one of {METHODS}")
+    return v
 
 
-# each initial key and the SwimmerState field it sets
-_INITIAL_KEYS = {"x_um": "x", "y_um": "y", "theta_rad": "theta", "alpha1_rad": "alpha1",
-                 "alpha2_rad": "alpha2"}
-_INTEGRATOR_KEYS = {"method", "abs_tol", "rel_tol"}
-_OUTPUT_KEYS = {"csv", "summary", "geometry_dir", "samples", "snapshot_times_s"}
+def _at_point(build):
+    """build, with its first argument, a point, given as its x and y."""
+    return lambda x, y, *rest: build((x, y), *rest)
 
 
-def _parse_params(d: dict, path: str) -> SwimmerParams:
-    _check_keys(d, _TABLE_UNITS.keys(), _TABLE_UNITS.keys(), path)
-    return SwimmerParams.from_table_units(**{k: _number(d, k, path) for k in _TABLE_UNITS})
-
-
-def _parse_initial(d: dict, path: str) -> SwimmerState:
-    _check_keys(d, _INITIAL_KEYS.keys(), _INITIAL_KEYS.keys(), path)
-    return SwimmerState(**{name: _number(d, key, path) for key, name in _INITIAL_KEYS.items()})
-
-
-def _parse_integrator(d: dict | None, path: str) -> IntegratorOptions:
-    if d is None:
-        return IntegratorOptions()
-    _check_keys(d, _INTEGRATOR_KEYS, set(), path)
-    kwargs = {k: _number(d, k, path) for k in ("abs_tol", "rel_tol") if k in d}
-    if "method" in d:
-        _require(d["method"] in METHODS, f"{path}.method", f"must be one of {METHODS}")
-        kwargs["method"] = d["method"]
-    return IntegratorOptions(**kwargs)
-
-
-_TRAJ_KEYS = {
-    "line": {"preset", "start_x_um", "start_y_um", "heading_rad", "speed_um_s",
-             "duration_s"},
-    "circle": {"preset", "center_x_um", "center_y_um", "radius_um",
-               "angular_rate_rad_s", "turns", "phase_rad"},
-    "waypoint_spline": {"preset", "times_s", "x_um", "y_um"},
+# the key table of each block: each key and its reader, in read order
+_PARAMS = dict.fromkeys(_TABLE_UNITS, _as_number)
+_INITIAL = dict.fromkeys(  # in SwimmerState field order
+    ("x_um", "y_um", "theta_rad", "alpha1_rad", "alpha2_rad"), _as_number)
+_INTEGRATOR = {"abs_tol": _as_number, "rel_tol": _as_number, "method": _as_method}
+_OUTPUTS = {**dict.fromkeys(("csv", "summary", "geometry_dir"), _as_name),
+            "samples": lambda v, path: _as_integer(v, path, 2, MAX_SAMPLES),
+            "snapshot_times_s": _as_numbers}
+_PIECE = dict.fromkeys(("until_t_s", "h_par_uT", "h_perp_uT"), _as_number)
+# each trajectory preset: its builder and its keys, in the builder's argument order
+_PRESETS = {
+    "line": (_at_point(line_trajectory), dict.fromkeys(
+        ("start_x_um", "start_y_um", "heading_rad", "speed_um_s", "duration_s"), _as_number)),
+    "circle": (_at_point(circle_trajectory), dict.fromkeys(
+        ("center_x_um", "center_y_um", "radius_um", "angular_rate_rad_s", "turns",
+         "phase_rad"), _as_number)),
+    "waypoint_spline": (waypoint_trajectory, dict.fromkeys(("times_s", "x_um", "y_um"),
+                                                           _as_numbers)),
 }
 
 
@@ -264,56 +266,22 @@ def _parse_trajectory(d: dict, path: str) -> Trajectory:
     _require(isinstance(d, dict), path, "expected an object")
     _require("preset" in d, path, "missing required key(s) ['preset']")
     preset = d["preset"]
-    _require(isinstance(preset, str) and preset in _TRAJ_KEYS, f"{path}.preset",
-             f"must be one of {sorted(_TRAJ_KEYS)}")
-    keys = _TRAJ_KEYS[preset]
-    _check_keys(d, keys, keys - {"phase_rad"}, path)
-    if preset == "line":
-        return line_trajectory(
-            start=(_number(d, "start_x_um", path), _number(d, "start_y_um", path)),
-            heading=_number(d, "heading_rad", path),
-            speed=_number(d, "speed_um_s", path),
-            horizon=_number(d, "duration_s", path),
-        )
-    if preset == "circle":
-        return circle_trajectory(
-            center=(_number(d, "center_x_um", path), _number(d, "center_y_um", path)),
-            radius=_number(d, "radius_um", path),
-            angular_rate=_number(d, "angular_rate_rad_s", path),
-            turns=_number(d, "turns", path),
-            phase=_number(d, "phase_rad", path) if "phase_rad" in d else 0.0,
-        )
-    return waypoint_trajectory(*(_number_list(d, k, path) for k in ("times_s", "x_um", "y_um")))
+    _require(isinstance(preset, str) and preset in _PRESETS, f"{path}.preset",
+             f"must be one of {sorted(_PRESETS)}")
+    build, keys = _PRESETS[preset]
+    # preset, checked above, heads the table so that it is allowed; it is no builder argument
+    _, *args = _read(d, path, {"preset": lambda v, _: v, **keys}, optional=("phase_rad",)).values()
+    return build(*args)
 
 
 def _parse_field_program(items, path: str) -> FieldProgram:
     _require(isinstance(items, list) and items, path, "expected a non-empty list")
-    keys = {"until_t_s", "h_par_uT", "h_perp_uT"}
-    pieces = []
-    for i, piece in enumerate(items):
-        ppath = f"{path}[{i}]"
-        _check_keys(piece, keys, keys, ppath)
-        pieces.append((
-            _number(piece, "until_t_s", ppath),
-            _number(piece, "h_par_uT", ppath),
-            _number(piece, "h_perp_uT", ppath),
-        ))
-    return FieldProgram(pieces=tuple(pieces))
+    return FieldProgram(pieces=tuple(tuple(_read(piece, f"{path}[{i}]", _PIECE).values())
+                                     for i, piece in enumerate(items)))
 
 
-def _parse_outputs(d: dict | None, path: str) -> OutputSpec:
-    if d is None:
-        return OutputSpec()
-    _check_keys(d, _OUTPUT_KEYS, set(), path)
-    kwargs = {}
-    for k in ("csv", "summary", "geometry_dir"):
-        if k in d:
-            kwargs[k] = _as_name(d[k], f"{path}.{k}")
-    if "samples" in d:
-        kwargs["samples"] = _as_integer(d["samples"], f"{path}.samples", 2, MAX_SAMPLES)
-    if "snapshot_times_s" in d:
-        kwargs["snapshot_times_s"] = tuple(_number_list(d, "snapshot_times_s", path))
-    spec = OutputSpec(**kwargs)
+def _parse_outputs(values: dict, path: str) -> OutputSpec:
+    spec = OutputSpec(**values)
     _require(spec.summary != spec.csv, f"{path}.summary", f"{spec.summary!r} is also csv")
     _require(spec.geometry_dir not in (spec.csv, spec.summary), f"{path}.geometry_dir",
              f"{spec.geometry_dir!r} is also csv or summary")
@@ -342,10 +310,12 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     _check_keys(doc, _TOP_KEYS, {"mode", "params", "initial"}, "<root>")
     mode = doc["mode"]
     _require(mode in MODES, "mode", f"must be one of {MODES}")
-    params = _at("params", _parse_params, doc["params"], "params")
-    initial = _at("initial", _parse_initial, doc["initial"], "initial")
-    integrator = _at("integrator", _parse_integrator, doc.get("integrator"), "integrator")
-    outputs = _parse_outputs(doc.get("outputs"), "outputs")
+    params = _at("params", SwimmerParams.from_table_units,
+                 **_read(doc["params"], "params", _PARAMS))
+    initial = _at("initial", SwimmerState, *_read(doc["initial"], "initial", _INITIAL).values())
+    integrator = _at("integrator", IntegratorOptions,
+                     **_read_optional(doc, "integrator", _INTEGRATOR))
+    outputs = _parse_outputs(_read_optional(doc, "outputs", _OUTPUTS), "outputs")
     # the drag kernel at the initial shape: parameters it cannot invert
     # (say, a segment length that underflows) fail here, not mid-run
     _at("params", _raw_fields, initial.alpha1, initial.alpha2, params)
@@ -510,7 +480,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
             scenario.params,
             scenario.integrator,
             samples=outputs.samples,
-            snapshot_times=outputs.snapshot_times_s,
+            snapshot_times=tuple(snapshots),
         )
         write_csv(record, csv_path)
         summary.update(

@@ -40,9 +40,11 @@ EVERY = 10
 
 
 def reference_times(scenario) -> np.ndarray:
-    """Every EVERY-th sample time of the scenario's record, plus the last."""
+    """Every EVERY-th sample time of the scenario's record, plus the last. As
+    in the record, snapshot times are sample times only under a geometry_dir."""
     out = scenario.outputs
-    times = _sample_times(scenario.trajectory.horizon, out.samples, out.snapshot_times_s)
+    times = _sample_times(scenario.trajectory.horizon, out.samples,
+                          out.snapshot_times_s if out.geometry_dir else ())
     return np.unique(np.append(times[::EVERY], times[-1]))
 
 

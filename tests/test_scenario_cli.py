@@ -12,6 +12,7 @@ import pytest
 import bentswimmer
 from bentswimmer.cli import main as cli_main
 from bentswimmer import records
+from bentswimmer.integrators import IntegratorOptions
 from bentswimmer.model import SwimmerState, joint_points
 from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
 from bentswimmer.scenario import (
@@ -19,6 +20,7 @@ from bentswimmer.scenario import (
     EXIT_CONFIG_ERROR,
     EXIT_SINGULAR_ABORT,
     FieldProgram,
+    OutputSpec,
     ScenarioParseError,
     ScenarioValidationError,
     UnknownKeyError,
@@ -183,8 +185,13 @@ def assert_cli_rejects(doc, path, tmp_path, capsys):
      "trajectory.preset"),
     ("initial", "abc", "initial"),
     ("outputs", ["r.csv"], "outputs"),
+    # only an absent or null optional block means the defaults
+    *((block, value, block) for block in ("integrator", "outputs")
+      for value in ([], 0, False, "")),
 ], ids=["params", "integrator", "trajectory", "preset_list", "preset_constant",
-        "initial_string", "outputs"])
+        "initial_string", "outputs",
+        *(f"{block}_{kind}" for block in ("integrator", "outputs")
+          for kind in ("empty_list", "zero", "false", "empty_string"))])
 def test_malformed_block_names_its_path(block, value, path, tmp_path, capsys):
     doc = short_line_doc()
     doc[block] = value
@@ -192,6 +199,88 @@ def test_malformed_block_names_its_path(block, value, path, tmp_path, capsys):
                        match=rf"^{re.escape(path)}: (expected an object|must be one of)"):
         scenario_from_dict(doc)
     assert_cli_rejects(doc, path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("block", ["integrator", "outputs"])
+def test_null_optional_block_means_the_defaults(block, tmp_path, capsys):
+    doc = short_line_doc()
+    doc[block] = None
+    scn = scenario_from_dict(doc)
+    assert scn.integrator == IntegratorOptions()
+    assert scn.outputs == (OutputSpec() if block == "outputs"
+                           else OutputSpec(csv="r.csv", summary="s.json", samples=100))
+    p = tmp_path / "null_block.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(p)]) == EXIT_COMPLETED
+
+
+def _get(doc, path):
+    """The entry at a field path such as field_program[0]."""
+    for key in re.findall(r"\w+", path):
+        doc = doc[int(key) if key.isdigit() else key]
+    return doc
+
+
+def _open_loop_doc():
+    doc = short_line_doc()
+    del doc["trajectory"]
+    doc["mode"] = "open_loop"
+    doc["field_program"] = [{"until_t_s": 2e-3, "h_par_uT": 0.0, "h_perp_uT": 0.0}]
+    return doc
+
+
+def _circle_doc():
+    doc = short_line_doc()
+    doc["trajectory"] = {"preset": "circle", "center_x_um": -5.0, "center_y_um": 0.0,
+                         "radius_um": 5.0, "angular_rate_rad_s": 10.0, "turns": 0.01,
+                         "phase_rad": 0.0}
+    return doc
+
+
+# each key table: a doc that sets every key of the block, the block's path,
+# and the keys that may be left out
+KEY_TABLES = {
+    "params": (short_line_doc, "params", ()),
+    "initial": (short_line_doc, "initial", ()),
+    "integrator": (short_line_doc, "integrator", ("abs_tol", "rel_tol", "method")),
+    "outputs": (short_line_doc, "outputs",
+                ("csv", "summary", "geometry_dir", "samples", "snapshot_times_s")),
+    "line": (short_line_doc, "trajectory", ()),
+    "circle": (_circle_doc, "trajectory", ("phase_rad",)),
+    "waypoint_spline": (waypoint_doc, "trajectory", ()),
+    "field_program_piece": (_open_loop_doc, "field_program[0]", ()),
+}
+
+
+@pytest.mark.parametrize("table", list(KEY_TABLES))
+def test_every_key_table(table):
+    make, path, optional = KEY_TABLES[table]
+    doc = make()
+    doc["integrator"] = {"abs_tol": 1e-9, "rel_tol": 1e-9, "method": "adaptive_explicit_rk45"}
+    doc["outputs"].update(geometry_dir="geom", snapshot_times_s=[0.0])
+    scenario_from_dict(doc)
+    keys = list(_get(doc, path))
+    where = re.escape(path)
+
+    bad = copy.deepcopy(doc)
+    _get(bad, path)["bogus_key"] = 1.0
+    with pytest.raises(UnknownKeyError, match=rf"^{where}: unknown key\(s\) \['bogus_key'\]; "
+                       rf"allowed: {re.escape(str(sorted(keys)))}$"):
+        scenario_from_dict(bad)
+
+    for key in keys:
+        bad = copy.deepcopy(doc)
+        del _get(bad, path)[key]
+        if key in optional:
+            scenario_from_dict(bad)
+        else:
+            with pytest.raises(ScenarioValidationError,
+                               match=rf"^{where}: missing required key\(s\) \[{key!r}\]$"):
+                scenario_from_dict(bad)
+        bad = copy.deepcopy(doc)
+        _get(bad, path)[key] = "x y"
+        with pytest.raises(ScenarioValidationError, match=rf"^{where}\.{key}: "):
+            scenario_from_dict(bad)
 
 
 @pytest.mark.parametrize("entry", [True, None, "abc"])
@@ -730,6 +819,23 @@ def test_geometry_snapshots_after_abort_are_skipped(tmp_path):
     assert result.summary["geometry_snapshots"] == [str(files[0])]
     # every request past the stop, in request order, repeats included
     assert result.summary["geometry_snapshots_skipped_s"] == [0.03, 0.05, 0.03]
+
+
+@pytest.mark.parametrize("name,samples", [("table1_line_ok", 1000), ("table1_relaxation", 500)])
+def test_snapshot_times_without_geometry_dir_add_no_rows(name, samples, scenario_dir,
+                                                           tmp_path):
+    # a snapshot time enters the samples only through the snapshot plan,
+    # and without geometry_dir there is none: no extra row, no file, no key
+    doc = json.loads((scenario_dir / f"{name}.json").read_text())
+    doc["outputs"].pop("geometry_dir", None)
+    doc["outputs"]["snapshot_times_s"] = [0.0, 1.234e-4, 2.5e-4]  # two off the grid
+    result = run_scenario(scenario_from_dict(doc), tmp_path)
+    assert result.exit_code == EXIT_COMPLETED
+    rows = (tmp_path / doc["outputs"]["csv"]).read_text().splitlines()[1:]
+    assert len(rows) == samples
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [doc["outputs"]["csv"], doc["outputs"]["summary"]])
+    assert not [key for key in result.summary if key.startswith("geometry")]
 
 
 # ----------------------------------------------------------------------- CLI
