@@ -10,7 +10,6 @@ from .controllability import (
     partial_controllability,
 )
 from .dynamics import (
-    ControlVectorFields,
     control_vector_fields,
     equilibrium_state,
     state_derivative,
@@ -23,12 +22,10 @@ from .integrators import (
 )
 from .model import (
     ControlField,
-    SegmentFrame,
     SwimmerParams,
     SwimmerState,
     joint_points,
     rotation_block,
-    segment_frames,
 )
 from .records import SimRecord, emit_lab_frame_controls, read_csv, write_csv
 from .scenario import (
@@ -37,7 +34,6 @@ from .scenario import (
     ScenarioError,
     load_scenario,
     run_scenario,
-    save_scenario,
     scenario_from_dict,
     simulate_open_loop,
 )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import SingularMatrixError
 from .scenario import (
     EXIT_CONFIG_ERROR,
     ScenarioError,
@@ -97,6 +98,8 @@ def main(argv=None) -> int:
         result = run_scenario(scenario, args.output_dir)
     except OSError as exc:
         return _config_error(f"cannot write {exc.filename or args.output_dir}: {exc.strerror}")
+    except SingularMatrixError as exc:  # the drag matrix, at a shape the run reached
+        return _config_error(f"params: {exc}")
     summary = result.summary
 
     if args.command == "check-controllability":

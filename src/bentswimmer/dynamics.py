@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,19 +156,6 @@ def _drag_upper(c1, s1, c12, s12, ell: float, xi: float, eta: float):
     m44 = -eta * l3
 
     return (m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, m33, m34, m44)
-
-
-@dataclass(frozen=True)
-class ControlVectorFields:
-    """Drift and control fields of the control-affine system, plus the
-    columns of M^{-1} they are built from."""
-
-    f0: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    x3: np.ndarray
-    x4: np.ndarray
-    x5: np.ndarray
 
 
 def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
@@ -314,16 +300,11 @@ def _first_where(mask, *values) -> list[float]:
 
 def control_vector_fields(
     alpha1: float, alpha2: float, params: SwimmerParams
-) -> ControlVectorFields:
-    f0, f1, f2, x3, x4, x5 = _raw_fields(alpha1, alpha2, params)
-    return ControlVectorFields(
-        f0=np.array(f0),
-        f1=np.array(f1),
-        f2=np.array(f2),
-        x3=np.array(x3),
-        x4=np.array(x4),
-        x5=np.array(x5),
-    )
+) -> tuple[np.ndarray, ...]:
+    """The drift and control fields F0, F1, F2 of the control-affine system,
+    then the columns X3, X4, X5 of M^{-1} they are built from: _raw_fields'
+    six entries as arrays of five."""
+    return tuple(np.array(v) for v in _raw_fields(alpha1, alpha2, params))
 
 
 def _raw_state_derivative(
@@ -369,7 +350,6 @@ def equilibrium_state(
 
 
 __all__ = [
-    "ControlVectorFields",
     "mobility_entries",
     "control_vector_fields",
     "state_derivative",

@@ -114,46 +114,17 @@ class SwimmerState:
                 raise ValueError(f"{name} must lie in (-pi, pi), got {v!r}")
 
 
-@dataclass(frozen=True)
-class SegmentFrame:
-    """Origin and orthonormal (tangent, normal) frame of one segment.
-
-    normal is the tangent rotated by +pi/2, i.e. z-hat x tangent.
-    """
-
-    origin: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-
-
-def segment_frames(state: SwimmerState, params: SwimmerParams):
-    """Frames of S1, S2, S3: origins chain tip-to-tail along the tangents."""
-    angles = (
-        state.theta,
-        state.theta + state.alpha1,
-        state.theta + state.alpha1 + state.alpha2,
-    )
-    frames = []
-    ox, oy = state.x, state.y
-    for a in angles:
-        c, s = math.cos(a), math.sin(a)
-        frames.append(
-            SegmentFrame(
-                origin=np.array([ox, oy]),
-                tangent=np.array([c, s]),
-                normal=np.array([-s, c]),
-            )
-        )
-        ox += params.ell * c
-        oy += params.ell * s
-    return tuple(frames)
-
-
 def joint_points(state: SwimmerState, params: SwimmerParams) -> np.ndarray:
-    """The four points (proximal end, two joints, distal tip), shape (4, 2)."""
-    f1, f2, f3 = segment_frames(state, params)
-    tip = f3.origin + params.ell * f3.tangent
-    return np.array([f1.origin, f2.origin, f3.origin, tip])
+    """The four points (proximal end, two joints, distal tip), shape (4, 2):
+    each segment ends ell along its direction angle from where it starts."""
+    x, y = state.x, state.y
+    points = [(x, y)]
+    for a in (state.theta, state.theta + state.alpha1,
+              state.theta + state.alpha1 + state.alpha2):
+        x += params.ell * math.cos(a)
+        y += params.ell * math.sin(a)
+        points.append((x, y))
+    return np.array(points)
 
 
 def rotation_block(theta: float) -> np.ndarray:

@@ -43,9 +43,6 @@ class SimRecord:
     def column(self, name: str) -> np.ndarray:
         return self.data[:, CSV_COLUMNS.index(name)]
 
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
 
 def emit_lab_frame_controls(record: SimRecord) -> SimRecord:
     """Fill h_x, h_y = rotation by theta of (h_par, h_perp), rowwise."""

@@ -328,7 +328,10 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     if mode == "closed_loop":
         _at("initial", own[key].check_start, initial)
     elif mode == "controllability":  # linearize holds the rest-state rule
-        _at("initial", linearize, initial, params)
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
+            kalman = kalman_matrix(_at("initial", linearize, initial, params))
+        _require(np.isfinite(kalman).all(), "params",
+                 "the Kalman matrix at the rest state is not finite")
     if mode in ("closed_loop", "open_loop"):
         horizon = own[key].horizon
         for i, t in enumerate(outputs.snapshot_times_s):
@@ -359,10 +362,6 @@ def load_scenario(path) -> Scenario:
     except (ValueError, RecursionError) as exc:  # not UTF-8, too long an integer, too deep
         raise ScenarioParseError(f"{path}: cannot read the scenario: {exc}") from exc
     return scenario_from_dict(doc, name=path.stem)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(scenario.canonical_json(), encoding="utf-8")
 
 
 def simulate_open_loop(
@@ -584,7 +583,6 @@ __all__ = [
     "RunResult",
     "scenario_from_dict",
     "load_scenario",
-    "save_scenario",
     "simulate_open_loop",
     "run_scenario",
 ]

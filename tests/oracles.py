@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's assembly code: the drag
 matrix comes from Gauss-Legendre quadrature of the drag densities in the lab
 frame at arbitrary orientation, matrix inverses from Laplace cofactor
-expansion, and torque sums from explicit planar cross products.
+expansion, torque sums from explicit planar cross products, and segment
+frames from the state's angles (segment_frames).
 """
 from __future__ import annotations
 
@@ -12,7 +13,34 @@ from operator import mul
 
 import numpy as np
 
-from bentswimmer.model import SwimmerParams, SwimmerState, segment_frames
+from bentswimmer.model import SwimmerParams, SwimmerState
+
+
+def segment_frames(state: SwimmerState, params: SwimmerParams):
+    """(origin, tangent, normal) of S1, S2, S3: each tangent at its segment's
+    direction angle, theta, theta + alpha1, theta + alpha1 + alpha2; each
+    normal the tangent rotated by +pi/2; the origins chained tip-to-tail
+    along the tangents."""
+    angles = (
+        state.theta,
+        state.theta + state.alpha1,
+        state.theta + state.alpha1 + state.alpha2,
+    )
+    frames = []
+    ox, oy = state.x, state.y
+    for a in angles:
+        c, s = math.cos(a), math.sin(a)
+        frames.append((np.array([ox, oy]), np.array([c, s]), np.array([-s, c])))
+        ox += params.ell * c
+        oy += params.ell * s
+    return tuple(frames)
+
+
+def frame_joint_points(state: SwimmerState, params: SwimmerParams) -> np.ndarray:
+    """The frames' three origins, then the tip: the last origin plus ell
+    along the last tangent. model.joint_points must equal it bit for bit."""
+    (o1, _, _), (o2, _, _), (o3, e3, _) = segment_frames(state, params)
+    return np.array([o1, o2, o3, o3 + params.ell * e3])
 
 
 def cross2(a, b) -> float:
@@ -35,10 +63,7 @@ def quadrature_mobility(
     """
     ell = params.ell
     state = SwimmerState(0.0, 0.0, theta, alpha1, alpha2)
-    frames = segment_frames(state, params)
-    origins = [f.origin for f in frames]
-    tangents = [f.tangent for f in frames]
-    normals = [f.normal for f in frames]
+    origins, tangents, normals = zip(*segment_frames(state, params))
 
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
     s_nodes = 0.5 * ell * (x_gl + 1.0)
@@ -120,8 +145,8 @@ def magnetic_row_sums(state: SwimmerState, hx: float, hy: float, params: Swimmer
     frames = segment_frames(state, params)
     h = np.array([hx, hy])
     torques = [
-        m * cross2(f.tangent, h)
-        for m, f in zip((params.m1, params.m2, params.m3), frames)
+        m * cross2(tangent, h)
+        for m, (_, tangent, _) in zip((params.m1, params.m2, params.m3), frames)
     ]
     return (
         -(torques[0] + torques[1] + torques[2]),

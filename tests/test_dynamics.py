@@ -176,19 +176,19 @@ def test_force_elastic_part_is_energy_gradient(params):
 # ------------------------------------------------------- control vector fields
 
 def test_f0_vanishes_at_rest_shape(params):
-    cvf = control_vector_fields(0.0, params.alpha0, params)
-    np.testing.assert_array_equal(cvf.f0, np.zeros(5))
+    f0, *_ = control_vector_fields(0.0, params.alpha0, params)
+    np.testing.assert_array_equal(f0, np.zeros(5))
 
 
 def test_f1_vanishes_straight(params):
-    cvf = control_vector_fields(0.0, 0.0, params)
-    np.testing.assert_array_equal(cvf.f1, np.zeros(5))
+    _, f1, *_ = control_vector_fields(0.0, 0.0, params)
+    np.testing.assert_array_equal(f1, np.zeros(5))
 
 
 def test_columns_solve_unit_systems(params):
-    cvf = control_vector_fields(0.4, -0.9, params)
+    *_, x3, x4, x5 = control_vector_fields(0.4, -0.9, params)
     m = drag_matrix(0.4, -0.9, params)
-    for k, col in ((2, cvf.x3), (3, cvf.x4), (4, cvf.x5)):
+    for k, col in ((2, x3), (3, x4), (4, x5)):
         e = np.zeros(5)
         e[k] = 1.0
         np.testing.assert_allclose(m @ col, e, atol=1e-12)
@@ -198,9 +198,9 @@ def test_fields_against_cofactor_inverse_oracle(params):
     rng = np.random.default_rng(23)
     for _ in range(25):
         a1, a2 = rng.uniform(-3.0, 3.0, 2)
-        cvf = control_vector_fields(a1, a2, params)
+        f0_got, f1_got, f2_got, x3, x4, x5 = control_vector_fields(a1, a2, params)
         minv = cofactor_inverse(drag_matrix(a1, a2, params))
-        for got, col in ((cvf.x3, 2), (cvf.x4, 3), (cvf.x5, 4)):
+        for got, col in ((x3, 2), (x4, 3), (x5, 4)):
             np.testing.assert_allclose(got, minv[:, col], rtol=1e-10, atol=1e-14)
         k, a0 = params.kappa, params.alpha0
         s1, c1 = math.sin(a1), math.cos(a1)
@@ -212,24 +212,36 @@ def test_fields_against_cofactor_inverse_oracle(params):
             - (params.m2 * c1 + params.m3 * c12) * (minv[:, 2] + minv[:, 3]) \
             - params.m3 * c12 * minv[:, 4]
         scale = max(1.0, float(np.abs(f2).max()))
-        np.testing.assert_allclose(cvf.f0, f0, rtol=1e-9, atol=1e-9 * scale)
-        np.testing.assert_allclose(cvf.f1, f1, rtol=1e-9, atol=1e-9 * scale)
-        np.testing.assert_allclose(cvf.f2, f2, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(f0_got, f0, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(f1_got, f1, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(f2_got, f2, rtol=1e-9, atol=1e-9 * scale)
 
 
 def test_f2_nonzero_at_bent_rest(params):
-    cvf = control_vector_fields(0.0, params.alpha0, params)
-    assert np.linalg.norm(cvf.f2) > 1e-3
+    _, _, f2, *_ = control_vector_fields(0.0, params.alpha0, params)
+    assert np.linalg.norm(f2) > 1e-3
 
 
 def test_columns_match_numpy_inverse_grid(params):
     pts = np.linspace(-math.pi + 0.01, math.pi - 0.01, 41)
     for a1 in pts:
         for a2 in pts:
-            cvf = control_vector_fields(a1, a2, params)
+            *_, x3, x4, x5 = control_vector_fields(a1, a2, params)
             want = np.linalg.inv(drag_matrix(a1, a2, params))[:, 2:]
-            got = np.column_stack((cvf.x3, cvf.x4, cvf.x5))
+            got = np.column_stack((x3, x4, x5))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_control_vector_fields_are_the_raw_fields_as_arrays(params):
+    rng = np.random.default_rng(31)
+    shapes = [(0.0, params.alpha0), (-0.0, -0.0), *rng.uniform(-3.1, 3.1, (200, 2))]
+    for a1, a2 in shapes:
+        got = control_vector_fields(a1, a2, params)
+        want = dynamics._raw_fields(a1, a2, params)
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == (5,)
+            assert [v.hex() for v in g.tolist()] == [float(v).hex() for v in w]
 
 
 def test_singular_solve_raises():

@@ -8,11 +8,11 @@ from bentswimmer.model import (
     SwimmerState,
     joint_points,
     rotation_block,
-    segment_frames,
 )
 from bentswimmer.records import CSV_COLUMNS, SimRecord, emit_lab_frame_controls
 
 from conftest import table1
+from oracles import frame_joint_points, segment_frames
 
 
 def test_params_validation():
@@ -59,58 +59,71 @@ def test_state_validation():
 
 
 def test_frames_aligned_swimmer(params):
-    f1, f2, f3 = segment_frames(SwimmerState(0, 0, 0, 0, 0), params)
-    for f in (f1, f2, f3):
-        np.testing.assert_allclose(f.tangent, [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(f1.origin, [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(f2.origin, [10.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(f3.origin, [20.0, 0.0], atol=1e-15)
+    pts = joint_points(SwimmerState(0, 0, 0, 0, 0), params)
+    for tangent in np.diff(pts, axis=0) / params.ell:
+        np.testing.assert_allclose(tangent, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(pts[0], [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(pts[1], [10.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(pts[2], [20.0, 0.0], atol=1e-15)
 
 
 def test_frames_last_joint_bent(params):
     a0 = params.alpha0
-    _, _, f3 = segment_frames(SwimmerState(0, 0, 0, 0, a0), params)
-    np.testing.assert_allclose(f3.tangent, [math.cos(a0), math.sin(a0)], atol=1e-15)
+    pts = joint_points(SwimmerState(0, 0, 0, 0, a0), params)
+    np.testing.assert_allclose((pts[3] - pts[2]) / params.ell, [math.cos(a0), math.sin(a0)],
+                               atol=1e-15)
 
 
 def test_frames_generic_state_hand_evaluated(params):
     # state (1, 2, pi/2, pi/4, -pi/3): cumulative angles pi/2, 3pi/4, 5pi/12
     s = SwimmerState(1.0, 2.0, math.pi / 2, math.pi / 4, -math.pi / 3)
-    f1, f2, f3 = segment_frames(s, params)
+    pts = joint_points(s, params)
     ell = params.ell
     o2 = (1.0 + ell * math.cos(math.pi / 2), 2.0 + ell * math.sin(math.pi / 2))
     o3 = (o2[0] + ell * math.cos(3 * math.pi / 4), o2[1] + ell * math.sin(3 * math.pi / 4))
-    np.testing.assert_allclose(f2.origin, o2, atol=1e-12)
-    np.testing.assert_allclose(f3.origin, o3, atol=1e-12)
+    np.testing.assert_allclose(pts[1], o2, atol=1e-12)
+    np.testing.assert_allclose(pts[2], o3, atol=1e-12)
     np.testing.assert_allclose(
-        f3.tangent, [math.cos(5 * math.pi / 12), math.sin(5 * math.pi / 12)], atol=1e-12
+        (pts[3] - pts[2]) / ell, [math.cos(5 * math.pi / 12), math.sin(5 * math.pi / 12)],
+        atol=1e-12
     )
-    tip = joint_points(s, params)[3]
     np.testing.assert_allclose(
-        tip,
+        pts[3],
         [o3[0] + ell * math.cos(5 * math.pi / 12), o3[1] + ell * math.sin(5 * math.pi / 12)],
         atol=1e-12,
     )
 
 
 def test_frames_orthonormal_and_chained(params):
+    # the drag oracle's frames are orthonormal, and joint_points chains the
+    # segments along their tangents
     rng = np.random.default_rng(7)
     for _ in range(1000):
         x, y = rng.uniform(-50, 50, 2)
         th = rng.uniform(-10, 10)
         a1, a2 = rng.uniform(-3.1, 3.1, 2)
         state = SwimmerState(x, y, th, a1, a2)
-        f1, f2, f3 = segment_frames(state, params)
-        for f in (f1, f2, f3):
-            assert abs(np.linalg.norm(f.tangent) - 1.0) < 1e-12
-            assert abs(f.tangent @ f.normal) < 1e-12
+        pts = joint_points(state, params)
+        for i, (_, tangent, normal) in enumerate(segment_frames(state, params)):
+            assert abs(np.linalg.norm(tangent) - 1.0) < 1e-12
+            assert abs(tangent @ normal) < 1e-12
             # normal is tangent rotated by +pi/2
-            np.testing.assert_allclose(
-                f.normal, [-f.tangent[1], f.tangent[0]], atol=1e-15
-            )
-        np.testing.assert_allclose(
-            f3.origin - f2.origin, params.ell * f2.tangent, atol=1e-12
-        )
+            np.testing.assert_allclose(normal, [-tangent[1], tangent[0]], atol=1e-15)
+            np.testing.assert_allclose(pts[i + 1] - pts[i], params.ell * tangent, atol=1e-12)
+
+
+def test_joint_points_match_the_frame_chain_bit_for_bit(params):
+    # seeded states, each component drawn at random or as +0.0 or -0.0, so
+    # that signed zeros reach every sum of the chain
+    rng = np.random.default_rng(41)
+    for _ in range(5000):
+        values = [rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-10, 10),
+                  rng.uniform(-3.1, 3.1), rng.uniform(-3.1, 3.1)]
+        pick = rng.integers(0, 3, 5)
+        state = SwimmerState(*[(v, 0.0, -0.0)[k] for v, k in zip(values, pick)])
+        got = joint_points(state, params)
+        assert got.shape == (4, 2)
+        assert got.tobytes() == frame_joint_points(state, params).tobytes(), state
 
 
 def test_rotation_block_identity():

@@ -26,7 +26,6 @@ from bentswimmer.scenario import (
     UnknownKeyError,
     load_scenario,
     run_scenario,
-    save_scenario,
     scenario_from_dict,
     simulate_open_loop,
 )
@@ -488,7 +487,7 @@ def test_round_trip_serialization(tmp_path):
     doc = short_line_doc()
     scn = scenario_from_dict(doc, name="short_line")
     out = tmp_path / "scn.json"
-    save_scenario(scn, out)
+    out.write_text(scn.canonical_json(), encoding="utf-8")
     again = load_scenario(out)
     assert again.raw == scn.raw
     assert again.sha256() == scn.sha256()
@@ -539,7 +538,7 @@ def test_run_short_line_writes_outputs(tmp_path):
     first = csv_path.read_text().splitlines()[0]
     assert first == CSV_HEADER == "t,x,y,theta,alpha1,alpha2,h_par,h_perp,h_x,h_y,d_value"
     rec = read_csv(csv_path)
-    assert len(rec) >= 100
+    assert rec.data.shape[0] >= 100
     assert (np.diff(rec.column("t")) > 0).all()
     assert np.isfinite(rec.data).all()
     summary = json.loads((tmp_path / "s.json").read_text())
@@ -938,6 +937,29 @@ def test_cli_simulate_and_exit_codes(tmp_path):
         cli_main(["simulate", str(bad), "--output-dir", str(tmp_path / "out2")])
         == EXIT_SINGULAR_ABORT
     )
+
+
+@pytest.mark.parametrize("command, name, key, value, message", [
+    # the Kalman product overflows
+    ("check-controllability", "table1_controllability", "kappa_N_um", 1e100,
+     "the Kalman matrix at the rest state is not finite"),
+    # the drag matrix turns singular at a shape the scan or an LSODA run reaches
+    ("scan-determinant", "table1_determinant_scan", "xi_N_s_m2", 1e60, "drag matrix singular"),
+    ("simulate", "table1_relaxation", "xi_N_s_m2", 1e60, "drag matrix singular"),
+])
+def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
+                                                    command, name, key, value, message):
+    doc = json.loads((scenario_dir / f"{name}.json").read_text(encoding="utf-8"))
+    doc["params"][key] = value
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    assert cli_main([command, str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: params: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
 
 
 def test_cli_mode_mismatch(tmp_path):

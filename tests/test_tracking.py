@@ -218,11 +218,11 @@ def test_controls_residual_small_demand(params):
     st = SwimmerState(0, 0, 0, 0.0, math.pi / 3)
     p = params
     h = solve_tracking_controls(st, 1.0, 0.0, p)
-    cvf = control_vector_fields(0.0, math.pi / 3, p)
-    r1 = 1.0 - cvf.f0[0]
-    r2 = 0.0 - cvf.f0[1]
-    res1 = cvf.f1[0] * h.h_par + cvf.f2[0] * h.h_perp - r1
-    res2 = cvf.f1[1] * h.h_par + cvf.f2[1] * h.h_perp - r2
+    f0, f1, f2, *_ = control_vector_fields(0.0, math.pi / 3, p)
+    r1 = 1.0 - f0[0]
+    r2 = 0.0 - f0[1]
+    res1 = f1[0] * h.h_par + f2[0] * h.h_perp - r1
+    res2 = f1[1] * h.h_par + f2[1] * h.h_perp - r2
     assert max(abs(res1), abs(res2)) <= 1e-10
 
 
