@@ -95,12 +95,11 @@ def main(argv=None) -> int:
     # a blocked output path is found before the run and writes nothing; only
     # after an error at the write (a permission, a full disk) earlier files stay
     try:
-        result = run_scenario(scenario, args.output_dir)
+        summary = run_scenario(scenario, args.output_dir)
     except OSError as exc:
         return _config_error(f"cannot write {exc.filename or args.output_dir}: {exc.strerror}")
     except SingularMatrixError as exc:  # the drag matrix, at a shape the run reached
         return _config_error(f"params: {exc}")
-    summary = result.summary
 
     if args.command == "check-controllability":
         _print_matrix("A", summary["a_matrix"])
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
         print(line)
 
     print(f"summary written to {summary['summary_path']}")
-    return result.exit_code
+    return summary["exit_code"]
 
 
 if __name__ == "__main__":

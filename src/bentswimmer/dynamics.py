@@ -43,17 +43,12 @@ shape repelling and the whole model unphysical).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 # lu_* unused here: perfbench/tracer.py wraps them by attribute until it is retargeted.
 from .linalg import SingularMatrixError, lu_det, lu_factor, lu_solve  # noqa: F401
 from .model import ControlField, SwimmerParams, SwimmerState
-
-# |det M| below this (internal units) is treated as an assembly fault: the
-# determinant is provably bounded away from zero on (-pi, pi)^2.
-DET_WARN_FLOOR = 1e-14
 
 
 def mobility_entries(a1: float, a2: float, ell: float, xi: float, eta: float) -> list[list]:
@@ -227,14 +222,6 @@ def _raw_fields(alpha1, alpha2, params: SwimmerParams, xp=math):
         raise SingularMatrixError(
             f"drag matrix singular at shape ({a1}, {a2}): "
             "Schur complement of the translation block has zero determinant"
-        )
-    det = det_p * det_s
-    low = abs(det) < DET_WARN_FLOOR
-    if low is not False and np.any(low):
-        d, a1, a2 = _first_where(low, det, alpha1, alpha2)
-        warnings.warn(
-            f"near-singular drag matrix: det = {d:.3e} at ({a1}, {a2})",
-            RuntimeWarning,
         )
     inv_s = 1.0 / det_s
     i22 = c22 * inv_s

@@ -415,12 +415,6 @@ def simulate_open_loop(
     return record_run(joined, fields_at, opts.method, samples, snapshot_times)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    exit_code: int
-    summary: dict
-
-
 def _tracking_error(record: SimRecord, traj: Trajectory) -> float:
     times = record.column("t")
     ex = record.column("x") - traj.f(times, np)
@@ -435,8 +429,9 @@ _EXIT_CODES = {
 }
 
 
-def run_scenario(scenario: Scenario, outdir) -> RunResult:
-    """Execute a scenario and write its outputs under outdir.
+def run_scenario(scenario: Scenario, outdir) -> dict:
+    """Execute a scenario, write its outputs under outdir, and return the
+    summary it writes; its exit_code is the CLI's.
 
     Every path the mode writes is named before it runs: the summary, the CSV
     of a simulation or scan, and a simulation's snapshot plan, which maps
@@ -564,7 +559,7 @@ def run_scenario(scenario: Scenario, outdir) -> RunResult:
     summary["exit_code"] = exit_code
     summary["summary_path"] = str(summary_path)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    return RunResult(exit_code=exit_code, summary=summary)
+    return summary
 
 
 __all__ = [
@@ -580,7 +575,6 @@ __all__ = [
     "FieldProgram",
     "OutputSpec",
     "Scenario",
-    "RunResult",
     "scenario_from_dict",
     "load_scenario",
     "simulate_open_loop",

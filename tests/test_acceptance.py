@@ -132,9 +132,8 @@ def test_05_tracking_determinant_locus(params):
 def test_06_circle_tracking_exact(scenario_dir, tmp_path):
     t0 = time.perf_counter()
     scn = load_scenario(scenario_dir / "table1_circle.json")
-    result = run_scenario(scn, tmp_path)
+    s = run_scenario(scn, tmp_path)
     wall = time.perf_counter() - t0
-    s = result.summary
     rec = read_csv(tmp_path / scn.outputs.csv)
     final = rec.data[-1]
     start = rec.data[0]
@@ -156,8 +155,7 @@ def test_06_circle_tracking_exact(scenario_dir, tmp_path):
 
 def test_07_line_blowup_reproduced(scenario_dir, tmp_path):
     scn = load_scenario(scenario_dir / "table1_line_blowup.json")
-    result = run_scenario(scn, tmp_path)
-    s = result.summary
+    s = run_scenario(scn, tmp_path)
     rec = read_csv(tmp_path / scn.outputs.csv)
     a1f = abs(rec.column("alpha1")[-1])
     a2f = abs(rec.column("alpha2")[-1])
@@ -165,7 +163,7 @@ def test_07_line_blowup_reproduced(scenario_dir, tmp_path):
     h = h[np.isfinite(h)]
     ratio = h[int(math.ceil(0.99 * len(h))) - 1:].max() / np.median(h)
     ok = (
-        result.exit_code == 2
+        s["exit_code"] == 2
         and s["termination"] == "singular_abort"
         and a1f < 0.05
         and a2f < 0.05

@@ -278,10 +278,7 @@ def test_block_solve_singular_raises(m, params, monkeypatch):
         dynamics._raw_fields(0.3, -0.7, params)
 
 
-@pytest.mark.parametrize("m", [
-    *SINGULAR_BLOCKS,
-    np.diag([1e-8, 1e-8, 1.0, 1.0, 1.0]).tolist(),  # det 1e-16, under DET_WARN_FLOOR
-], ids=["translation_block", "schur_complement", "near_singular"])
+@pytest.mark.parametrize("m", SINGULAR_BLOCKS, ids=["translation_block", "schur_complement"])
 def test_batched_guards_name_the_first_shape(m, params, monkeypatch):
     # shapes 2 and 3 of four get the bad matrix, the others the identity
     a1 = np.array([0.1, 0.3, 0.5, 0.7])
@@ -290,12 +287,8 @@ def test_batched_guards_name_the_first_shape(m, params, monkeypatch):
     eye = np.eye(5)
     monkeypatch.setattr(dynamics, "_drag_upper", lambda *args: upper(
         [[np.where(bad, m[i][j], eye[i, j]) for j in range(5)] for i in range(5)]))
-    if np.linalg.det(m) != 0.0:
-        with pytest.warns(RuntimeWarning, match=r"det = 1\.000e-16 at \(0\.3, -0\.7\)"):
-            dynamics._raw_fields(a1, a2, params, np)
-    else:
-        with pytest.raises(SingularMatrixError, match=r"singular at shape \(0\.3, -0\.7\)"):
-            dynamics._raw_fields(a1, a2, params, np)
+    with pytest.raises(SingularMatrixError, match=r"singular at shape \(0\.3, -0\.7\)"):
+        dynamics._raw_fields(a1, a2, params, np)
 
 
 @pytest.mark.parametrize("alpha0", [math.pi / 3, -1.0])

@@ -423,9 +423,9 @@ def test_line_far_from_the_origin_tracks_exactly(scenario_dir, tmp_path, start_x
     doc["initial"]["x_um"] = doc["trajectory"]["start_x_um"] = start_x_um
     doc["trajectory"]["duration_s"] = duration_s
     doc["outputs"] = {"csv": "r.csv", "summary": "s.json", "samples": 100}
-    result = run_scenario(scenario_from_dict(doc, name="far_line"), tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
-    assert result.summary["tracking_error_um"] <= 1e-8
+    summary = run_scenario(scenario_from_dict(doc, name="far_line"), tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
+    assert summary["tracking_error_um"] <= 1e-8
 
 
 # each mode's own key, with a value that is valid in that mode
@@ -477,10 +477,10 @@ def test_open_loop_requires_field_program():
 
 def test_straight_rest_controllability_scenario_loads(scenario_dir, tmp_path):
     scn = load_scenario(scenario_dir / "straight_controllability.json")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
-    assert result.summary["partially_controllable"] is False
-    assert result.summary["kalman_first_row_zero"] is True
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
+    assert summary["partially_controllable"] is False
+    assert summary["kalman_first_row_zero"] is True
 
 
 def test_round_trip_serialization(tmp_path):
@@ -531,8 +531,8 @@ def test_emit_lab_frame_controls_identity_and_quarter_turn():
 
 def test_run_short_line_writes_outputs(tmp_path):
     scn = scenario_from_dict(short_line_doc(), name="short_line")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
     csv_path = tmp_path / "r.csv"
     assert csv_path.exists()
     first = csv_path.read_text().splitlines()[0]
@@ -541,7 +541,8 @@ def test_run_short_line_writes_outputs(tmp_path):
     assert rec.data.shape[0] >= 100
     assert (np.diff(rec.column("t")) > 0).all()
     assert np.isfinite(rec.data).all()
-    summary = json.loads((tmp_path / "s.json").read_text())
+    # the run returns the summary it writes
+    assert json.loads((tmp_path / "s.json").read_text()) == summary
     assert summary["termination"] == "completed"
     assert summary["tracking_error_um"] <= 1e-8
     assert summary["min_abs_d_state_set"] == "accepted_nodes"
@@ -574,8 +575,8 @@ def test_rerun_byte_identical_csv(tmp_path):
 def test_run_blowup_line_exit_code(tmp_path):
     doc = short_line_doc(heading=math.pi, duration=0.05)
     scn = scenario_from_dict(doc, name="blowup")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_SINGULAR_ABORT
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_SINGULAR_ABORT
     rec = read_csv(tmp_path / "r.csv")
     assert abs(rec.column("alpha1")[-1]) < 0.05
     assert abs(rec.column("alpha2")[-1]) < 0.05
@@ -611,10 +612,10 @@ def test_rk45_trial_stage_outside_the_shape_range_is_rejected(scenario_dir, tmp_
         return tracking_integrate(guarded, z0, t_span, opts)
 
     monkeypatch.setattr(tracking, "integrate", integrate)
-    result = run_scenario(scenario_from_dict(doc, name="long_first_step"), tmp_path)
-    assert result.exit_code == EXIT_COMPLETED, result.summary["detail"]
-    assert outside and result.summary["integrator"]["n_rejected"] >= len(outside)
-    assert result.summary["tracking_error_um"] <= 1e-8
+    summary = run_scenario(scenario_from_dict(doc, name="long_first_step"), tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED, summary["detail"]
+    assert outside and summary["integrator"]["n_rejected"] >= len(outside)
+    assert summary["tracking_error_um"] <= 1e-8
 
 
 def test_run_open_loop_relaxation(tmp_path):
@@ -627,11 +628,11 @@ def test_run_open_loop_relaxation(tmp_path):
         "outputs": {"csv": "r.csv", "summary": "s.json", "samples": 50},
     }
     scn = scenario_from_dict(doc, name="relax")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
-    assert result.summary["min_abs_d_state_set"] == "accepted_nodes"
-    assert result.summary["integrator"]["solver"] == "lsoda"
-    final = result.summary["final_state"]
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
+    assert summary["min_abs_d_state_set"] == "accepted_nodes"
+    assert summary["integrator"]["solver"] == "lsoda"
+    final = summary["final_state"]
     assert abs(final["alpha1"]) < 1e-6
     assert abs(final["alpha2"] - A0) < 1e-6
     rec = read_csv(tmp_path / "r.csv")
@@ -652,8 +653,8 @@ def test_run_open_loop_piecewise_field(tmp_path):
         "outputs": {"csv": "r.csv", "summary": "s.json", "samples": 80},
     }
     scn = scenario_from_dict(doc, name="pulse")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
     rec = read_csv(tmp_path / "r.csv")
     t = rec.column("t")
     hq = rec.column("h_perp")
@@ -680,10 +681,10 @@ def test_run_integrator_failure_exit_code(tmp_path, monkeypatch):
     doc = short_line_doc()
     doc["integrator"] = {"method": "adaptive_explicit_rk45"}
     scn = scenario_from_dict(doc, name="starved")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_INTEGRATOR_FAILURE
-    assert result.summary["termination"] == "integrator_failure"
-    assert result.summary["t_stop_s"] < 0.01
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_INTEGRATOR_FAILURE
+    assert summary["termination"] == "integrator_failure"
+    assert summary["t_stop_s"] < 0.01
 
 
 def test_open_loop_shape_guard_trips():
@@ -732,10 +733,10 @@ def test_run_determinant_scan(tmp_path):
         "outputs": {"csv": "grid.csv", "summary": "s.json"},
     }
     scn = scenario_from_dict(doc, name="scan")
-    result = run_scenario(scn, tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
-    assert abs(result.summary["d_origin"]) <= 1e-12
-    assert result.summary["min_abs_d_off_origin"] > 0.0
+    summary = run_scenario(scn, tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
+    assert abs(summary["d_origin"]) <= 1e-12
+    assert summary["min_abs_d_off_origin"] > 0.0
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == "alpha1,alpha2,d_value"
     assert len(lines) == 1 + 41 * 41
@@ -754,9 +755,8 @@ def test_run_controllability_report(tmp_path):
         "p_rows": 2,
         "outputs": {"summary": "s.json"},
     }
-    result = run_scenario(scenario_from_dict(doc, name="ctrl"), tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
-    s = result.summary
+    s = run_scenario(scenario_from_dict(doc, name="ctrl"), tmp_path)
+    assert s["exit_code"] == EXIT_COMPLETED
     assert s["partially_controllable"] is True and s["rank"] == 2
     ratio = s["submatrix_determinant"]["ratio_numeric_over_closed"]
     assert ratio == pytest.approx(-1.0, abs=1e-9)
@@ -769,7 +769,7 @@ def test_geometry_snapshots_written(tmp_path):
     doc["outputs"]["geometry_dir"] = "geom"
     doc["outputs"]["snapshot_times_s"] = [0.0, 0.005, 0.01]
     scn = scenario_from_dict(doc, name="snap")
-    result = run_scenario(scn, tmp_path)
+    summary = run_scenario(scn, tmp_path)
     files = sorted((tmp_path / "geom").glob("snapshot_*.json"))
     assert len(files) == 3
     payload = json.loads(files[0].read_text())
@@ -779,7 +779,7 @@ def test_geometry_snapshots_written(tmp_path):
     np.testing.assert_allclose(
         np.linalg.norm(np.diff(pts, axis=0), axis=1), 10.0, rtol=1e-9
     )
-    assert result.summary["geometry_snapshots"] == [str(f) for f in files]
+    assert summary["geometry_snapshots"] == [str(f) for f in files]
     # each file holds the joints of the CSV row at its time, bit for bit
     rec = read_csv(tmp_path / "r.csv")
     for f, t in zip(files, [0.0, 0.005, 0.01]):
@@ -795,14 +795,14 @@ def test_negative_zero_snapshot_time_is_the_start(scenario_dir, tmp_path):
     # shares the start's file; a repeated request writes one file
     doc = json.loads((scenario_dir / "table1_line_ok.json").read_text())
     doc["outputs"]["snapshot_times_s"] = [0.0, -0.0, 0.025, 0.025]
-    result = run_scenario(scenario_from_dict(doc), tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
+    summary = run_scenario(scenario_from_dict(doc), tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
     first_t = (tmp_path / "line_ok_record.csv").read_text().splitlines()[1].split(",")[0]
     assert first_t == "0.0"
     gdir = tmp_path / "line_ok_geometry"
     names = ["snapshot_0.000000.json", "snapshot_0.025000.json"]
     assert sorted(p.name for p in gdir.iterdir()) == names
-    assert result.summary["geometry_snapshots"] == [str(gdir / n) for n in names]
+    assert summary["geometry_snapshots"] == [str(gdir / n) for n in names]
     assert '"t_s": 0.0,' in (gdir / names[0]).read_text()
 
 
@@ -810,14 +810,14 @@ def test_geometry_snapshots_after_abort_are_skipped(tmp_path):
     doc = short_line_doc(heading=math.pi, duration=0.05)
     doc["outputs"]["geometry_dir"] = "geom"
     doc["outputs"]["snapshot_times_s"] = [0.01, 0.03, 0.01, 0.05, 0.03]
-    result = run_scenario(scenario_from_dict(doc, name="snap_abort"), tmp_path)
-    assert result.exit_code == EXIT_SINGULAR_ABORT
-    assert result.summary["t_stop_s"] < 0.03
+    summary = run_scenario(scenario_from_dict(doc, name="snap_abort"), tmp_path)
+    assert summary["exit_code"] == EXIT_SINGULAR_ABORT
+    assert summary["t_stop_s"] < 0.03
     files = list((tmp_path / "geom").glob("snapshot_*.json"))
     assert [f.name for f in files] == ["snapshot_0.010000.json"]
-    assert result.summary["geometry_snapshots"] == [str(files[0])]
+    assert summary["geometry_snapshots"] == [str(files[0])]
     # every request past the stop, in request order, repeats included
-    assert result.summary["geometry_snapshots_skipped_s"] == [0.03, 0.05, 0.03]
+    assert summary["geometry_snapshots_skipped_s"] == [0.03, 0.05, 0.03]
 
 
 @pytest.mark.parametrize("name,samples", [("table1_line_ok", 1000), ("table1_relaxation", 500)])
@@ -828,13 +828,13 @@ def test_snapshot_times_without_geometry_dir_add_no_rows(name, samples, scenario
     doc = json.loads((scenario_dir / f"{name}.json").read_text())
     doc["outputs"].pop("geometry_dir", None)
     doc["outputs"]["snapshot_times_s"] = [0.0, 1.234e-4, 2.5e-4]  # two off the grid
-    result = run_scenario(scenario_from_dict(doc), tmp_path)
-    assert result.exit_code == EXIT_COMPLETED
+    summary = run_scenario(scenario_from_dict(doc), tmp_path)
+    assert summary["exit_code"] == EXIT_COMPLETED
     rows = (tmp_path / doc["outputs"]["csv"]).read_text().splitlines()[1:]
     assert len(rows) == samples
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [doc["outputs"]["csv"], doc["outputs"]["summary"]])
-    assert not [key for key in result.summary if key.startswith("geometry")]
+    assert not [key for key in summary if key.startswith("geometry")]
 
 
 # ----------------------------------------------------------------------- CLI
@@ -940,11 +940,15 @@ def test_cli_simulate_and_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("command, name, key, value, message", [
-    # the Kalman product overflows
+    # the Kalman product overflows, or a vanishing segment length leaves it
+    # no finite entry; the drag matrix at the rest shape is not yet singular
     ("check-controllability", "table1_controllability", "kappa_N_um", 1e100,
+     "the Kalman matrix at the rest state is not finite"),
+    ("check-controllability", "table1_controllability", "ell_um", 1e-30,
      "the Kalman matrix at the rest state is not finite"),
     # the drag matrix turns singular at a shape the scan or an LSODA run reaches
     ("scan-determinant", "table1_determinant_scan", "xi_N_s_m2", 1e60, "drag matrix singular"),
+    ("scan-determinant", "table1_determinant_scan", "eta_N_s_m2", 1e-30, "drag matrix singular"),
     ("simulate", "table1_relaxation", "xi_N_s_m2", 1e60, "drag matrix singular"),
 ])
 def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
