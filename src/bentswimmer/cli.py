@@ -11,6 +11,7 @@ Exit codes: 0 completed, 2 singular_abort, 3 integrator_failure, 4 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from .scenario import (
 )
 
 
+@functools.cache  # built on first use, then shared: parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bentswimmer",

@@ -112,7 +112,8 @@ def bent_submatrix_determinant(alpha0: float, params: SwimmerParams) -> float:
     for every bent one, carrying the sign of -alpha0 for acute rest angles.
     Stated for the opposite elastic-torque sign convention, so it equals the
     NEGATIVE of the determinant computed from `linearize`/`kalman_matrix`;
-    compare magnitudes (the ratio is exactly -1).
+    compare magnitudes (the ratio is exactly -1). Raises ValueError when the
+    denominator is 0 in floating point.
     """
     xi, eta = params.xi, params.eta
     ell, m3, kappa = params.ell, params.m3, params.kappa
@@ -135,6 +136,8 @@ def bent_submatrix_determinant(alpha0: float, params: SwimmerParams) -> float:
         - (eta * eta - 11.0 * eta * xi + 28.0 * xi * xi) * c2
     )
     denominator = ell**7 * eta * eta * denom_core * denom_core
+    if denominator == 0.0:  # say, denom_core's terms cancel when eta/xi is extreme
+        raise ValueError("the closed-form position determinant has a zero denominator")
     return numerator / denominator
 
 

@@ -32,6 +32,10 @@ or Jacobian probe): the state left the rhs's domain only because the step
 was too long, so the step is rejected and halved instead.
 
 All arithmetic is deterministic: identical inputs give bit-identical output.
+The NDF step is one straight-line loop whose float operations, in order, are
+those of the reference step loop and its helpers in tests/oracles.py, bit for
+bit. Its remaining sums are builtin sum() calls, which add left to right from
+0.0 on CPython 3.11; 3.12's compensated float sum may change their bits.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -218,11 +222,6 @@ class _Run:
         self.f.append(list(f))
 
 
-def _rms(v, scale) -> float:
-    """Root mean square of v / scale."""
-    return math.hypot(*[a / b for a, b in zip(v, scale)]) / math.sqrt(len(v))
-
-
 def _r_matrix(order: int, factor: float) -> list[list[float]]:
     """R[i][j] = prod_{k=1..i} (k - 1 - factor j) / k, i, j = 0..order: the
     change of the backward differences for a step multiplied by factor."""
@@ -240,11 +239,13 @@ _U_COLS = tuple(tuple(zip(*_r_matrix(k, 1.0))) for k in range(_MAX_ORDER + 1))
 def _rescale(D: list[list[float]], order: int, factor: float) -> None:
     """Rewrite the differences D[0..order] in place for a step multiplied by
     factor: D[j] <- sum_i (R U)[i][j] D[i]. Column 0 of R U is the unit
-    vector, so D[0] stays."""
+    vector, so D[0] stays. U is upper triangular: column j stops at row j,
+    since its exact zeros below leave every partial sum as it is."""
     r = _r_matrix(order, factor)
-    ru_cols = [[sum(map(mul, row, col)) for row in r] for col in _U_COLS[order][1:]]
     cols = list(zip(*D[:order + 1]))
-    for j, ru in enumerate(ru_cols, 1):
+    for j, u in enumerate(_U_COLS[order][1:], 1):
+        u = u[:j + 1]
+        ru = [sum(map(mul, row, u)) for row in r]
         D[j] = [sum(map(mul, ru, col)) for col in cols]
 
 
@@ -269,11 +270,13 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
 
     A predictor, Newton iterate or Jacobian probe is a trial state:
     OutsideDomain there rejects the step and halves h, like a Newton
-    failure.
+    failure. Newton runs inline, and the norms are hypot(*v / scale) / sqrt(n).
     """
     rhs = run.slope
     t, z0, f = run.t[0], run.z[0], run.f[0]
     n = len(z0)
+    sqrt_n = math.sqrt(n)  # an RMS norm is hypot(*v) / sqrt_n
+    hypot, isfinite, inf = math.hypot, math.isfinite, math.inf
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
 
     def jacobian(t, y, f):
@@ -287,38 +290,9 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
             cols.append([(a - b) / step for a, b in zip(fj, f)])
         return [list(row) for row in zip(*cols)]
 
-    def newton(t, y_pred, f, c, psi, lu, scale):
-        """Simplified Newton iteration for d = y - y_pred solving
-        d = c f(t, y) - psi, from y = y_pred, whose slope is f. Returns
-        (converged, iterations, y, d)."""
-        a, perm = lu
-        y = y_pred
-        d = [0.0] * n
-        dy_norm_old = None
-        for k in range(_NEWTON_MAXITER):
-            if k:
-                f = rhs(t, y)
-            if not all(map(math.isfinite, f)):
-                break
-            dy = lu_solve(a, perm, [c * fq - pq - dq for fq, pq, dq in zip(f, psi, d)])
-            dy_norm = _rms(dy, scale)
-            if not dy_norm < math.inf:
-                break
-            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-            if rate is not None and (
-                rate >= 1.0
-                or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > newton_tol
-            ):
-                break
-            d = [p + q for p, q in zip(d, dy)]
-            y = [p + q for p, q in zip(y_pred, d)]
-            if dy_norm == 0.0 or (rate is not None and rate / (1.0 - rate) * dy_norm < newton_tol):
-                return True, k + 1, y, d
-            dy_norm_old = dy_norm
-        return False, k + 1, y, d
-
     h = min(H_INIT, t1 - t)
     D = [list(z0), [h * v for v in f]] + [[0.0] * n for _ in range(_MAX_ORDER + 1)]
+    zero = [0.0] * n
     order = 1
     n_equal = 0  # steps taken at this h and order
     J = lu = None
@@ -335,7 +309,7 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
                 h = t1 - t
                 n_equal = 0
                 lu = None
-        y_pred = [sum(col) for col in zip(*D[:order + 1])]
+        y_pred = list(map(sum, zip(*D[:order + 1])))
         scale = [atol + rtol * abs(v) for v in y_pred]
         alpha = _ALPHA[order]
         gamma = _GAMMA[1:order + 1]
@@ -350,7 +324,30 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
             while True:
                 if lu is None:
                     lu = _newton_matrix(J, c)
-                converged, n_iter, y_new, d = newton(t_new, y_pred, f_pred, c, psi, lu, scale)
+                a, perm = lu
+                # simplified Newton for d = y - y_pred solving
+                # d = c f(t_new, y) - psi, from y = y_pred
+                f, y, d = f_pred, y_pred, zero
+                for k in range(_NEWTON_MAXITER):
+                    if k:
+                        f = rhs(t_new, y)
+                    if not all(map(isfinite, f)):
+                        break
+                    dy = lu_solve(a, perm, [c * fq - pq - dq for fq, pq, dq in zip(f, psi, d)])
+                    dy_norm = hypot(*map(truediv, dy, scale)) / sqrt_n
+                    if not dy_norm < inf:
+                        break
+                    if k:
+                        rate = dy_norm / dy_norm_old
+                        if (rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm
+                                > newton_tol):
+                            break
+                    d = list(map(add, d, dy))
+                    y = list(map(add, y_pred, d))
+                    if dy_norm == 0.0 or k and rate / (1.0 - rate) * dy_norm < newton_tol:
+                        converged = True
+                        break
+                    dy_norm_old = dy_norm
                 if converged or fresh:
                     break
                 J = jacobian(t_new, y_pred, f_pred)
@@ -359,11 +356,12 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
         except (OutsideDomain, SingularMatrixError):
             pass  # a trial state outside the domain, or a singular I - c J
         if converged:
-            if not all(map(math.isfinite, y_new)):
+            if not all(map(isfinite, y)):
                 return STATUS_STEP_COLLAPSE
+            n_iter = k + 1  # Newton iterations
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-            scale = [atol + rtol * abs(v) for v in y_new]
-            err = _rms([_ERROR_CONST[order] * v for v in d], scale)
+            ec = _ERROR_CONST[order]
+            err = hypot(*[ec * p / (atol + rtol * abs(q)) for p, q in zip(d, y)]) / sqrt_n
         # a rejection, or a new order and step, sets the factor of one resize
         if not converged:
             run.n_rejected += 1
@@ -373,25 +371,29 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
             run.n_rejected += 1
             factor = max(_MIN_FACTOR, safety * err ** (-1.0 / (order + 1)))
         else:
-            run.keep(t_new, y_new)
+            run.keep(t_new, y)
             t = t_new
             fresh = False
             n_equal += 1
             # d is the (order + 1)-th difference at the new node
-            D[order + 2] = [p - q for p, q in zip(d, D[order + 1])]
+            D[order + 2] = list(map(sub, d, D[order + 1]))
             D[order + 1] = d
             for i in range(order, -1, -1):
-                D[i] = [p + q for p, q in zip(D[i], D[i + 1])]
+                D[i] = list(map(add, D[i], D[i + 1]))
             if n_equal < order + 1:
                 continue
             # after order + 1 equal steps: pick the order, and the step, that
             # promise the largest step at the same error
-            err_m = (_rms([_ERROR_CONST[order - 1] * v for v in D[order]], scale)
-                     if order > 1 else math.inf)
-            err_p = (_rms([_ERROR_CONST[order + 1] * v for v in D[order + 2]], scale)
-                     if order < _MAX_ORDER else math.inf)
-            growth = [math.inf if e == 0.0 else e ** (-1.0 / k)
-                      for e, k in ((err_m, order), (err, order + 1), (err_p, order + 2))]
+            scale = [atol + rtol * abs(v) for v in y]
+            err_m = err_p = inf
+            if order > 1:
+                ec = _ERROR_CONST[order - 1]
+                err_m = hypot(*[ec * p / q for p, q in zip(D[order], scale)]) / sqrt_n
+            if order < _MAX_ORDER:
+                ec = _ERROR_CONST[order + 1]
+                err_p = hypot(*[ec * p / q for p, q in zip(D[order + 2], scale)]) / sqrt_n
+            growth = [inf if e == 0.0 else e ** (-1.0 / m)
+                      for e, m in ((err_m, order), (err, order + 1), (err_p, order + 2))]
             best = max(growth)
             order += growth.index(best) - 1
             factor = min(_MAX_FACTOR, safety * best)

@@ -61,6 +61,13 @@ def lu_det(a: list[list[float]], parity: float) -> float:
 def lu_solve(a: list[list[float]], perm: list[int], b: list[float]) -> list[float]:
     """Solve A x = b given lu_factor output. b is indexed pre-permutation."""
     n = len(a)
+    if n == 3:  # the closed loop's Newton system, in the loops' operation order
+        (a0, a1, a2), (p0, p1, p2) = a, perm
+        x0 = b[p0]
+        x1 = b[p1] - a1[0] * x0
+        x2 = (b[p2] - a2[0] * x0 - a2[1] * x1) / a2[2]
+        x1 = (x1 - a1[2] * x2) / a1[1]
+        return [(x0 - a0[1] * x1 - a0[2] * x2) / a0[0], x1, x2]
     x = [b[perm[r]] for r in range(n)]
     for r in range(1, n):
         ar = a[r]

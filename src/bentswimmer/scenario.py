@@ -332,6 +332,7 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
             kalman = kalman_matrix(_at("initial", linearize, initial, params))
         _require(np.isfinite(kalman).all(), "params",
                  "the Kalman matrix at the rest state is not finite")
+        _at("params", bent_submatrix_determinant, params.alpha0, params)
     if mode in ("closed_loop", "open_loop"):
         horizon = own[key].horizon
         for i, t in enumerate(outputs.snapshot_times_s):

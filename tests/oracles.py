@@ -214,14 +214,104 @@ def feedback_residual(f0, f1, f2, theta, fprime, gprime, h_par, h_perp) -> float
     ) / scale
 
 
+# The NDF step's helpers as first written, frozen: the production step
+# inlines or restructures them, and must keep their float operations, in the
+# same order, bit for bit.
+
+def ndf_rms(v, scale) -> float:
+    """Root mean square of v / scale."""
+    return math.hypot(*[a / b for a, b in zip(v, scale)]) / math.sqrt(len(v))
+
+
+def ndf_r_matrix(order: int, factor: float) -> list[list[float]]:
+    """R[i][j] = prod_{k=1..i} (k - 1 - factor j) / k, i, j = 0..order."""
+    rows = [[1.0] * (order + 1)]
+    for i in range(1, order + 1):
+        prev = rows[-1]
+        rows.append([prev[j] * (i - 1 - factor * j) / i for j in range(order + 1)])
+    return rows
+
+
+def ndf_rescale(D: list[list[float]], order: int, factor: float) -> None:
+    """D[j] <- sum_i (R U)[i][j] D[i] in place, j = 1..order, U = R(1), each
+    sum over every term, the zeros of U included."""
+    r = ndf_r_matrix(order, factor)
+    u_cols = list(zip(*ndf_r_matrix(order, 1.0)))
+    ru_cols = [[sum(map(mul, row, col)) for row in r] for col in u_cols[1:]]
+    cols = list(zip(*D[:order + 1]))
+    for j, ru in enumerate(ru_cols, 1):
+        D[j] = [sum(map(mul, ru, col)) for col in cols]
+
+
+def lu_factor_reference(a: list[list[float]]) -> tuple[list[int], float]:
+    """LU with partial pivoting in place: L below the diagonal (unit
+    diagonal), U on and above it. Returns (row_permutation, parity)."""
+    from bentswimmer.linalg import SingularMatrixError
+
+    n = len(a)
+    perm = list(range(n))
+    parity = 1.0
+    for k in range(n):
+        p = k
+        big = abs(a[k][k])
+        for r in range(k + 1, n):
+            t = abs(a[r][k])
+            if t > big:
+                big, p = t, r
+        if big == 0.0:
+            raise SingularMatrixError(f"zero pivot in column {k}")
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            parity = -parity
+        inv = 1.0 / a[k][k]
+        ak = a[k]
+        for r in range(k + 1, n):
+            ar = a[r]
+            lam = ar[k] * inv
+            ar[k] = lam
+            if lam != 0.0:
+                for c in range(k + 1, n):
+                    ar[c] -= lam * ak[c]
+    return perm, parity
+
+
+def lu_solve_reference(a: list[list[float]], perm: list[int], b: list[float]) -> list[float]:
+    """A x = b from lu_factor_reference's output, by generic loops."""
+    n = len(a)
+    x = [b[perm[r]] for r in range(n)]
+    for r in range(1, n):
+        ar = a[r]
+        s = x[r]
+        for c in range(r):
+            s -= ar[c] * x[c]
+        x[r] = s
+    for r in range(n - 1, -1, -1):
+        ar = a[r]
+        s = x[r]
+        for c in range(r + 1, n):
+            s -= ar[c] * x[c]
+        x[r] = s / ar[r]
+    return x
+
+
+def ndf_newton_matrix(J, c):
+    """lu_factor_reference of I - c J."""
+    a = [[(1.0 if i == j else 0.0) - c * v for j, v in enumerate(row)]
+         for i, row in enumerate(J)]
+    perm, _ = lu_factor_reference(a)
+    return a, perm
+
+
 def ndf_reference(run, t1, atol, rtol) -> str:
     """integrators._integrate_ndf written with one resize block per case: a
     Newton failure halves h and drops the LU, a failed error test shrinks h
     and keeps it, and the order/step choice after order + 1 equal steps
-    rescales and drops it, each with its own H_MIN test. The helpers,
-    constants and step control are the module's own, looked up at call time,
-    so only the step loop is independent; its float operations must be the
-    production loop's, in the same order."""
+    rescales and drops it, each with its own H_MIN test. The helpers are the
+    frozen copies above, with a newton function and the generic LU solve;
+    the constants, step control and exception classes are the module's own,
+    looked up at call time. The float operations must be the production
+    step's, in the same order."""
     from bentswimmer import integrators as ig
 
     rhs = run.slope
@@ -249,8 +339,8 @@ def ndf_reference(run, t1, atol, rtol) -> str:
                 f = rhs(t, y)
             if not all(map(math.isfinite, f)):
                 break
-            dy = ig.lu_solve(a, perm, [c * fq - pq - dq for fq, pq, dq in zip(f, psi, d)])
-            dy_norm = ig._rms(dy, scale)
+            dy = lu_solve_reference(a, perm, [c * fq - pq - dq for fq, pq, dq in zip(f, psi, d)])
+            dy_norm = ndf_rms(dy, scale)
             if not dy_norm < math.inf:
                 break
             rate = None if dy_norm_old is None else dy_norm / dy_norm_old
@@ -280,7 +370,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
         if t1 - t_new <= t_snap:
             t_new = t1
             if t1 - t != h:
-                ig._rescale(D, order, (t1 - t) / h)
+                ndf_rescale(D, order, (t1 - t) / h)
                 h = t1 - t
                 n_equal = 0
                 lu = None
@@ -298,7 +388,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
                 fresh = True
             while True:
                 if lu is None:
-                    lu = ig._newton_matrix(J, c)
+                    lu = ndf_newton_matrix(J, c)
                 converged, n_iter, y_new, d = newton(t_new, y_pred, f_pred, c, psi, lu, scale)
                 if converged or fresh:
                     break
@@ -310,7 +400,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
         if not converged:
             run.n_rejected += 1
             h *= 0.5
-            ig._rescale(D, order, 0.5)
+            ndf_rescale(D, order, 0.5)
             n_equal = 0
             lu = None
             if h < ig.H_MIN:
@@ -320,12 +410,12 @@ def ndf_reference(run, t1, atol, rtol) -> str:
             return ig.STATUS_STEP_COLLAPSE
         safety = 0.9 * (2 * ig._NEWTON_MAXITER + 1) / (2 * ig._NEWTON_MAXITER + n_iter)
         scale = [atol + rtol * abs(v) for v in y_new]
-        err = ig._rms([ig._ERROR_CONST[order] * v for v in d], scale)
+        err = ndf_rms([ig._ERROR_CONST[order] * v for v in d], scale)
         if err > 1.0:
             run.n_rejected += 1
             factor = max(ig._MIN_FACTOR, safety * err ** (-1.0 / (order + 1)))
             h *= factor
-            ig._rescale(D, order, factor)
+            ndf_rescale(D, order, factor)
             n_equal = 0
             if h < ig.H_MIN:
                 return ig.STATUS_STEP_COLLAPSE
@@ -340,9 +430,9 @@ def ndf_reference(run, t1, atol, rtol) -> str:
             D[i] = [p + q for p, q in zip(D[i], D[i + 1])]
         if n_equal < order + 1:
             continue
-        err_m = (ig._rms([ig._ERROR_CONST[order - 1] * v for v in D[order]], scale)
+        err_m = (ndf_rms([ig._ERROR_CONST[order - 1] * v for v in D[order]], scale)
                  if order > 1 else math.inf)
-        err_p = (ig._rms([ig._ERROR_CONST[order + 1] * v for v in D[order + 2]], scale)
+        err_p = (ndf_rms([ig._ERROR_CONST[order + 1] * v for v in D[order + 2]], scale)
                  if order < ig._MAX_ORDER else math.inf)
         growth = [math.inf if e == 0.0 else e ** (-1.0 / k)
                   for e, k in ((err_m, order), (err, order + 1), (err_p, order + 2))]
@@ -350,7 +440,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
         order += growth.index(best) - 1
         factor = min(ig._MAX_FACTOR, safety * best)
         h *= factor
-        ig._rescale(D, order, factor)
+        ndf_rescale(D, order, factor)
         n_equal = 0
         lu = None
         if h < ig.H_MIN and t1 - t > t_snap:

@@ -26,7 +26,8 @@ from bentswimmer.integrators import (
 )
 from bentswimmer import integrators
 
-from oracles import hermite_sample, ndf_reference
+from oracles import (hermite_sample, lu_factor_reference, lu_solve_reference,
+                     ndf_reference, ndf_rescale)
 
 
 def opts(method, **kw):
@@ -327,6 +328,60 @@ def test_newton_solves_go_through_the_module_globals(monkeypatch):
                     opts(METHOD_RK45))
     assert res.status == STATUS_COMPLETED
     assert 0 < calls["lu_factor"] < calls["lu_solve"] < res.n_evals
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, and every last bit
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lu_solve_matches_the_generic_loops_bit_for_bit(n):
+    # lu_solve, whatever path it takes at this size, keeps the generic
+    # loops' operation order (oracles.lu_solve_reference): the same bits,
+    # signed zeros included, on matrices that need row swaps
+    rng = np.random.default_rng(n)
+    negative_zeros = 0
+    for trial in range(40):
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+        a[np.diag_indices(n)] *= 1e-3  # small pivots: rows are swapped
+        if trial % 4 == 0:
+            a = np.where(rng.random((n, n)) < 0.3, rng.choice([0.0, -0.0], (n, n)), a)
+            a[np.diag_indices(n)] = rng.integers(1, 4, n)
+        a = a.tolist()
+        got_a, want_a = [row[:] for row in a], [row[:] for row in a]
+        try:
+            factored = integrators.lu_factor(got_a)
+        except integrators.SingularMatrixError:
+            with pytest.raises(integrators.SingularMatrixError):
+                lu_factor_reference(want_a)
+            continue
+        assert factored == lu_factor_reference(want_a)
+        assert [_bits(r) for r in got_a] == [_bits(r) for r in want_a]
+        perm = factored[0]
+        for b in (rng.standard_normal(n).tolist(), [0.0] * n, [-0.0] * n,
+                  rng.choice([0.0, -0.0, 1.0, -2.0], n).tolist()):
+            got = integrators.lu_solve(got_a, perm, b)
+            assert _bits(got) == _bits(lu_solve_reference(want_a, perm, b))
+            negative_zeros += sum(math.copysign(1.0, v) < 0.0 for v in got if v == 0.0)
+    assert negative_zeros > 0
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_rescale_matches_the_full_sums_bit_for_bit(order):
+    # _rescale skips the exact zeros of U = R(1) and keeps every other
+    # operation of the full sums (oracles.ndf_rescale), to the last bit
+    rng = np.random.default_rng(order)
+    t1, t, h = 0.004, 0.004 - 2.6e-7, 1.1e-7  # the ratio that ends a span
+    for factor in (0.2, 0.5, 10.0, float(rng.uniform(0.2, 10.0)), (t1 - t) / h):
+        for n in (1, 3, 5):
+            D = (rng.standard_normal((8, n)) * 10.0 ** rng.integers(-12, 3, (8, n))).tolist()
+            D[1][0] = -0.0
+            got, want = [row[:] for row in D], [row[:] for row in D]
+            integrators._rescale(got, order, factor)
+            ndf_rescale(want, order, factor)
+            assert [_bits(r) for r in got] == [_bits(r) for r in want]
+            assert got[order + 1:] == D[order + 1:] and got[0] == D[0]
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -950,6 +951,12 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     ("scan-determinant", "table1_determinant_scan", "xi_N_s_m2", 1e60, "drag matrix singular"),
     ("scan-determinant", "table1_determinant_scan", "eta_N_s_m2", 1e-30, "drag matrix singular"),
     ("simulate", "table1_relaxation", "xi_N_s_m2", 1e60, "drag matrix singular"),
+    # at the straight rest shape the closed-form determinant's denominator
+    # cancels to 0 once one drag coefficient swamps the other
+    *(("check-controllability", "straight_controllability", key, value,
+       "the closed-form position determinant has a zero denominator")
+      for key, value in (("eta_N_s_m2", 1e30), ("eta_N_s_m2", 1e-30),
+                         ("xi_N_s_m2", 1e30), ("xi_N_s_m2", 1e-30))),
 ])
 def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
                                                     command, name, key, value, message):
@@ -964,6 +971,48 @@ def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_d
     assert captured.err.startswith(f"error: params: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
+
+
+def test_cli_repeated_calls_in_one_process_match_fresh_ones(tmp_path, scenario_dir, capsys):
+    # cli builds its parser once per process: each subcommand, an argparse
+    # error (exit 2) and --help, called again and again, give the exit code,
+    # output and files of a call with a parser built afresh
+    from bentswimmer import cli
+
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(short_line_doc()))
+    out = str(tmp_path / "out")
+    calls = [
+        ["simulate", str(line), "--output-dir", out],
+        ["simulate"],
+        ["validate", str(scenario_dir / "table1_circle.json")],
+        ["scan-determinant", str(scenario_dir / "table1_determinant_scan.json"),
+         "--output-dir", out],
+        ["no-such-command", str(line)],
+        ["check-controllability", str(scenario_dir / "table1_controllability.json"),
+         "--output-dir", out],
+        ["--help"],
+        ["simulate", str(scenario_dir / "table1_controllability.json"), "--output-dir", out],
+    ]
+
+    def call(argv):
+        shutil.rmtree(out, ignore_errors=True)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exits
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in Path(out).glob("*.csv")}
+        return code, captured.out, captured.err, files
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert [r[0] for r in fresh] == [0, 2, 0, 0, 2, 0, 0, EXIT_CONFIG_ERROR]
+    for _ in range(2):
+        assert [call(argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 def test_cli_mode_mismatch(tmp_path):
