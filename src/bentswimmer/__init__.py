@@ -40,7 +40,6 @@ from .scenario import (
 from .tracking import (
     DeterminantScan,
     TrackingSingularity,
-    TrackingStatus,
     Trajectory,
     circle_trajectory,
     line_trajectory,

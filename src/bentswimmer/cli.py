@@ -102,6 +102,8 @@ def main(argv=None) -> int:
         return _config_error(f"cannot write {exc.filename or args.output_dir}: {exc.strerror}")
     except SingularMatrixError as exc:  # the drag matrix, at a shape the run reached
         return _config_error(f"params: {exc}")
+    except ScenarioError as exc:  # a scan the parameters overflow, found before it is written
+        return _config_error(str(exc))
 
     if args.command == "check-controllability":
         _print_matrix("A", summary["a_matrix"])

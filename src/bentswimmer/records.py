@@ -28,7 +28,7 @@ class SimRecord:
 
     h_x, h_y are the lab-frame image of the body-frame field (filled by
     emit_lab_frame_controls). How the run ended, and its counts, are in the
-    TrackingStatus returned beside the record.
+    report returned beside the record (tracking.record_run).
     """
 
     data: np.ndarray  # shape (n, 11), columns per CSV_COLUMNS

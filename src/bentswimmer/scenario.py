@@ -50,7 +50,6 @@ from .tracking import (
     OUTCOME_SINGULAR,
     ShapeRangeSignal,
     Trajectory,
-    TrackingStatus,
     circle_trajectory,
     line_trajectory,
     record_run,
@@ -138,9 +137,10 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario. Of trajectory, field_program, grid_n and p_rows,
-    only the mode's own key (_MODE_KEYS) is read; the others keep their
-    defaults."""
+    """A validated scenario. Of trajectory, field_program, grid_n and
+    controllability, only the mode's own is read; the others keep their
+    defaults. controllability is the summary block that mode reports, built
+    at load from its own key, p_rows (_MODE_KEYS)."""
 
     name: str
     mode: str
@@ -151,7 +151,7 @@ class Scenario:
     trajectory: Trajectory | None = None
     field_program: FieldProgram | None = None
     grid_n: int = 101
-    p_rows: int = 2
+    controllability: dict | None = None
     raw: dict = field(repr=False, default_factory=dict)
 
     def canonical_json(self) -> str:
@@ -305,6 +305,41 @@ _TOP_KEYS = {"name", "mode", "params", "initial", "integrator", "outputs",
              *(key for key, _, _ in _MODE_KEYS.values())}
 
 
+def _controllability(initial: SwimmerState, params: SwimmerParams, p_rows: int = 2) -> dict:
+    """The controllability summary block: the linearization at the rest state
+    initial (linearize's rule, reported at initial), its Kalman matrix and the
+    rank test on its first p_rows rows, and the position determinant in closed
+    form and from the linearization. Raises ValueError when the Kalman matrix
+    or either determinant is not finite: an overflow shows as such an entry."""
+    with np.errstate(all="ignore"):
+        lin = _at("initial", linearize, initial, params)
+        kal = kalman_matrix(lin)
+        if not np.isfinite(kal).all():
+            raise ValueError("the Kalman matrix at the rest state is not finite")
+        verdict = partial_controllability(kal, p_rows)
+        closed = bent_submatrix_determinant(params.alpha0, params)
+        numeric = numeric_bent_submatrix_determinant(params.alpha0, params)
+    if not (math.isfinite(closed) and math.isfinite(numeric)):
+        raise ValueError(f"the position determinant is not finite: closed form {closed}, "
+                         f"numeric {numeric}")
+    return {
+        "a_matrix": lin.a.tolist(),
+        "b_matrix": lin.b.tolist(),
+        "kalman_matrix": kal.tolist(),
+        "p_rows": verdict.p,
+        "rank": verdict.rank,
+        "partially_controllable": verdict.controllable,
+        "kalman_first_row_zero": bool(np.all(kal[0] == 0.0)),
+        "submatrix_determinant": {
+            "closed_form": closed,
+            "numeric": numeric,
+            "ratio_numeric_over_closed": (numeric / closed) if closed != 0.0 else None,
+            "note": "the closed form is stated for the opposite elastic-torque "
+                    "sign convention; the expected ratio is -1",
+        },
+    }
+
+
 def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     _require(isinstance(doc, dict), "<root>", "scenario must be a JSON object")
     _check_keys(doc, _TOP_KEYS, {"mode", "params", "initial"}, "<root>")
@@ -327,12 +362,8 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     own = {key: _at(key, parse, doc[key], key)} if key in doc else {}
     if mode == "closed_loop":
         _at("initial", own[key].check_start, initial)
-    elif mode == "controllability":  # linearize holds the rest-state rule
-        with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
-            kalman = kalman_matrix(_at("initial", linearize, initial, params))
-        _require(np.isfinite(kalman).all(), "params",
-                 "the Kalman matrix at the rest state is not finite")
-        _at("params", bent_submatrix_determinant, params.alpha0, params)
+    elif mode == "controllability":
+        own = {"controllability": _at("params", _controllability, initial, params, **own)}
     if mode in ("closed_loop", "open_loop"):
         horizon = own[key].horizon
         for i, t in enumerate(outputs.snapshot_times_s):
@@ -372,7 +403,7 @@ def simulate_open_loop(
     opts: IntegratorOptions = IntegratorOptions(),
     samples: int = 1000,
     snapshot_times=(),
-) -> tuple[SimRecord, TrackingStatus]:
+) -> tuple[SimRecord, dict]:
     """Integrate the free dynamics under the body-frame field program.
 
     Integration restarts at the program's piece boundaries so the adaptive
@@ -469,7 +500,7 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         simulate, drive = ((simulate_closed_loop, scenario.trajectory)
                            if scenario.mode == "closed_loop"
                            else (simulate_open_loop, scenario.field_program))
-        record, status = simulate(
+        record, report = simulate(
             scenario.initial,
             drive,
             scenario.params,
@@ -478,24 +509,13 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
             snapshot_times=tuple(snapshots),
         )
         write_csv(record, csv_path)
-        summary.update(
-            {
-                "termination": status.outcome,
-                "detail": status.detail,
-                "t_stop_s": status.t_stop,
-                "min_abs_d": status.min_abs_d,
-                "min_abs_d_state_set": "accepted_nodes",
-                "max_field_norm_uT": status.max_field_norm,
-                "max_feedback_residual": status.max_feedback_residual,
-                "final_state": {k: float(v) for k, v in zip(CSV_COLUMNS[:6], record.data[-1])},
-                "csv": str(csv_path),
-                "integrator": status.integrator,
-            }
-        )
+        summary.update(report)
+        summary["final_state"] = {k: float(v) for k, v in zip(CSV_COLUMNS[:6], record.data[-1])}
+        summary["csv"] = str(csv_path)
         if scenario.mode == "closed_loop":
             summary["tracking_error_um"] = _tracking_error(record, scenario.trajectory)
         if gdir:
-            reached = {t: path for t, path in snapshots.items() if t <= status.t_stop}
+            reached = {t: path for t, path in snapshots.items() if t <= report["t_stop_s"]}
             for t, path in reached.items():
                 row = record.data[np.searchsorted(record.column("t"), t)]
                 pts = joint_points(SwimmerState(*row[1:6]), scenario.params)
@@ -503,38 +523,11 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
                 path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
             summary["geometry_snapshots"] = [str(path) for path in reached.values()]
             summary["geometry_snapshots_skipped_s"] = [
-                t for t in outputs.snapshot_times_s if t > status.t_stop]
-        exit_code = _EXIT_CODES[status.outcome]
+                t for t in outputs.snapshot_times_s if t > report["t_stop_s"]]
+        exit_code = _EXIT_CODES[report["termination"]]
 
     elif scenario.mode == "controllability":
-        lin = linearize(scenario.initial, scenario.params)
-        kal = kalman_matrix(lin)
-        verdict = partial_controllability(kal, scenario.p_rows)
-        alpha0 = scenario.params.alpha0
-        closed = bent_submatrix_determinant(alpha0, scenario.params)
-        numeric = numeric_bent_submatrix_determinant(alpha0, scenario.params)
-        summary.update(
-            {
-                "a_matrix": lin.a.tolist(),
-                "b_matrix": lin.b.tolist(),
-                "kalman_matrix": kal.tolist(),
-                "p_rows": verdict.p,
-                "rank": verdict.rank,
-                "partially_controllable": verdict.controllable,
-                "kalman_first_row_zero": bool(np.all(kal[0] == 0.0)),
-                "submatrix_determinant": {
-                    "closed_form": closed,
-                    "numeric": numeric,
-                    "ratio_numeric_over_closed": (numeric / closed)
-                    if closed != 0.0
-                    else None,
-                    "note": (
-                        "the closed form is stated for the opposite elastic-torque "
-                        "sign convention; the expected ratio is -1"
-                    ),
-                },
-            }
-        )
+        summary.update(scenario.controllability)
         exit_code = EXIT_COMPLETED
 
     else:  # determinant_scan
@@ -543,6 +536,11 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         cells = np.column_stack(
             (np.repeat(scan.grid, n), np.tile(scan.grid, n), scan.values.ravel())
         )
+        # a kernel overflow leaves a NaN or infinite D: the first such shape,
+        # the grid's in row-major order, then the origin's
+        first = [*cells[~np.isfinite(cells[:, 2])].tolist(), [0.0, 0.0, scan.d_origin]][0]
+        _require(math.isfinite(first[2]), "params",
+                 f"the tracking determinant is not finite at shape ({first[0]}, {first[1]})")
         write_rows(csv_path, "alpha1,alpha2,d_value", cells)
         summary.update(
             {

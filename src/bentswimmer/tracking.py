@@ -251,30 +251,6 @@ def _piecewise_cubic(knots: np.ndarray, coefs: tuple) -> Callable:
 
 
 @dataclass(frozen=True)
-class TrackingStatus:
-    """How an open- or closed-loop run ended, and its extrema and counts.
-
-    outcome is one of OUTCOME_COMPLETED / OUTCOME_SINGULAR / OUTCOME_FAILURE.
-    min_abs_d is the smallest |D| over the accepted nodes, in both modes, and
-    over the |D| of a TrackingSingularity that ended the run; trial states
-    (predictors, Newton iterates and Jacobian probes) never count.
-    max_feedback_residual is the worst scaled 2x2 residual over the accepted
-    nodes (0 in open loop).
-    max_field_norm is taken over the emitted samples. integrator holds the
-    scenario's method, the solver it selects (integrators.SOLVERS) and the
-    integrator's n_steps, n_rejected and n_evals, as summary.json reports.
-    """
-
-    outcome: str
-    t_stop: float
-    min_abs_d: float
-    max_field_norm: float
-    integrator: dict
-    max_feedback_residual: float = 0.0
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class DeterminantScan:
     """D over a uniform grid on the open square (-pi, pi)^2.
 
@@ -304,8 +280,10 @@ def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
         raise ValueError(f"grid_n must be at least 2, got {grid_n!r}")
     step = 2.0 * math.pi / grid_n
     pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
-    # one batch per grid row keeps the kernel's temporaries O(grid_n)
-    values = np.array([tracking_determinant(u, pts, params, np) for u in pts])
+    # one batch per grid row keeps the kernel's temporaries O(grid_n); an
+    # overflow shows as a non-finite value, which the caller judges
+    with np.errstate(all="ignore"):
+        values = np.array([tracking_determinant(u, pts, params, np) for u in pts])
     exclusion_radius = EXCLUSION_RADIUS
     # math.hypot(u, v) >= max(|u|, |v|), so only cells with both |u| and |v|
     # inside the radius need the exact test
@@ -413,11 +391,11 @@ def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
 def _node_extrema(result: IntegrationResult, fields_at) -> tuple[float, float]:
     """(min |D|, max residual) over the accepted nodes, _NODE_CHUNK at a
     time; min |D| also covers the |D| of a TrackingSingularity that ended
-    the run. A NaN residual (a singular node) is skipped."""
+    the run. A NaN D or residual (a singular node) is skipped."""
     min_abs_d, max_resid = math.inf, 0.0
     for i in range(0, result.t.size, _NODE_CHUNK):
         _, _, d, resid = fields_at(result.t[i:i + _NODE_CHUNK], result.z[i:i + _NODE_CHUNK])
-        min_abs_d = min(min_abs_d, float(np.min(np.abs(d))))
+        min_abs_d = float(np.fmin.reduce(np.abs(d), initial=min_abs_d))
         max_resid = max(max_resid, float(np.fmax.reduce(resid, initial=0.0)))
     if isinstance(result.signal, TrackingSingularity):
         min_abs_d = min(min_abs_d, abs(result.signal.d_value))
@@ -430,8 +408,8 @@ def record_run(
     method: str,
     samples: int,
     snapshot_times=(),
-) -> tuple[SimRecord, TrackingStatus]:
-    """Sample a finished run into a record and map its status to an outcome.
+) -> tuple[SimRecord, dict]:
+    """Sample a finished run into a record, and report how it ended.
 
     The run's state fills the trailing columns of (x, y, theta, alpha1,
     alpha2): all five in open loop, the last three in closed loop, whose
@@ -440,6 +418,16 @@ def record_run(
     marks a state where it is undefined. It runs once over the samples for
     the record, and over the accepted nodes for min |D| and the max
     residual.
+
+    The report is summary.json's simulation block, in its keys: termination
+    (an OUTCOME_* value) and its detail; t_stop_s; min_abs_d, the smallest
+    |D| over the accepted nodes, in both modes, and over the |D| of a
+    TrackingSingularity that ended the run (trial states, the predictors,
+    Newton iterates and Jacobian probes, never count); max_field_norm_uT,
+    over the emitted samples; max_feedback_residual, the worst scaled 2x2
+    residual over the accepted nodes (0 in open loop); and integrator, the
+    method, the solver it selects (integrators.SOLVERS) and the
+    integrator's n_steps, n_rejected and n_evals.
     """
     if result.status == STATUS_COMPLETED:
         outcome, detail = OUTCOME_COMPLETED, ""
@@ -470,22 +458,22 @@ def record_run(
         hn = math.hypot(hp, hq)
         if not math.isnan(hn) and hn > max_field:
             max_field = hn
-    status = TrackingStatus(
-        outcome=outcome,
-        t_stop=result.t_stop,
-        min_abs_d=min_abs_d,
-        max_field_norm=max_field,
-        max_feedback_residual=max_feedback_residual,
-        detail=detail,
-        integrator={
+    return record, {
+        "termination": outcome,
+        "detail": detail,
+        "t_stop_s": result.t_stop,
+        "min_abs_d": min_abs_d,
+        "min_abs_d_state_set": "accepted_nodes",
+        "max_field_norm_uT": max_field,
+        "max_feedback_residual": max_feedback_residual,
+        "integrator": {
             "method": method,
             "solver": SOLVERS[method],
             "n_steps": result.n_steps,
             "n_rejected": result.n_rejected,
             "n_evals": result.n_evals,
         },
-    )
-    return record, status
+    }
 
 
 def simulate_closed_loop(
@@ -495,7 +483,7 @@ def simulate_closed_loop(
     opts: IntegratorOptions = IntegratorOptions(),
     samples: int = 1000,
     snapshot_times=(),
-) -> tuple[SimRecord, TrackingStatus]:
+) -> tuple[SimRecord, dict]:
     """Drive the position along traj with the per-instant feedback solve.
 
     The initial position must equal (f(0), g(0)) (Trajectory.check_start),
@@ -511,12 +499,12 @@ def simulate_closed_loop(
     def fields_at(times, states):
         return _solve_controls_raw(states.T, traj.df(times, np), traj.dg(times, np), params, np)
 
-    record, status = record_run(result, fields_at, opts.method, samples, snapshot_times)
+    record, report = record_run(result, fields_at, opts.method, samples, snapshot_times)
     fx0, gy0 = traj.start()
     times = record.column("t")
     record.data[:, 1] = (initial.x - fx0) + traj.f(times, np)
     record.data[:, 2] = (initial.y - gy0) + traj.g(times, np)
-    return record, status
+    return record, report
 
 
 __all__ = [
@@ -529,7 +517,6 @@ __all__ = [
     "TrackingSingularity",
     "ShapeRangeSignal",
     "Trajectory",
-    "TrackingStatus",
     "DeterminantScan",
     "line_trajectory",
     "circle_trajectory",

@@ -69,11 +69,11 @@ def test_raw_fields_hook_counts_every_closed_loop_evaluation(monkeypatch):
     monkeypatch.setattr(tracking, "_raw_fields", counted)
     p = table1()
     traj = tracking.line_trajectory((0.0, 0.0), 0.0, 50.0, 0.001)
-    record, status = tracking.simulate_closed_loop(
+    record, report = tracking.simulate_closed_loop(
         equilibrium_state(p), traj, p, IntegratorOptions(method=METHOD_RK45), samples=5)
-    assert status.outcome == tracking.OUTCOME_COMPLETED
-    n_evals = status.integrator["n_evals"]
+    assert report["termination"] == tracking.OUTCOME_COMPLETED
+    n_evals = report["integrator"]["n_evals"]
     # batched calls: one for the fields over the output samples, one for the
     # diagnostics over the accepted nodes (fewer than one chunk of them)
-    assert status.integrator["n_steps"] < tracking._NODE_CHUNK
+    assert report["integrator"]["n_steps"] < tracking._NODE_CHUNK
     assert calls == {"float": n_evals, "array": 2} and n_evals > 6

@@ -612,7 +612,7 @@ def run(traj, method):
                                 IntegratorOptions(method=method), samples=5)
 load_scenario(sys.argv[1])
 run(line, "adaptive_explicit_rk45")
-print(run(waypoints, "adaptive_explicit_rk45")[1].outcome)
+print(run(waypoints, "adaptive_explicit_rk45")[1]["termination"])
 scan_determinant(p, 5)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 run(line, "trapezoidal_adaptive")
@@ -678,6 +678,6 @@ def test_methods_agree_on_short_tracking_run():
     traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.01)
     rec1, s1 = simulate_closed_loop(st, traj, p, opts(METHOD_RK45), samples=20)
     rec2, s2 = simulate_closed_loop(st, traj, p, opts(METHOD_TRAPEZOIDAL), samples=20)
-    assert s1.outcome == s2.outcome == "completed"
+    assert s1["termination"] == s2["termination"] == "completed"
     gap = np.abs(rec1.data[-1][1:6] - rec2.data[-1][1:6]).max()
     assert gap <= 2e-6

@@ -13,6 +13,7 @@ import pytest
 import bentswimmer
 from bentswimmer.cli import main as cli_main
 from bentswimmer import records
+from bentswimmer import scenario as scenario_module
 from bentswimmer.integrators import IntegratorOptions
 from bentswimmer.model import SwimmerState, joint_points
 from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
@@ -550,6 +551,36 @@ def test_run_short_line_writes_outputs(tmp_path):
     assert summary["integrator"]["solver"] == "ndf"
 
 
+@pytest.mark.parametrize("name", ["table1_line_ok", "table1_waypoints", "table1_relaxation"])
+def test_summary_writes_the_simulators_report_once(name, scenario_dir, tmp_path, monkeypatch):
+    # the summary's simulation keys are the simulator's report, as it was
+    # returned, plus the record's final state, the CSV path, the tracking
+    # error (closed loop) and the snapshot lists (with geometry_dir)
+    scn = load_scenario(scenario_dir / f"{name}.json")
+    simulator = "simulate_closed_loop" if scn.mode == "closed_loop" else "simulate_open_loop"
+    simulate, reports = getattr(scenario_module, simulator), []
+
+    def keep(*args, **kwargs):
+        record, report = simulate(*args, **kwargs)
+        reports.append(copy.deepcopy(report))
+        return record, report
+
+    monkeypatch.setattr(scenario_module, simulator, keep)
+    summary = run_scenario(scn, tmp_path)
+    [report] = reports
+    added = ["final_state", "csv"]
+    if scn.mode == "closed_loop":
+        added.append("tracking_error_um")
+    if scn.outputs.geometry_dir:
+        added += ["geometry_snapshots", "geometry_snapshots_skipped_s"]
+    assert list(summary) == ["scenario", "mode", "scenario_sha256", "params", "field_unit",
+                             *report, *added, "wall_time_s", "exit_code", "summary_path"]
+    assert list(report) == ["termination", "detail", "t_stop_s", "min_abs_d",
+                            "min_abs_d_state_set", "max_field_norm_uT",
+                            "max_feedback_residual", "integrator"]
+    assert {key: summary[key] for key in report} == report
+
+
 def test_csv_rows_across_blocks_match_the_per_value_format(tmp_path):
     # repr of each float, "nan" for any NaN, one line per row, over several
     # write blocks and a partial last one
@@ -666,9 +697,9 @@ def test_run_open_loop_piecewise_field(tmp_path):
     # the pieces join without a seam: the state sampled at the boundary is
     # the end state of the first piece integrated on its own
     first = FieldProgram(pieces=(scn.field_program.pieces[0],))
-    alone, alone_status = simulate_open_loop(scn.initial, first, scn.params, scn.integrator,
+    alone, alone_report = simulate_open_loop(scn.initial, first, scn.params, scn.integrator,
                                              samples=2)
-    t_b = alone_status.t_stop
+    t_b = alone_report["t_stop_s"]
     both, _ = simulate_open_loop(scn.initial, scn.field_program, scn.params, scn.integrator,
                                  samples=80, snapshot_times=(t_b,))
     at_b = both.data[both.column("t") == t_b]
@@ -698,11 +729,11 @@ def test_open_loop_shape_guard_trips():
                       kappa=8.3e5, alpha0=A0)
     st = SwimmerState(0, 0, 0, 2.8, A0)
     prog = FieldProgram(pieces=((1e-3, 0.0, 5e6),))
-    rec, status = simulate_open_loop(
+    rec, report = simulate_open_loop(
         st, prog, p, IntegratorOptions(method="trapezoidal_adaptive"), samples=20
     )
-    assert status.outcome == "integrator_failure"
-    assert status.detail.startswith("shape_out_of_range: joint angles")
+    assert report["termination"] == "integrator_failure"
+    assert report["detail"].startswith("shape_out_of_range: joint angles")
     # every emitted row is a genuinely accepted state, still inside the range
     assert (np.abs(rec.column("alpha1")) < math.pi).all()
     assert (np.abs(rec.column("alpha2")) < math.pi).all()
@@ -718,11 +749,11 @@ def test_open_loop_library_default_is_the_ndf():
         "field_program": [{"until_t_s": 1e-4, "h_par_uT": 1e3, "h_perp_uT": 2e4}],
     }, name="pulse")
     assert scn.integrator == IntegratorOptions()
-    rec, status = simulate_open_loop(scn.initial, scn.field_program, scn.params, samples=20)
-    want, want_status = simulate_open_loop(scn.initial, scn.field_program, scn.params,
+    rec, report = simulate_open_loop(scn.initial, scn.field_program, scn.params, samples=20)
+    want, want_report = simulate_open_loop(scn.initial, scn.field_program, scn.params,
                                            IntegratorOptions(), samples=20)
     np.testing.assert_array_equal(rec.data, want.data)
-    assert status == want_status and status.integrator["solver"] == "ndf"
+    assert report == want_report and report["integrator"]["solver"] == "ndf"
 
 
 def test_run_determinant_scan(tmp_path):
@@ -957,6 +988,17 @@ def test_cli_simulate_and_exit_codes(tmp_path):
        "the closed-form position determinant has a zero denominator")
       for key, value in (("eta_N_s_m2", 1e30), ("eta_N_s_m2", 1e-30),
                          ("xi_N_s_m2", 1e30), ("xi_N_s_m2", 1e-30))),
+    # the Kalman matrix is finite, but the position determinant overflows
+    *(("check-controllability", name, key, value, "the position determinant is not finite")
+      for name, key, value in (("table1_controllability", "eta_N_s_m2", 1e100),
+                               ("table1_controllability", "xi_N_s_m2", 1e100),
+                               ("table1_controllability", "m3_A_um2", 1e160),
+                               ("table1_controllability", "m3_A_um2", 1e200),
+                               ("straight_controllability", "m3_A_um2", 1e160))),
+    # the drag matrix stays invertible, but D overflows at one cell or at all
+    *(("scan-determinant", "table1_determinant_scan", key, value,
+       "the tracking determinant is not finite at shape")
+      for key, value in (("eta_N_s_m2", 1e100), ("m2_A_um2", 1e160))),
 ])
 def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
                                                     command, name, key, value, message):

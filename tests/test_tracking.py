@@ -12,6 +12,8 @@ from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state
 from bentswimmer.integrators import (
     METHOD_RK45,
     METHOD_TRAPEZOIDAL,
+    STATUS_COMPLETED,
+    IntegrationResult,
     IntegratorOptions,
     integrate,
 )
@@ -352,17 +354,17 @@ def test_constant_trajectory_stays_at_rest(params):
     # a demand at rest is a line at zero speed
     st = equilibrium_state(params, x=1.0, y=2.0)
     traj = line_trajectory((1.0, 2.0), 0.0, 0.0, 1e-3)
-    record, status = simulate_closed_loop(
+    record, report = simulate_closed_loop(
         st, traj, params,
         IntegratorOptions(method="trapezoidal_adaptive"),
         samples=50,
     )
-    assert status.outcome == OUTCOME_COMPLETED
+    assert report["termination"] == OUTCOME_COMPLETED
     np.testing.assert_allclose(record.column("x"), 1.0, atol=1e-9)
     np.testing.assert_allclose(record.column("y"), 2.0, atol=1e-9)
     np.testing.assert_allclose(record.column("h_par"), 0.0, atol=1e-9)
     np.testing.assert_allclose(record.column("h_perp"), 0.0, atol=1e-9)
-    assert status.max_field_norm <= 1e-9
+    assert report["max_field_norm_uT"] <= 1e-9
 
 
 def test_initial_position_mismatch_rejected(params):
@@ -396,9 +398,9 @@ def test_negative_zero_snapshot_time_samples_the_start():
 def test_short_line_tracks_exactly(params):
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), 0.0, 50.0, 0.02)
-    record, status = simulate_closed_loop(st, traj, params, samples=200)
-    assert status.outcome == OUTCOME_COMPLETED
-    assert status.max_feedback_residual <= 1e-10
+    record, report = simulate_closed_loop(st, traj, params, samples=200)
+    assert report["termination"] == OUTCOME_COMPLETED
+    assert report["max_feedback_residual"] <= 1e-10
     t = record.column("t")
     err = np.hypot(record.column("x") - 50.0 * t, record.column("y"))
     assert err.max() <= 1e-8  # 10x the 1e-9 integrator tolerance
@@ -411,10 +413,10 @@ def test_short_line_tracks_exactly(params):
 def test_backward_line_aborts_with_blowup(params):
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.2)
-    record, status = simulate_closed_loop(st, traj, params, samples=400)
-    assert status.outcome == OUTCOME_SINGULAR
-    assert status.t_stop < 0.2
-    assert status.min_abs_d <= 1e-8
+    record, report = simulate_closed_loop(st, traj, params, samples=400)
+    assert report["termination"] == OUTCOME_SINGULAR
+    assert report["t_stop_s"] < 0.2
+    assert report["min_abs_d"] <= 1e-8
     # shape has straightened out
     assert abs(record.column("alpha1")[-1]) < 0.05
     assert abs(record.column("alpha2")[-1]) < 0.05
@@ -428,8 +430,8 @@ def test_backward_line_aborts_with_blowup(params):
 def test_batched_feedback_fields_match_the_per_state_solve(params, monkeypatch):
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05)
-    record, status = simulate_closed_loop(st, traj, params, samples=200)
-    assert status.outcome == OUTCOME_SINGULAR
+    record, report = simulate_closed_loop(st, traj, params, samples=200)
+    assert report["termination"] == OUTCOME_SINGULAR
     t = record.column("t")
     states = record.data[:, 3:6]
     d_run = record.column("d_value")
@@ -456,7 +458,7 @@ def test_batched_feedback_fields_match_the_per_state_solve(params, monkeypatch):
 
 
 def run_keeping_nodes(monkeypatch, *args, **kwargs):
-    """simulate_closed_loop's status, and the integration result it recorded."""
+    """simulate_closed_loop's report, and the integration result it recorded."""
     runs = []
 
     def keep(*a, **k):
@@ -464,8 +466,8 @@ def run_keeping_nodes(monkeypatch, *args, **kwargs):
         return runs[-1]
 
     monkeypatch.setattr(tracking, "integrate", keep)
-    _, status = simulate_closed_loop(*args, **kwargs)
-    return runs[0], status
+    _, report = simulate_closed_loop(*args, **kwargs)
+    return runs[0], report
 
 
 def per_node_extrema(result, traj, params):
@@ -502,22 +504,22 @@ def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
             [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0]),
         "rk45_backward_line": lambda: line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05),
     }[case]()
-    result, status = run_keeping_nodes(
+    result, report = run_keeping_nodes(
         monkeypatch, st, traj, params, IntegratorOptions(method=method), samples=50)
     want_min, want_resid = per_node_extrema(result, traj, params)
     # abs=0: approx's default absolute tolerance (1e-12) exceeds any residual
-    assert status.min_abs_d == pytest.approx(want_min, rel=1e-14, abs=0.0)
-    assert status.max_feedback_residual == pytest.approx(want_resid, rel=1e-14, abs=0.0)
+    assert report["min_abs_d"] == pytest.approx(want_min, rel=1e-14, abs=0.0)
+    assert report["max_feedback_residual"] == pytest.approx(want_resid, rel=1e-14, abs=0.0)
     assert want_resid > 0.0
     if case == "rk45_circle":
         assert result.t.size > tracking._NODE_CHUNK
     if case == "rk45_backward_line":
         # the abort's |D|, from the evaluation that ended the run, is below
         # every accepted node's
-        assert status.outcome == OUTCOME_SINGULAR
-        assert status.min_abs_d == abs(result.signal.d_value) <= EPS_D
+        assert report["termination"] == OUTCOME_SINGULAR
+        assert report["min_abs_d"] == abs(result.signal.d_value) <= EPS_D
     else:
-        assert status.outcome == OUTCOME_COMPLETED
+        assert report["termination"] == OUTCOME_COMPLETED
 
 
 def test_custom_eps_d_is_honoured(params, monkeypatch):
@@ -526,10 +528,31 @@ def test_custom_eps_d_is_honoured(params, monkeypatch):
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.2)
     _, at_default = simulate_closed_loop(st, traj, params, samples=50)
     monkeypatch.setattr(tracking, "EPS_D", 1e-2)
-    _, status = simulate_closed_loop(st, traj, params, samples=50)
-    assert status.outcome == at_default.outcome == OUTCOME_SINGULAR
-    assert EPS_D < status.min_abs_d <= 1e-2
-    assert status.t_stop < at_default.t_stop
+    _, report = simulate_closed_loop(st, traj, params, samples=50)
+    assert report["termination"] == at_default["termination"] == OUTCOME_SINGULAR
+    assert EPS_D < report["min_abs_d"] <= 1e-2
+    assert report["t_stop_s"] < at_default["t_stop_s"]
+
+
+def test_node_extrema_skip_a_nan_d_and_keep_the_rest_of_its_chunk():
+    # a NaN D (a node where the fields are undefined) is skipped like a NaN
+    # residual; the other nodes of its chunk still count, and a chunk of
+    # NaN alone leaves the extrema as they were
+    n = 2 * tracking._NODE_CHUNK + 3
+    d = np.full(n, 7.0)
+    d[:4] = [5.0, math.nan, 1e-3, 7.0]
+    d[tracking._NODE_CHUNK:2 * tracking._NODE_CHUNK] = math.nan
+    resid = np.zeros(n)
+    resid[:3] = [0.0, math.nan, 2e-12]
+    resid[-1] = 3e-12
+    result = IntegrationResult(status=STATUS_COMPLETED, t=np.arange(n, dtype=float),
+                               z=np.zeros((n, 3)), f=np.zeros((n, 3)))
+
+    def fields_at(times, states):
+        rows = times.astype(int)
+        return d[rows], d[rows], d[rows], resid[rows]
+
+    assert tracking._node_extrema(result, fields_at) == (1e-3, 3e-12)
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
@@ -547,8 +570,8 @@ def test_closed_loop_integrates_with_the_callers_options(method, params, monkeyp
     traj = line_trajectory((3.0, -4.0), 0.0, 50.0, 0.001)
     st = equilibrium_state(params, x=3.0, y=-4.0, theta=0.7)
     o = IntegratorOptions(method=method, abs_tol=1e-8, rel_tol=1e-11)
-    _, status = simulate_closed_loop(st, traj, params, o, samples=5)
-    assert status.outcome == OUTCOME_COMPLETED
+    _, report = simulate_closed_loop(st, traj, params, o, samples=5)
+    assert report["termination"] == OUTCOME_COMPLETED
     assert seen == [([st.theta, st.alpha1, st.alpha2], o)] and seen[0][1] is o
 
 
@@ -568,9 +591,9 @@ def test_closed_loop_first_row_is_the_initial_state(method, params):
         fx0, gy0 = traj.start()
         for dx, dy in offsets:
             st = equilibrium_state(params, x=fx0 + dx, y=gy0 + dy, theta=0.3)
-            record, status = simulate_closed_loop(
+            record, report = simulate_closed_loop(
                 st, traj, params, IntegratorOptions(method=method), samples=5)
-            assert status.outcome == OUTCOME_COMPLETED, name
+            assert report["termination"] == OUTCOME_COMPLETED, name
             assert record.data[0, :6].tolist() == [
                 0.0, st.x, st.y, st.theta, st.alpha1, st.alpha2], (name, dx, dy)
             t = record.column("t")
@@ -584,9 +607,9 @@ def test_short_waypoint_run_tracks_to_rounding(method, params):
     # not to a tolerance: it is the demand, never integrated
     traj = waypoint_trajectory(
         [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.5, 0.6], [0.0, 0.1, -0.1, 0.0])
-    record, status = simulate_closed_loop(
+    record, report = simulate_closed_loop(
         equilibrium_state(params), traj, params, IntegratorOptions(method=method), samples=300)
-    assert status.outcome == OUTCOME_COMPLETED
+    assert report["termination"] == OUTCOME_COMPLETED
     t = record.column("t")
     err = np.hypot(record.column("x") - traj.f(t, np), record.column("y") - traj.g(t, np))
     assert err.max() <= 1e-10
@@ -607,11 +630,11 @@ def test_closed_loop_shape_matches_the_radau_reference(name, method, scenario_di
     # run at rtol 1e-12 (tests/make_shape_reference.py)
     ref = json.loads(SHAPE_REFERENCE.read_text(encoding="utf-8"))["scenarios"][name]
     scn = load_scenario(scenario_dir / f"{name}.json")
-    record, status = simulate_closed_loop(
+    record, report = simulate_closed_loop(
         scn.initial, scn.trajectory, scn.params,
         dataclasses.replace(scn.integrator, method=method),
         samples=scn.outputs.samples, snapshot_times=scn.outputs.snapshot_times_s)
-    assert status.outcome == OUTCOME_COMPLETED
+    assert report["termination"] == OUTCOME_COMPLETED
     t = record.column("t")
     rows = np.searchsorted(t, ref["t"])
     assert t[rows].tolist() == ref["t"]
@@ -630,10 +653,10 @@ def test_open_loop_state_matches_the_radau_reference(path, method):
     # leave over 9x and 36x
     scn = load_scenario(TESTS.parent / path)
     ref = json.loads(SHAPE_REFERENCE.read_text(encoding="utf-8"))["scenarios"][scn.name]
-    record, status = simulate_open_loop(
+    record, report = simulate_open_loop(
         scn.initial, scn.field_program, scn.params,
         dataclasses.replace(scn.integrator, method=method), samples=scn.outputs.samples)
-    assert status.outcome == OUTCOME_COMPLETED
+    assert report["termination"] == OUTCOME_COMPLETED
     t = record.column("t")
     rows = np.searchsorted(t, ref["t"])
     assert t[rows].tolist() == ref["t"]
