@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import SingularMatrixError
 from .scenario import (
     EXIT_CONFIG_ERROR,
     ScenarioError,
@@ -100,9 +99,7 @@ def main(argv=None) -> int:
         summary = run_scenario(scenario, args.output_dir)
     except OSError as exc:
         return _config_error(f"cannot write {exc.filename or args.output_dir}: {exc.strerror}")
-    except SingularMatrixError as exc:  # the drag matrix, at a shape the run reached
-        return _config_error(f"params: {exc}")
-    except ScenarioError as exc:  # a scan the parameters overflow, found before it is written
+    except ScenarioError as exc:  # params the run cannot evaluate, found before a write
         return _config_error(str(exc))
 
     if args.command == "check-controllability":

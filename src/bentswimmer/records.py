@@ -78,6 +78,18 @@ def write_rows(path, header: str, data: np.ndarray) -> None:
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
+def write_grid(path, header: str, grid: np.ndarray, values: np.ndarray) -> None:
+    """The header line, then one line grid[i],grid[j],values[i, j] per cell
+    of the square table values, row-major: the bytes write_rows writes for
+    that column stack. Each grid value is repr'd once, and values is
+    converted one row at a time."""
+    labels = [repr(v) + "," for v in grid.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for label, row in zip(labels, values):
+            fh.write("".join([f"{label}{lj}{d!r}\n" for lj, d in zip(labels, row.tolist())]))
+
+
 def read_csv(path) -> SimRecord:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -98,5 +110,6 @@ __all__ = [
     "emit_lab_frame_controls",
     "write_csv",
     "write_rows",
+    "write_grid",
     "read_csv",
 ]

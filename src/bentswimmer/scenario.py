@@ -43,13 +43,14 @@ from .integrators import (
 )
 from .linalg import SingularMatrixError
 from .model import _TABLE_UNITS, SwimmerParams, SwimmerState, joint_points
-from .records import CSV_COLUMNS, SimRecord, write_csv, write_rows
+from .records import CSV_COLUMNS, SimRecord, write_csv, write_grid
 from .tracking import (
     OUTCOME_COMPLETED,
     OUTCOME_FAILURE,
     OUTCOME_SINGULAR,
     ShapeRangeSignal,
     Trajectory,
+    _require_finite_d,
     circle_trajectory,
     line_trajectory,
     record_run,
@@ -65,7 +66,8 @@ EXIT_INTEGRATOR_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
 # size caps: at the cap, a run's samples took about 20 s and wrote 216 MB of
-# CSV, and a determinant scan about 5 s and 57 MB (2 vCPUs, x86_64)
+# CSV, and a determinant scan, one grid row per kernel call, 1.2-2.5 s, a
+# 51 MiB peak RSS and 57 MB (2 vCPUs, x86_64)
 MAX_SAMPLES = 1_000_000
 MAX_GRID_N = 1001
 # an output name is a single file name from the POSIX portable character
@@ -471,6 +473,9 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
     A directory at any of them raises IsADirectoryError, and geometry_dir is
     made here, so a blocked path writes nothing. After the run, each planned
     time up to t_stop, a sample time exactly, is written from its own row.
+    Params the run cannot evaluate (a singular drag matrix, or a D that is
+    not finite, at a shape it reached) raise ScenarioValidationError at
+    params before any output is written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -500,14 +505,9 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         simulate, drive = ((simulate_closed_loop, scenario.trajectory)
                            if scenario.mode == "closed_loop"
                            else (simulate_open_loop, scenario.field_program))
-        record, report = simulate(
-            scenario.initial,
-            drive,
-            scenario.params,
-            scenario.integrator,
-            samples=outputs.samples,
-            snapshot_times=tuple(snapshots),
-        )
+        record, report = _at("params", simulate, scenario.initial, drive, scenario.params,
+                             scenario.integrator, samples=outputs.samples,
+                             snapshot_times=tuple(snapshots))
         write_csv(record, csv_path)
         summary.update(report)
         summary["final_state"] = {k: float(v) for k, v in zip(CSV_COLUMNS[:6], record.data[-1])}
@@ -531,17 +531,12 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         exit_code = EXIT_COMPLETED
 
     else:  # determinant_scan
-        scan = scan_determinant(scenario.params, scenario.grid_n)
-        n = scenario.grid_n
-        cells = np.column_stack(
-            (np.repeat(scan.grid, n), np.tile(scan.grid, n), scan.values.ravel())
-        )
+        scan = _at("params", scan_determinant, scenario.params, scenario.grid_n)
         # a kernel overflow leaves a NaN or infinite D: the first such shape,
         # the grid's in row-major order, then the origin's
-        first = [*cells[~np.isfinite(cells[:, 2])].tolist(), [0.0, 0.0, scan.d_origin]][0]
-        _require(math.isfinite(first[2]), "params",
-                 f"the tracking determinant is not finite at shape ({first[0]}, {first[1]})")
-        write_rows(csv_path, "alpha1,alpha2,d_value", cells)
+        _at("params", _require_finite_d, scan.values, scan.grid[:, None], scan.grid)
+        _at("params", _require_finite_d, scan.d_origin, 0.0, 0.0)
+        write_grid(csv_path, "alpha1,alpha2,d_value", scan.grid, scan.values)
         summary.update(
             {
                 "grid_n": scenario.grid_n,

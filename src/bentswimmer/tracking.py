@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _raw_fields, _shape_rates
+from .dynamics import _first_where, _raw_fields, _shape_rates
 from .integrators import (
     SOLVERS,
     STATUS_COMPLETED,
@@ -48,9 +48,10 @@ EPS_D = 1e-8
 INITIAL_POSITION_TOL = 1e-9
 # scan_determinant's off-origin minimum skips the shapes within this radius
 EXCLUSION_RADIUS = 0.05
-# accepted nodes per batch in the run diagnostics: one batch over a long run,
-# or batches of 1,000, raise the peak memory of a benchmark process measurably
-_NODE_CHUNK = 500
+# states per batched kernel call (accepted nodes in the run diagnostics, grid
+# cells in a scan): one batch over a long run, or batches of 1,000, raise the
+# peak memory of a benchmark process measurably
+_BATCH_STATES = 500
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_SINGULAR = "singular_abort"
@@ -275,15 +276,33 @@ def tracking_determinant(alpha1, alpha2, params: SwimmerParams, xp=math):
     return f1[0] * f2[1] - f1[1] * f2[0]
 
 
+def _require_finite_d(d, alpha1, alpha2) -> None:
+    """Raise ValueError unless D is finite. d is a float or an array, and
+    alpha1, alpha2 (floats or arrays) broadcast to its shape; the message
+    names the first shape, in row-major order, where D is NaN or infinite,
+    as the kernel leaves it where it overflows."""
+    bad = ~np.isfinite(d)
+    if bad.any():
+        a1, a2 = _first_where(bad, alpha1, alpha2)
+        raise ValueError(f"the tracking determinant is not finite at shape ({a1}, {a2})")
+
+
 def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n!r}")
     step = 2.0 * math.pi / grid_n
     pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
-    # one batch per grid row keeps the kernel's temporaries O(grid_n); an
+    # one batch per block of max(1, _BATCH_STATES // grid_n) whole grid rows,
+    # in row-major order (the drag guard names the grid's first singular
+    # shape), keeps the kernel's temporaries near _BATCH_STATES states; an
     # overflow shows as a non-finite value, which the caller judges
+    values = np.empty((grid_n, grid_n))
+    rows = max(1, _BATCH_STATES // grid_n)
     with np.errstate(all="ignore"):
-        values = np.array([tracking_determinant(u, pts, params, np) for u in pts])
+        for i in range(0, grid_n, rows):
+            u = pts[i:i + rows]
+            values[i:i + u.size] = tracking_determinant(
+                np.repeat(u, grid_n), np.tile(pts, u.size), params, np).reshape(u.size, grid_n)
     exclusion_radius = EXCLUSION_RADIUS
     # math.hypot(u, v) >= max(|u|, |v|), so only cells with both |u| and |v|
     # inside the radius need the exact test
@@ -389,12 +408,13 @@ def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
 
 
 def _node_extrema(result: IntegrationResult, fields_at) -> tuple[float, float]:
-    """(min |D|, max residual) over the accepted nodes, _NODE_CHUNK at a
+    """(min |D|, max residual) over the accepted nodes, _BATCH_STATES at a
     time; min |D| also covers the |D| of a TrackingSingularity that ended
     the run. A NaN D or residual (a singular node) is skipped."""
     min_abs_d, max_resid = math.inf, 0.0
-    for i in range(0, result.t.size, _NODE_CHUNK):
-        _, _, d, resid = fields_at(result.t[i:i + _NODE_CHUNK], result.z[i:i + _NODE_CHUNK])
+    for i in range(0, result.t.size, _BATCH_STATES):
+        batch = slice(i, i + _BATCH_STATES)
+        _, _, d, resid = fields_at(result.t[batch], result.z[batch])
         min_abs_d = float(np.fmin.reduce(np.abs(d), initial=min_abs_d))
         max_resid = max(max_resid, float(np.fmax.reduce(resid, initial=0.0)))
     if isinstance(result.signal, TrackingSingularity):
@@ -417,7 +437,9 @@ def record_run(
     h_perp, d, residual) over the given states, one row each; a NaN field
     marks a state where it is undefined. It runs once over the samples for
     the record, and over the accepted nodes for min |D| and the max
-    residual.
+    residual. A D that is not finite at any of those states (the kernel
+    overflowed at these params) raises ValueError naming the first such
+    shape, samples before nodes: the scan's rule.
 
     The report is summary.json's simulation block, in its keys: termination
     (an OUTCOME_* value) and its detail; t_stop_s; min_abs_d, the smallest
@@ -439,17 +461,24 @@ def record_run(
     else:
         outcome, detail = OUTCOME_FAILURE, result.status
 
+    def checked_fields_at(times, states):
+        fields = fields_at(times, states)
+        _require_finite_d(fields[2], states[:, -2], states[:, -1])
+        return fields
+
     times = _sample_times(result.t_stop, samples, snapshot_times)
-    states = result.sample(times)
-    h_par, h_perp, d, _ = fields_at(times, states)
-    data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
-    data[:, 0] = times
-    data[:, 6 - states.shape[1]:6] = states
-    data[:, 6] = h_par
-    data[:, 7] = h_perp
-    data[:, 10] = d
-    record = emit_lab_frame_controls(SimRecord(data=data))
-    min_abs_d, max_feedback_residual = _node_extrema(result, fields_at)
+    # an overflow shows as a non-finite value, which checked_fields_at judges
+    with np.errstate(all="ignore"):
+        states = result.sample(times)
+        h_par, h_perp, d, _ = checked_fields_at(times, states)
+        data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
+        data[:, 0] = times
+        data[:, 6 - states.shape[1]:6] = states
+        data[:, 6] = h_par
+        data[:, 7] = h_perp
+        data[:, 10] = d
+        record = emit_lab_frame_controls(SimRecord(data=data))
+        min_abs_d, max_feedback_residual = _node_extrema(result, checked_fields_at)
     # the reported field extremum comes from the emitted series: internal
     # evaluations include Jacobian probe states that are never visited.
     # math.hypot, not np.hypot, which may differ in the last bit

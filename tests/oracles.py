@@ -510,3 +510,16 @@ def solve_controls_reference(z, fprime, gprime, params, xp=math):
         f04 + h_par * f14 + h_perp * f24,
     ]
     return h_par, h_perp, d, zdot
+
+
+def scan_values_reference(params, grid_n: int) -> np.ndarray:
+    """tracking.scan_determinant's table of D as it was built before the row
+    blocks: one call of the module's tracking_determinant (looked up at call
+    time) per grid row, at that row's alpha1 over the whole grid of alpha2,
+    under np.errstate."""
+    from bentswimmer import tracking
+
+    step = 2.0 * math.pi / grid_n
+    pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
+    with np.errstate(all="ignore"):
+        return np.array([tracking.tracking_determinant(u, pts, params, np) for u in pts])

@@ -75,5 +75,5 @@ def test_raw_fields_hook_counts_every_closed_loop_evaluation(monkeypatch):
     n_evals = report["integrator"]["n_evals"]
     # batched calls: one for the fields over the output samples, one for the
     # diagnostics over the accepted nodes (fewer than one chunk of them)
-    assert report["integrator"]["n_steps"] < tracking._NODE_CHUNK
+    assert report["integrator"]["n_steps"] < tracking._BATCH_STATES
     assert calls == {"float": n_evals, "array": 2} and n_evals > 6

@@ -14,7 +14,9 @@ import bentswimmer
 from bentswimmer.cli import main as cli_main
 from bentswimmer import records
 from bentswimmer import scenario as scenario_module
+from bentswimmer import tracking
 from bentswimmer.integrators import IntegratorOptions
+from bentswimmer.linalg import SingularMatrixError
 from bentswimmer.model import SwimmerState, joint_points
 from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
 from bentswimmer.scenario import (
@@ -32,6 +34,8 @@ from bentswimmer.scenario import (
     simulate_open_loop,
 )
 from bentswimmer.tracking import scan_determinant
+
+from oracles import scan_values_reference
 
 A0 = math.pi / 3
 
@@ -597,6 +601,24 @@ def test_csv_rows_across_blocks_match_the_per_value_format(tmp_path):
     np.testing.assert_array_equal(read_csv(tmp_path / "r.csv").data, data)
 
 
+def test_grid_csv_is_the_column_stack_as_write_rows_writes_it(tmp_path):
+    # grid[i], grid[j], values[i, j] per cell, row-major, over more cells
+    # than one write_rows block; NaN, infinities, signed zeros, subnormals
+    # and +-1e300 among the labels and the values
+    n = 17
+    rng = np.random.default_rng(25)
+    grid = np.sort(rng.standard_normal(n))
+    grid[:8] = (-1e300, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, math.nan)
+    values = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    values[0, :8] = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e300, 1e300)
+    values[n - 1, ::3] = -1.5e-320
+    header = "alpha1,alpha2,d_value"
+    records.write_grid(tmp_path / "grid.csv", header, grid, values)
+    stack = np.column_stack((np.repeat(grid, n), np.tile(grid, n), values.ravel()))
+    records.write_rows(tmp_path / "rows.csv", header, stack)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_rerun_byte_identical_csv(tmp_path):
     scn = scenario_from_dict(short_line_doc(), name="short_line")
     run_scenario(scn, tmp_path / "a")
@@ -999,6 +1021,9 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     *(("scan-determinant", "table1_determinant_scan", key, value,
        "the tracking determinant is not finite at shape")
       for key, value in (("eta_N_s_m2", 1e100), ("m2_A_um2", 1e160))),
+    # D overflows at an emitted sample or an accepted node of a run
+    *(("simulate", name, key, 1e160, "the tracking determinant is not finite at shape")
+      for name, key in (("table1_relaxation", "m3_A_um2"), ("table1_line_ok", "eta_N_s_m2"))),
 ])
 def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
                                                     command, name, key, value, message):
@@ -1013,6 +1038,25 @@ def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_d
     assert captured.err.startswith(f"error: params: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
+
+
+def test_singular_drag_scan_names_the_first_shape_at_any_batch(tmp_path, capsys, scenario_dir,
+                                                               monkeypatch):
+    # the row blocks run in row-major order, so the drag guard names the
+    # first singular shape of the per-row loop, whatever the block size
+    doc = json.loads((scenario_dir / "table1_determinant_scan.json").read_text(encoding="utf-8"))
+    doc["params"]["xi_N_s_m2"] = 1e60
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    with pytest.raises(SingularMatrixError) as first:
+        scan_values_reference(scenario_from_dict(doc).params, doc["grid_n"])
+    for batch in (1, 500):
+        monkeypatch.setattr(tracking, "_BATCH_STATES", batch)
+        out = tmp_path / f"out{batch}"
+        code = cli_main(["scan-determinant", str(scn), "--output-dir", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: params: {first.value}\n"
+        assert not any(out.iterdir())
 
 
 def test_cli_repeated_calls_in_one_process_match_fresh_ones(tmp_path, scenario_dir, capsys):

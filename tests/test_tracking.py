@@ -38,7 +38,7 @@ from bentswimmer.tracking import _solve_controls_raw
 
 from conftest import drag_matrix
 from oracles import (cofactor_inverse, combine_fields_reference, feedback_residual,
-                     solve_controls_reference)
+                     scan_values_reference, solve_controls_reference)
 
 
 # ---------------------------------------------------------------- determinant
@@ -107,6 +107,29 @@ def test_scan_minimum_takes_the_first_of_tied_cells(params, monkeypatch, radius)
     scan = scan_determinant(params, 21)
     assert scan.min_abs_off_origin == 2.0
     assert scan.argmin_off_origin == (scan.grid[1], scan.grid[0])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 500, 10**6])
+@pytest.mark.parametrize("grid_n", [2, 7, 55, 101])
+def test_scan_row_blocks_match_the_per_row_loop(params, monkeypatch, grid_n, batch):
+    # blocks of max(1, batch // grid_n) whole rows: one row per call, blocks
+    # that split the grid and leave a short last one, or one call for the
+    # grid; each through the module's tracking_determinant, plus the origin's
+    sizes = []
+    kernel = tracking.tracking_determinant
+
+    def counted(alpha1, alpha2, p, xp=math):
+        sizes.append(np.size(alpha1))
+        return kernel(alpha1, alpha2, p, xp)
+
+    monkeypatch.setattr(tracking, "_BATCH_STATES", batch)
+    monkeypatch.setattr(tracking, "tracking_determinant", counted)
+    values = scan_determinant(params, grid_n).values
+    rows = max(1, batch // grid_n)
+    whole, last = divmod(grid_n, rows)
+    assert sizes == [rows * grid_n] * whole + [last * grid_n] * (last > 0) + [1]
+    monkeypatch.setattr(tracking, "tracking_determinant", kernel)
+    np.testing.assert_array_equal(values, scan_values_reference(params, grid_n))
 
 
 def test_scan_rejects_bad_grid(params):
@@ -512,7 +535,7 @@ def test_run_diagnostics_are_the_per_node_solve(case, params, monkeypatch):
     assert report["max_feedback_residual"] == pytest.approx(want_resid, rel=1e-14, abs=0.0)
     assert want_resid > 0.0
     if case == "rk45_circle":
-        assert result.t.size > tracking._NODE_CHUNK
+        assert result.t.size > tracking._BATCH_STATES
     if case == "rk45_backward_line":
         # the abort's |D|, from the evaluation that ended the run, is below
         # every accepted node's
@@ -538,10 +561,10 @@ def test_node_extrema_skip_a_nan_d_and_keep_the_rest_of_its_chunk():
     # a NaN D (a node where the fields are undefined) is skipped like a NaN
     # residual; the other nodes of its chunk still count, and a chunk of
     # NaN alone leaves the extrema as they were
-    n = 2 * tracking._NODE_CHUNK + 3
+    n = 2 * tracking._BATCH_STATES + 3
     d = np.full(n, 7.0)
     d[:4] = [5.0, math.nan, 1e-3, 7.0]
-    d[tracking._NODE_CHUNK:2 * tracking._NODE_CHUNK] = math.nan
+    d[tracking._BATCH_STATES:2 * tracking._BATCH_STATES] = math.nan
     resid = np.zeros(n)
     resid[:3] = [0.0, math.nan, 2e-12]
     resid[-1] = 3e-12
