@@ -367,6 +367,9 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     elif mode == "controllability":
         own = {"controllability": _at("params", _controllability, initial, params, **own)}
     if mode in ("closed_loop", "open_loop"):
+        # the run checks D at every sample, the first one included
+        d = tracking_determinant(initial.alpha1, initial.alpha2, params)
+        _at("params", _require_finite_d, d, initial.alpha1, initial.alpha2)
         horizon = own[key].horizon
         for i, t in enumerate(outputs.snapshot_times_s):
             _require(0.0 <= t <= horizon, f"outputs.snapshot_times_s[{i}]",

@@ -523,3 +523,38 @@ def scan_values_reference(params, grid_n: int) -> np.ndarray:
     pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
     with np.errstate(all="ignore"):
         return np.array([tracking.tracking_determinant(u, pts, params, np) for u in pts])
+
+
+def repr_rows(header: str, data: np.ndarray) -> bytes:
+    """The bytes write_rows must write: the header line, then
+    ",".join(map(repr, row)) per row of data, LF line endings."""
+    lines = [header] + [",".join(map(repr, row)) for row in data.tolist()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Doubles that ask the most of a shortest round-trip formatter: the named
+# notation edges of repr, then seeded families.
+NOTATION_EDGES = (0.0, -0.0, 1e-05, 9.999999999999999e-05, 0.0001, 1e15, 9999999999999998.0,
+                  1e16, 1e-100, 1e100, 5e-324, 1.7976931348623157e308, 0.1, 0.5, 3.0, 123.456,
+                  0.30000000000000004, 2.2250738585072014e-308, 1e22, 1e23)
+
+
+def float_family(name: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    """About n doubles of one family (all of them for "powers_of_two")."""
+    if name == "random_bits":  # NaN payloads, negative NaN, +-inf, subnormals
+        return rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    if name == "log_uniform":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-307, 308, n)
+    if name == "powers_of_two":  # 2**-1074 to 2**1023 and both neighbours
+        p = np.ldexp(1.0, np.arange(-1074, 1024))
+        return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    if name == "short_decimals":  # k / 10**j, j <= 8, and both neighbours
+        d = rng.integers(0, 10**9, n // 3) / 10.0 ** rng.integers(0, 9, n // 3)
+        return np.concatenate([d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)])
+    if name == "integers":  # around 2**53 and 2**54, and small ones
+        k = rng.integers(-1000, 1000, n // 4).astype(np.float64)
+        return np.concatenate([2.0**53 + k, 2.0**54 + 2.0 * k, -(2.0**53) - k, k, [0.0, -0.0]])
+    raise ValueError(name)
+
+
+FLOAT_FAMILIES = ("random_bits", "log_uniform", "powers_of_two", "short_decimals", "integers")

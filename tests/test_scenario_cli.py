@@ -1040,6 +1040,23 @@ def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_d
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
 
 
+def test_validate_reports_a_non_finite_start_d_as_the_run_does(tmp_path, capsys, scenario_dir):
+    # D at the initial shape is checked at load, so validate exits 4 with the
+    # line simulate prints, where it used to report the scenario valid
+    doc = json.loads((scenario_dir / "table1_relaxation.json").read_text(encoding="utf-8"))
+    doc["params"]["m3_A_um2"] = 1e160
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    want = ("error: params: the tracking determinant is not finite at shape "
+            "(0.3, 1.4471975511965978)\n")
+    assert cli_main(["validate", str(scn)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", want)
+    out = tmp_path / "out"
+    assert cli_main(["simulate", str(scn), "--output-dir", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", want)
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_singular_drag_scan_names_the_first_shape_at_any_batch(tmp_path, capsys, scenario_dir,
                                                                monkeypatch):
     # the row blocks run in row-major order, so the drag guard names the
