@@ -27,7 +27,7 @@ from .model import (
     joint_points,
     rotation_block,
 )
-from .records import SimRecord, emit_lab_frame_controls, read_csv, write_csv
+from .records import SimRecord, emit_lab_frame_controls, write_csv
 from .scenario import (
     FieldProgram,
     Scenario,
@@ -38,7 +38,6 @@ from .scenario import (
     simulate_open_loop,
 )
 from .tracking import (
-    DeterminantScan,
     TrackingSingularity,
     Trajectory,
     circle_trajectory,

@@ -1,7 +1,7 @@
 """Time-series records and their CSV serialization."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +63,9 @@ class SimRecord:
 
 
 def emit_lab_frame_controls(record: SimRecord) -> SimRecord:
-    """Fill h_x, h_y = rotation by theta of (h_par, h_perp), rowwise."""
-    data = record.data.copy()
+    """Fill h_x, h_y = rotation by theta of (h_par, h_perp), rowwise, in
+    place; returns the record."""
+    data = record.data
     theta = data[:, CSV_COLUMNS.index("theta")]
     hp = data[:, CSV_COLUMNS.index("h_par")]
     hq = data[:, CSV_COLUMNS.index("h_perp")]
@@ -72,7 +73,7 @@ def emit_lab_frame_controls(record: SimRecord) -> SimRecord:
     s = np.sin(theta)
     data[:, CSV_COLUMNS.index("h_x")] = c * hp - s * hq
     data[:, CSV_COLUMNS.index("h_y")] = s * hp + c * hq
-    return replace(record, data=data)
+    return record
 
 
 def write_csv(record: SimRecord, path) -> None:
@@ -228,19 +229,6 @@ def write_grid(path, header: str, grid: np.ndarray, values: np.ndarray) -> None:
             fh.write("".join([f"{label}{lj}{d!r}\n" for lj, d in zip(labels, row.tolist())]))
 
 
-def read_csv(path) -> SimRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [
-            [float(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return SimRecord(data=np.array(rows).reshape(-1, len(CSV_COLUMNS)))
-
-
 __all__ = [
     "CSV_COLUMNS",
     "CSV_HEADER",
@@ -249,5 +237,4 @@ __all__ = [
     "write_csv",
     "write_rows",
     "write_grid",
-    "read_csv",
 ]

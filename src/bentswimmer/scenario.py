@@ -65,9 +65,10 @@ EXIT_SINGULAR_ABORT = 2
 EXIT_INTEGRATOR_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
-# size caps: at the cap, a run's samples took about 20 s and wrote 216 MB of
-# CSV, and a determinant scan, one grid row per kernel call, 1.2-2.5 s, a
-# 51 MiB peak RSS and 57 MB (2 vCPUs, x86_64)
+# size caps: at the cap, a shipped simulation (table1_line_ok, _circle or
+# _relaxation) took 6-7 s of CPU, peaked at 157-173 MiB RSS and wrote about
+# 200 MB of CSV, and a determinant scan took 1.9-2.2 s of CPU, peaked at
+# 51 MiB and wrote 57 MB (2 vCPUs, x86_64)
 MAX_SAMPLES = 1_000_000
 MAX_GRID_N = 1001
 # an output name is a single file name from the POSIX portable character
@@ -452,13 +453,6 @@ def simulate_open_loop(
     return record_run(joined, fields_at, opts.method, samples, snapshot_times)
 
 
-def _tracking_error(record: SimRecord, traj: Trajectory) -> float:
-    times = record.column("t")
-    ex = record.column("x") - traj.f(times, np)
-    ey = record.column("y") - traj.g(times, np)
-    return float(np.max(np.hypot(ex, ey)))
-
-
 _EXIT_CODES = {
     OUTCOME_COMPLETED: EXIT_COMPLETED,
     OUTCOME_SINGULAR: EXIT_SINGULAR_ABORT,
@@ -515,8 +509,6 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         summary.update(report)
         summary["final_state"] = {k: float(v) for k, v in zip(CSV_COLUMNS[:6], record.data[-1])}
         summary["csv"] = str(csv_path)
-        if scenario.mode == "closed_loop":
-            summary["tracking_error_um"] = _tracking_error(record, scenario.trajectory)
         if gdir:
             reached = {t: path for t, path in snapshots.items() if t <= report["t_stop_s"]}
             for t, path in reached.items():
@@ -534,22 +526,10 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         exit_code = EXIT_COMPLETED
 
     else:  # determinant_scan
-        scan = _at("params", scan_determinant, scenario.params, scenario.grid_n)
-        # a kernel overflow leaves a NaN or infinite D: the first such shape,
-        # the grid's in row-major order, then the origin's
-        _at("params", _require_finite_d, scan.values, scan.grid[:, None], scan.grid)
-        _at("params", _require_finite_d, scan.d_origin, 0.0, 0.0)
-        write_grid(csv_path, "alpha1,alpha2,d_value", scan.grid, scan.values)
-        summary.update(
-            {
-                "grid_n": scenario.grid_n,
-                "d_origin": scan.d_origin,
-                "min_abs_d_off_origin": scan.min_abs_off_origin,
-                "argmin_off_origin": list(scan.argmin_off_origin),
-                "exclusion_radius": scan.exclusion_radius,
-                "csv": str(csv_path),
-            }
-        )
+        grid, values, block = _at("params", scan_determinant, scenario.params, scenario.grid_n)
+        write_grid(csv_path, "alpha1,alpha2,d_value", grid, values)
+        summary.update(block)
+        summary["csv"] = str(csv_path)
         exit_code = EXIT_COMPLETED
 
     summary["wall_time_s"] = time.perf_counter() - t_wall

@@ -48,9 +48,9 @@ EPS_D = 1e-8
 INITIAL_POSITION_TOL = 1e-9
 # scan_determinant's off-origin minimum skips the shapes within this radius
 EXCLUSION_RADIUS = 0.05
-# states per batched kernel call (accepted nodes in the run diagnostics, grid
-# cells in a scan): one batch over a long run, or batches of 1,000, raise the
-# peak memory of a benchmark process measurably
+# states per batched kernel call: emitted samples and accepted nodes in
+# record_run, grid cells in a scan. One batch over a long run, or batches of
+# 1,000, raise the peak memory of a benchmark process measurably
 _BATCH_STATES = 500
 
 OUTCOME_COMPLETED = "completed"
@@ -251,24 +251,6 @@ def _piecewise_cubic(knots: np.ndarray, coefs: tuple) -> Callable:
     return fn
 
 
-@dataclass(frozen=True)
-class DeterminantScan:
-    """D over a uniform grid on the open square (-pi, pi)^2.
-
-    Grid points sit half a cell inside the boundary (folded shapes with
-    |alpha| = pi are excluded as non-physical). d_origin is reported
-    separately; min_abs_off_origin excludes a ball of radius
-    `exclusion_radius` (EXCLUSION_RADIUS when the scan ran) around the origin.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    d_origin: float
-    min_abs_off_origin: float
-    argmin_off_origin: tuple[float, float]
-    exclusion_radius: float
-
-
 def tracking_determinant(alpha1, alpha2, params: SwimmerParams, xp=math):
     """D = F1x F2y - F1y F2x at the given shape; at arrays of shapes with
     xp=numpy (see dynamics._raw_fields)."""
@@ -287,22 +269,35 @@ def _require_finite_d(d, alpha1, alpha2) -> None:
         raise ValueError(f"the tracking determinant is not finite at shape ({a1}, {a2})")
 
 
-def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
+def scan_determinant(params: SwimmerParams, grid_n: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """D over a uniform grid on the open square (-pi, pi)^2, as (grid, values,
+    block): values[i, j] is D at (grid[i], grid[j]), and block is the summary's
+    scan block, in its keys: grid_n; d_origin, D at the straight shape; and
+    min_abs_d_off_origin and argmin_off_origin, the first smallest |D| in
+    row-major order over the cells outside the ball of radius
+    exclusion_radius (EXCLUSION_RADIUS when the scan ran) around the origin.
+
+    Grid points sit half a cell inside the boundary (folded shapes with
+    |alpha| = pi are excluded as non-physical). A singular drag matrix raises
+    SingularMatrixError at the grid's first singular shape, then at the
+    origin; a D that is not finite (the kernel overflowed) raises ValueError
+    at the first such cell in row-major order, then at the origin.
+    """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n!r}")
     step = 2.0 * math.pi / grid_n
     pts = np.array([-math.pi + (i + 0.5) * step for i in range(grid_n)])
-    # one batch per block of max(1, _BATCH_STATES // grid_n) whole grid rows,
-    # in row-major order (the drag guard names the grid's first singular
-    # shape), keeps the kernel's temporaries near _BATCH_STATES states; an
-    # overflow shows as a non-finite value, which the caller judges
+    # _BATCH_STATES cells per kernel call, in row-major order, so the drag
+    # guard names the grid's first singular shape
     values = np.empty((grid_n, grid_n))
-    rows = max(1, _BATCH_STATES // grid_n)
+    cells = values.reshape(-1)
     with np.errstate(all="ignore"):
-        for i in range(0, grid_n, rows):
-            u = pts[i:i + rows]
-            values[i:i + u.size] = tracking_determinant(
-                np.repeat(u, grid_n), np.tile(pts, u.size), params, np).reshape(u.size, grid_n)
+        for k in range(0, cells.size, _BATCH_STATES):
+            i, j = np.divmod(np.arange(k, min(k + _BATCH_STATES, cells.size)), grid_n)
+            cells[k:k + i.size] = tracking_determinant(pts[i], pts[j], params, np)
+    d_origin = tracking_determinant(0.0, 0.0, params)
+    _require_finite_d(values, pts[:, None], pts)
+    _require_finite_d(d_origin, 0.0, 0.0)
     exclusion_radius = EXCLUSION_RADIUS
     # math.hypot(u, v) >= max(|u|, |v|), so only cells with both |u| and |v|
     # inside the radius need the exact test
@@ -311,19 +306,17 @@ def scan_determinant(params: SwimmerParams, grid_n: int) -> DeterminantScan:
     for i, j in zip(*np.nonzero(~kept)):
         kept[i, j] = math.hypot(pts[i], pts[j]) > exclusion_radius
     abs_d = np.abs(values)
-    # NaN never counts as a minimum; argmin takes the first one, row-major
-    abs_d[~(kept & (abs_d < math.inf))] = math.inf
+    abs_d[~kept] = math.inf
     i, j = divmod(int(np.argmin(abs_d)), grid_n)
     best = float(abs_d[i, j])
-    arg = (float(pts[i]), float(pts[j])) if best < math.inf else (math.nan, math.nan)
-    return DeterminantScan(
-        grid=pts,
-        values=values,
-        d_origin=tracking_determinant(0.0, 0.0, params),
-        min_abs_off_origin=best,
-        argmin_off_origin=arg,
-        exclusion_radius=exclusion_radius,
-    )
+    return pts, values, {
+        "grid_n": grid_n,
+        "d_origin": d_origin,
+        "min_abs_d_off_origin": best,
+        "argmin_off_origin": [float(pts[i]), float(pts[j])] if best < math.inf
+                             else [math.nan, math.nan],
+        "exclusion_radius": exclusion_radius,
+    }
 
 
 def _solve_controls_raw(z, fprime, gprime, params: SwimmerParams, xp=math):
@@ -407,21 +400,6 @@ def _sample_times(t_stop: float, samples: int, extra=()) -> np.ndarray:
     return np.unique(base)
 
 
-def _node_extrema(result: IntegrationResult, fields_at) -> tuple[float, float]:
-    """(min |D|, max residual) over the accepted nodes, _BATCH_STATES at a
-    time; min |D| also covers the |D| of a TrackingSingularity that ended
-    the run. A NaN D or residual (a singular node) is skipped."""
-    min_abs_d, max_resid = math.inf, 0.0
-    for i in range(0, result.t.size, _BATCH_STATES):
-        batch = slice(i, i + _BATCH_STATES)
-        _, _, d, resid = fields_at(result.t[batch], result.z[batch])
-        min_abs_d = float(np.fmin.reduce(np.abs(d), initial=min_abs_d))
-        max_resid = max(max_resid, float(np.fmax.reduce(resid, initial=0.0)))
-    if isinstance(result.signal, TrackingSingularity):
-        min_abs_d = min(min_abs_d, abs(result.signal.d_value))
-    return min_abs_d, max_resid
-
-
 def record_run(
     result: IntegrationResult,
     fields_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
@@ -435,11 +413,12 @@ def record_run(
     alpha2): all five in open loop, the last three in closed loop, whose
     caller fills x and y. fields_at(times, states) gives arrays (h_par,
     h_perp, d, residual) over the given states, one row each; a NaN field
-    marks a state where it is undefined. It runs once over the samples for
-    the record, and over the accepted nodes for min |D| and the max
-    residual. A D that is not finite at any of those states (the kernel
-    overflowed at these params) raises ValueError naming the first such
-    shape, samples before nodes: the scan's rule.
+    marks a state where it is undefined. It runs over the samples, which it
+    writes into the record, and then over the accepted nodes for min |D|
+    and the max residual, _BATCH_STATES states at a time. A D that is not
+    finite at any of those states (the kernel overflowed at these params)
+    raises ValueError naming the first such shape, samples before nodes: the
+    scan's rule.
 
     The report is summary.json's simulation block, in its keys: termination
     (an OUTCOME_* value) and its detail; t_stop_s; min_abs_d, the smallest
@@ -461,33 +440,43 @@ def record_run(
     else:
         outcome, detail = OUTCOME_FAILURE, result.status
 
-    def checked_fields_at(times, states):
-        fields = fields_at(times, states)
-        _require_finite_d(fields[2], states[:, -2], states[:, -1])
-        return fields
-
     times = _sample_times(result.t_stop, samples, snapshot_times)
-    # an overflow shows as a non-finite value, which checked_fields_at judges
+    data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
+    max_field, min_abs_d, max_feedback_residual = 0.0, math.inf, 0.0
+    # _BATCH_STATES samples, then nodes, per fields_at call; an overflow shows
+    # as a non-finite value, which _require_finite_d judges
     with np.errstate(all="ignore"):
-        states = result.sample(times)
-        h_par, h_perp, d, _ = checked_fields_at(times, states)
-        data = np.full((times.size, len(CSV_COLUMNS)), np.nan)
-        data[:, 0] = times
-        data[:, 6 - states.shape[1]:6] = states
-        data[:, 6] = h_par
-        data[:, 7] = h_perp
-        data[:, 10] = d
-        record = emit_lab_frame_controls(SimRecord(data=data))
-        min_abs_d, max_feedback_residual = _node_extrema(result, checked_fields_at)
-    # the reported field extremum comes from the emitted series: internal
-    # evaluations include Jacobian probe states that are never visited.
-    # math.hypot, not np.hypot, which may differ in the last bit
-    max_field = 0.0
-    for hp, hq in zip(h_par.tolist(), h_perp.tolist()):
-        hn = math.hypot(hp, hq)
-        if not math.isnan(hn) and hn > max_field:
-            max_field = hn
-    return record, {
+        for i in range(0, times.size, _BATCH_STATES):
+            t = times[i:i + _BATCH_STATES]
+            states = result.sample(t)
+            h_par, h_perp, d, _ = fields_at(t, states)
+            _require_finite_d(d, states[:, -2], states[:, -1])
+            rows = data[i:i + _BATCH_STATES]
+            rows[:, 0] = t
+            rows[:, 6 - states.shape[1]:6] = states
+            rows[:, 6] = h_par
+            rows[:, 7] = h_perp
+            rows[:, 10] = d
+            emit_lab_frame_controls(SimRecord(data=rows))
+            # the reported field extremum comes from the emitted series:
+            # internal evaluations include Jacobian probe states that are
+            # never visited. math.hypot, not np.hypot, which may differ in
+            # the last bit; a NaN field (a singular sample) is skipped
+            for hp, hq in zip(h_par.tolist(), h_perp.tolist()):
+                hn = math.hypot(hp, hq)
+                if hn > max_field:
+                    max_field = hn
+        for i in range(0, result.t.size, _BATCH_STATES):
+            states = result.z[i:i + _BATCH_STATES]
+            _, _, d, resid = fields_at(result.t[i:i + _BATCH_STATES], states)
+            _require_finite_d(d, states[:, -2], states[:, -1])
+            min_abs_d = min(min_abs_d, float(np.abs(d).min()))
+            # a NaN residual (a singular node) is skipped
+            max_feedback_residual = max(max_feedback_residual,
+                                        float(np.fmax.reduce(resid, initial=0.0)))
+    if isinstance(result.signal, TrackingSingularity):
+        min_abs_d = min(min_abs_d, abs(result.signal.d_value))
+    return SimRecord(data=data), {
         "termination": outcome,
         "detail": detail,
         "t_stop_s": result.t_stop,
@@ -519,7 +508,9 @@ def simulate_closed_loop(
     and the run aborts where |D| <= EPS_D. Under the feedback (xdot, ydot) =
     (f', g') holds identically, so only theta, alpha1 and alpha2 are
     integrated, and the tolerances set their error alone. The record's x and
-    y are the initial offset from the demand plus (f, g).
+    y are the initial offset from the demand plus (f, g), and the report
+    adds tracking_error_um, the largest distance between the record's
+    position and the demand over the samples.
     """
     traj.check_start(initial)
     z0 = [initial.theta, initial.alpha1, initial.alpha2]
@@ -531,8 +522,11 @@ def simulate_closed_loop(
     record, report = record_run(result, fields_at, opts.method, samples, snapshot_times)
     fx0, gy0 = traj.start()
     times = record.column("t")
-    record.data[:, 1] = (initial.x - fx0) + traj.f(times, np)
-    record.data[:, 2] = (initial.y - gy0) + traj.g(times, np)
+    f, g = traj.f(times, np), traj.g(times, np)
+    record.data[:, 1] = (initial.x - fx0) + f
+    record.data[:, 2] = (initial.y - gy0) + g
+    error = np.hypot(record.column("x") - f, record.column("y") - g)
+    report["tracking_error_um"] = float(np.max(error))
     return record, report
 
 
@@ -546,7 +540,6 @@ __all__ = [
     "TrackingSingularity",
     "ShapeRangeSignal",
     "Trajectory",
-    "DeterminantScan",
     "line_trajectory",
     "circle_trajectory",
     "waypoint_trajectory",

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bentswimmer.dynamics import mobility_entries
 from bentswimmer.model import SwimmerParams
+from bentswimmer.records import CSV_HEADER, SimRecord
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -30,6 +31,14 @@ def table1(alpha0: float = math.pi / 3) -> SwimmerParams:
 def drag_matrix(alpha1: float, alpha2: float, params: SwimmerParams) -> np.ndarray:
     """The closed-form drag matrix M(alpha1, alpha2) as an array."""
     return np.array(mobility_entries(alpha1, alpha2, params.ell, params.xi, params.eta))
+
+
+def read_record(path) -> SimRecord:
+    """A simulation CSV read back by np.loadtxt, once its first line is
+    asserted to be CSV_HEADER."""
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == CSV_HEADER + "\n"
+    return SimRecord(data=np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
 
 
 @pytest.fixture

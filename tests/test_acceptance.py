@@ -19,11 +19,10 @@ from bentswimmer.controllability import (
 from bentswimmer.dynamics import equilibrium_state, state_derivative
 from bentswimmer.integrators import IntegratorOptions, integrate
 from bentswimmer.model import ControlField, SwimmerState, rotation_block
-from bentswimmer.records import read_csv
 from bentswimmer.scenario import load_scenario, run_scenario
 from bentswimmer.tracking import scan_determinant
 
-from conftest import drag_matrix, table1
+from conftest import drag_matrix, read_record, table1
 from oracles import fd_jacobian, quadrature_mobility
 
 ZERO = ControlField(0.0, 0.0)
@@ -119,13 +118,13 @@ def test_04_controllability_truth_table():
 
 
 def test_05_tracking_determinant_locus(params):
-    scan = scan_determinant(params, 101)
-    ok = abs(scan.d_origin) <= 1e-12 and scan.min_abs_off_origin > 0.0
+    _, _, scan = scan_determinant(params, 101)
+    ok = abs(scan["d_origin"]) <= 1e-12 and scan["min_abs_d_off_origin"] > 0.0
     report(
         5,
         ok,
-        f"D(0,0) = {scan.d_origin:.1e} (<= 1e-12); min |D| outside the "
-        f"0.05-ball = {scan.min_abs_off_origin:.3e} > 0 on the 101x101 grid",
+        f"D(0,0) = {scan['d_origin']:.1e} (<= 1e-12); min |D| outside the "
+        f"0.05-ball = {scan['min_abs_d_off_origin']:.3e} > 0 on the 101x101 grid",
     )
 
 
@@ -134,7 +133,7 @@ def test_06_circle_tracking_exact(scenario_dir, tmp_path):
     scn = load_scenario(scenario_dir / "table1_circle.json")
     s = run_scenario(scn, tmp_path)
     wall = time.perf_counter() - t0
-    rec = read_csv(tmp_path / scn.outputs.csv)
+    rec = read_record(tmp_path / scn.outputs.csv)
     final = rec.data[-1]
     start = rec.data[0]
     closure = math.hypot(final[1] - start[1], final[2] - start[2])
@@ -156,7 +155,7 @@ def test_06_circle_tracking_exact(scenario_dir, tmp_path):
 def test_07_line_blowup_reproduced(scenario_dir, tmp_path):
     scn = load_scenario(scenario_dir / "table1_line_blowup.json")
     s = run_scenario(scn, tmp_path)
-    rec = read_csv(tmp_path / scn.outputs.csv)
+    rec = read_record(tmp_path / scn.outputs.csv)
     a1f = abs(rec.column("alpha1")[-1])
     a2f = abs(rec.column("alpha2")[-1])
     h = np.hypot(rec.column("h_par"), rec.column("h_perp"))

@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 from bentswimmer.integrators import METHOD_RK45, METHOD_TRAPEZOIDAL
-from bentswimmer.records import read_csv
 from bentswimmer.scenario import EXIT_COMPLETED, run_scenario, scenario_from_dict
+
+from conftest import read_record
 
 SCALE = 1e-3
 # each scaled key and its factor: both drag coefficients and every time by
@@ -66,7 +67,7 @@ def run(doc, outdir):
     scn = scenario_from_dict(doc, name=doc["name"])
     summary = run_scenario(scn, outdir)
     assert summary["exit_code"] == EXIT_COMPLETED, summary["detail"]
-    return summary, read_csv(outdir / scn.outputs.csv)
+    return summary, read_record(outdir / scn.outputs.csv)
 
 
 @pytest.mark.parametrize("name, method, angle_bound, other_bound", CASES)

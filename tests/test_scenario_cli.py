@@ -18,7 +18,7 @@ from bentswimmer import tracking
 from bentswimmer.integrators import IntegratorOptions
 from bentswimmer.linalg import SingularMatrixError
 from bentswimmer.model import SwimmerState, joint_points
-from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls, read_csv
+from bentswimmer.records import CSV_HEADER, SimRecord, emit_lab_frame_controls
 from bentswimmer.scenario import (
     EXIT_COMPLETED,
     EXIT_CONFIG_ERROR,
@@ -35,6 +35,7 @@ from bentswimmer.scenario import (
 )
 from bentswimmer.tracking import scan_determinant
 
+from conftest import read_record
 from oracles import scan_values_reference
 
 A0 = math.pi / 3
@@ -543,7 +544,7 @@ def test_run_short_line_writes_outputs(tmp_path):
     assert csv_path.exists()
     first = csv_path.read_text().splitlines()[0]
     assert first == CSV_HEADER == "t,x,y,theta,alpha1,alpha2,h_par,h_perp,h_x,h_y,d_value"
-    rec = read_csv(csv_path)
+    rec = read_record(csv_path)
     assert rec.data.shape[0] >= 100
     assert (np.diff(rec.column("t")) > 0).all()
     assert np.isfinite(rec.data).all()
@@ -558,8 +559,8 @@ def test_run_short_line_writes_outputs(tmp_path):
 @pytest.mark.parametrize("name", ["table1_line_ok", "table1_waypoints", "table1_relaxation"])
 def test_summary_writes_the_simulators_report_once(name, scenario_dir, tmp_path, monkeypatch):
     # the summary's simulation keys are the simulator's report, as it was
-    # returned, plus the record's final state, the CSV path, the tracking
-    # error (closed loop) and the snapshot lists (with geometry_dir)
+    # returned (with the tracking error in closed loop), plus the record's
+    # final state, the CSV path and the snapshot lists (with geometry_dir)
     scn = load_scenario(scenario_dir / f"{name}.json")
     simulator = "simulate_closed_loop" if scn.mode == "closed_loop" else "simulate_open_loop"
     simulate, reports = getattr(scenario_module, simulator), []
@@ -573,15 +574,14 @@ def test_summary_writes_the_simulators_report_once(name, scenario_dir, tmp_path,
     summary = run_scenario(scn, tmp_path)
     [report] = reports
     added = ["final_state", "csv"]
-    if scn.mode == "closed_loop":
-        added.append("tracking_error_um")
     if scn.outputs.geometry_dir:
         added += ["geometry_snapshots", "geometry_snapshots_skipped_s"]
     assert list(summary) == ["scenario", "mode", "scenario_sha256", "params", "field_unit",
                              *report, *added, "wall_time_s", "exit_code", "summary_path"]
     assert list(report) == ["termination", "detail", "t_stop_s", "min_abs_d",
                             "min_abs_d_state_set", "max_field_norm_uT",
-                            "max_feedback_residual", "integrator"]
+                            "max_feedback_residual", "integrator",
+                            *["tracking_error_um"] * (scn.mode == "closed_loop")]
     assert {key: summary[key] for key in report} == report
 
 
@@ -598,7 +598,7 @@ def test_csv_rows_across_blocks_match_the_per_value_format(tmp_path):
         ",".join("nan" if math.isnan(v) else repr(float(v)) for v in row) for row in data
     ]
     assert (tmp_path / "r.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
-    np.testing.assert_array_equal(read_csv(tmp_path / "r.csv").data, data)
+    np.testing.assert_array_equal(read_record(tmp_path / "r.csv").data, data)
 
 
 def test_grid_csv_is_the_column_stack_as_write_rows_writes_it(tmp_path):
@@ -631,7 +631,7 @@ def test_run_blowup_line_exit_code(tmp_path):
     scn = scenario_from_dict(doc, name="blowup")
     summary = run_scenario(scn, tmp_path)
     assert summary["exit_code"] == EXIT_SINGULAR_ABORT
-    rec = read_csv(tmp_path / "r.csv")
+    rec = read_record(tmp_path / "r.csv")
     assert abs(rec.column("alpha1")[-1]) < 0.05
     assert abs(rec.column("alpha2")[-1]) < 0.05
     # only the last row may carry non-finite fields
@@ -689,7 +689,7 @@ def test_run_open_loop_relaxation(tmp_path):
     final = summary["final_state"]
     assert abs(final["alpha1"]) < 1e-6
     assert abs(final["alpha2"] - A0) < 1e-6
-    rec = read_csv(tmp_path / "r.csv")
+    rec = read_record(tmp_path / "r.csv")
     np.testing.assert_array_equal(rec.column("h_par"), 0.0)
     np.testing.assert_array_equal(rec.column("h_perp"), 0.0)
 
@@ -709,7 +709,7 @@ def test_run_open_loop_piecewise_field(tmp_path):
     scn = scenario_from_dict(doc, name="pulse")
     summary = run_scenario(scn, tmp_path)
     assert summary["exit_code"] == EXIT_COMPLETED
-    rec = read_csv(tmp_path / "r.csv")
+    rec = read_record(tmp_path / "r.csv")
     t = rec.column("t")
     hq = rec.column("h_perp")
     assert (hq[t < 2e-4 - 1e-12] == 2e4).all()
@@ -795,10 +795,11 @@ def test_run_determinant_scan(tmp_path):
     assert lines[0] == "alpha1,alpha2,d_value"
     assert len(lines) == 1 + 41 * 41
     grid = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
-    scan = scan_determinant(scn.params, 41)
-    np.testing.assert_array_equal(grid[:, 2], scan.values.ravel())
-    np.testing.assert_array_equal(grid[:, 0], np.repeat(scan.grid, 41))
-    np.testing.assert_array_equal(grid[:, 1], np.tile(scan.grid, 41))
+    pts, values, block = scan_determinant(scn.params, 41)
+    np.testing.assert_array_equal(grid[:, 2], values.ravel())
+    np.testing.assert_array_equal(grid[:, 0], np.repeat(pts, 41))
+    np.testing.assert_array_equal(grid[:, 1], np.tile(pts, 41))
+    assert {key: summary[key] for key in block} == block
 
 
 def test_run_controllability_report(tmp_path):
@@ -835,7 +836,7 @@ def test_geometry_snapshots_written(tmp_path):
     )
     assert summary["geometry_snapshots"] == [str(f) for f in files]
     # each file holds the joints of the CSV row at its time, bit for bit
-    rec = read_csv(tmp_path / "r.csv")
+    rec = read_record(tmp_path / "r.csv")
     for f, t in zip(files, [0.0, 0.005, 0.01]):
         payload = json.loads(f.read_text())
         (row,) = rec.data[rec.column("t") == t]
@@ -1059,8 +1060,8 @@ def test_validate_reports_a_non_finite_start_d_as_the_run_does(tmp_path, capsys,
 
 def test_singular_drag_scan_names_the_first_shape_at_any_batch(tmp_path, capsys, scenario_dir,
                                                                monkeypatch):
-    # the row blocks run in row-major order, so the drag guard names the
-    # first singular shape of the per-row loop, whatever the block size
+    # the batches run in row-major order, so the drag guard names the first
+    # singular shape of the per-row loop, whatever the batch size
     doc = json.loads((scenario_dir / "table1_determinant_scan.json").read_text(encoding="utf-8"))
     doc["params"]["xi_N_s_m2"] = 1e60
     scn = tmp_path / "scn.json"

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,18 +69,21 @@ def test_determinant_against_cofactor_path(params):
 
 
 def test_scan_reports_origin_and_off_origin_minimum(params):
-    scan = scan_determinant(params, 51)
-    assert abs(scan.d_origin) <= 1e-12
-    assert scan.min_abs_off_origin > 0.0
-    assert scan.values.shape == (51, 51)
+    grid, values, block = scan_determinant(params, 51)
+    assert list(block) == ["grid_n", "d_origin", "min_abs_d_off_origin", "argmin_off_origin",
+                           "exclusion_radius"]
+    assert block["grid_n"] == 51
+    assert abs(block["d_origin"]) <= 1e-12
+    assert block["min_abs_d_off_origin"] > 0.0
+    assert values.shape == (51, 51)
     # the grid stays inside the open square (folded shapes excluded)
-    assert scan.grid.min() > -math.pi and scan.grid.max() < math.pi
+    assert grid.min() > -math.pi and grid.max() < math.pi
 
 
 def test_scan_degenerate_grid(params):
-    scan = scan_determinant(params, 2)
-    assert scan.values.shape == (2, 2)
-    assert np.isfinite(scan.values).all()
+    _, values, _ = scan_determinant(params, 2)
+    assert values.shape == (2, 2)
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("radius", [0.05, 1.0, 10.0])
@@ -86,35 +91,57 @@ def test_scan_minimum_follows_the_pointwise_rule(params, monkeypatch, radius):
     # first strict minimum of |D| in row-major order over the cells with
     # math.hypot(u, v) > radius; radius 10 excludes every cell
     monkeypatch.setattr(tracking, "EXCLUSION_RADIUS", radius)
-    scan = scan_determinant(params, 21)
-    assert scan.exclusion_radius == radius
-    best, arg = math.inf, (math.nan, math.nan)
-    for i, u in enumerate(scan.grid):
-        for j, v in enumerate(scan.grid):
-            if math.hypot(u, v) > radius and abs(scan.values[i, j]) < best:
-                best, arg = abs(scan.values[i, j]), (float(u), float(v))
-    assert scan.min_abs_off_origin == best
-    np.testing.assert_equal(scan.argmin_off_origin, arg)
+    grid, values, block = scan_determinant(params, 21)
+    assert block["exclusion_radius"] == radius
+    best, arg = math.inf, [math.nan, math.nan]
+    for i, u in enumerate(grid):
+        for j, v in enumerate(grid):
+            if math.hypot(u, v) > radius and abs(values[i, j]) < best:
+                best, arg = abs(values[i, j]), [float(u), float(v)]
+    assert block["min_abs_d_off_origin"] == best
+    np.testing.assert_equal(block["argmin_off_origin"], arg)
 
 
 @pytest.mark.parametrize("radius", [0.05, 3.0])
 def test_scan_minimum_takes_the_first_of_tied_cells(params, monkeypatch, radius):
-    # |D| = 2 everywhere but on a NaN first row, which never counts; with
-    # radius 3 every cell has |u|, |v| < 3, and only math.hypot keeps any
+    # |D| = 2 everywhere but on a first row of 3; with radius 3 every cell
+    # has |u|, |v| < 3, and only math.hypot keeps any
     monkeypatch.setattr(tracking, "tracking_determinant", lambda a1, a2, p, xp=math:
-                        np.where(a1 + 0.0 * a2 < -2.9, math.nan, -2.0))
+                        np.where(a1 + 0.0 * a2 < -2.9, -3.0, -2.0))
     monkeypatch.setattr(tracking, "EXCLUSION_RADIUS", radius)
-    scan = scan_determinant(params, 21)
-    assert scan.min_abs_off_origin == 2.0
-    assert scan.argmin_off_origin == (scan.grid[1], scan.grid[0])
+    grid, _, block = scan_determinant(params, 21)
+    assert block["min_abs_d_off_origin"] == 2.0
+    assert block["argmin_off_origin"] == [grid[1], grid[0]]
 
 
-@pytest.mark.parametrize("batch", [1, 7, 500, 10**6])
-@pytest.mark.parametrize("grid_n", [2, 7, 55, 101])
-def test_scan_row_blocks_match_the_per_row_loop(params, monkeypatch, grid_n, batch):
-    # blocks of max(1, batch // grid_n) whole rows: one row per call, blocks
-    # that split the grid and leave a short last one, or one call for the
-    # grid; each through the module's tracking_determinant, plus the origin's
+@pytest.mark.parametrize("cell", [(0, 0), (3, 5), (20, 20), None])
+def test_scan_names_the_first_non_finite_cell_then_the_origin(params, monkeypatch, cell):
+    # a D the kernel overflowed to NaN or an infinity raises at the first
+    # such cell in row-major order; on a finite grid, at the origin (the one
+    # scalar call)
+    kernel = tracking.tracking_determinant
+    grid = scan_determinant(params, 21)[0]
+    u, v = (grid[cell[0]], grid[cell[1]]) if cell else (0.0, 0.0)
+
+    def overflowing(a1, a2, p, xp=math):
+        if cell is None:
+            return math.nan if xp is math else kernel(a1, a2, p, xp)
+        d = kernel(a1, a2, p, xp)
+        return np.where((a1 >= u) & (a2 == v), math.nan, np.where(a1 > u, -math.inf, d))
+
+    monkeypatch.setattr(tracking, "tracking_determinant", overflowing)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the tracking determinant is not finite at shape ({u}, {v})")):
+        scan_determinant(params, 21)
+
+
+@pytest.mark.parametrize("grid_n, batch", [(n, b) for n in (2, 7, 55, 101)
+                                           for b in (1, 7, 500, 10**6) if n * n // b <= 5000])
+def test_scan_batches_match_the_per_row_loop(params, monkeypatch, grid_n, batch):
+    # batches of the given number of cells in row-major order, which split
+    # grid rows and leave a short last one, or one call for the grid; each
+    # through the module's tracking_determinant, plus the origin's (one cell
+    # per call over 101^2 cells would take seconds)
     sizes = []
     kernel = tracking.tracking_determinant
 
@@ -124,10 +151,9 @@ def test_scan_row_blocks_match_the_per_row_loop(params, monkeypatch, grid_n, bat
 
     monkeypatch.setattr(tracking, "_BATCH_STATES", batch)
     monkeypatch.setattr(tracking, "tracking_determinant", counted)
-    values = scan_determinant(params, grid_n).values
-    rows = max(1, batch // grid_n)
-    whole, last = divmod(grid_n, rows)
-    assert sizes == [rows * grid_n] * whole + [last * grid_n] * (last > 0) + [1]
+    _, values, _ = scan_determinant(params, grid_n)
+    whole, last = divmod(grid_n * grid_n, batch)
+    assert sizes == [batch] * whole + [last] * (last > 0) + [1]
     monkeypatch.setattr(tracking, "tracking_determinant", kernel)
     np.testing.assert_array_equal(values, scan_values_reference(params, grid_n))
 
@@ -557,16 +583,17 @@ def test_custom_eps_d_is_honoured(params, monkeypatch):
     assert report["t_stop_s"] < at_default["t_stop_s"]
 
 
-def test_node_extrema_skip_a_nan_d_and_keep_the_rest_of_its_chunk():
-    # a NaN D (a node where the fields are undefined) is skipped like a NaN
-    # residual; the other nodes of its chunk still count, and a chunk of
-    # NaN alone leaves the extrema as they were
+def test_node_extrema_skip_a_nan_residual_and_keep_the_rest_of_its_batch():
+    # a NaN residual (a singular node, which keeps its finite D) is skipped;
+    # the other nodes of its batch still count, and a batch of NaN residuals
+    # alone leaves the maximum as it was. min |D| takes every batch's nodes
     n = 2 * tracking._BATCH_STATES + 3
     d = np.full(n, 7.0)
-    d[:4] = [5.0, math.nan, 1e-3, 7.0]
-    d[tracking._BATCH_STATES:2 * tracking._BATCH_STATES] = math.nan
+    d[:4] = [5.0, -2.0, 1e-3, 7.0]
+    d[tracking._BATCH_STATES + 5] = -5e-4
     resid = np.zeros(n)
     resid[:3] = [0.0, math.nan, 2e-12]
+    resid[tracking._BATCH_STATES:2 * tracking._BATCH_STATES] = math.nan
     resid[-1] = 3e-12
     result = IntegrationResult(status=STATUS_COMPLETED, t=np.arange(n, dtype=float),
                                z=np.zeros((n, 3)), f=np.zeros((n, 3)))
@@ -575,7 +602,28 @@ def test_node_extrema_skip_a_nan_d_and_keep_the_rest_of_its_chunk():
         rows = times.astype(int)
         return d[rows], d[rows], d[rows], resid[rows]
 
-    assert tracking._node_extrema(result, fields_at) == (1e-3, 3e-12)
+    _, report = tracking.record_run(result, fields_at, METHOD_RK45, samples=2)
+    assert (report["min_abs_d"], report["max_feedback_residual"]) == (5e-4, 3e-12)
+
+
+@pytest.mark.parametrize("name", ["table1_relaxation", "table1_line_ok"])
+def test_a_long_run_allocates_little_beyond_its_record(name, scenario_dir):
+    # record_run writes _BATCH_STATES samples at a time into the record, so
+    # the run's allocations peak near the record itself. At 200,000 samples
+    # (a 16.8 MiB record) they peaked at 18.7 and 24.5 MiB (numpy 2.4), and
+    # at 139.1 and 133.0 MiB when the samples went through one batch
+    scn = load_scenario(scenario_dir / f"{name}.json")
+    simulate, drive = ((simulate_closed_loop, scn.trajectory) if scn.mode == "closed_loop"
+                       else (simulate_open_loop, scn.field_program))
+    simulate(scn.initial, drive, scn.params, scn.integrator, samples=2)  # LSODA's scipy import
+    tracemalloc.start()
+    try:
+        record, _ = simulate(scn.initial, drive, scn.params, scn.integrator, samples=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.data.shape == (200_000, len(CSV_COLUMNS))
+    assert peak <= 2 * record.data.nbytes
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
