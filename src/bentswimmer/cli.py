@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         return _config_error(str(exc))
 
     if args.command == "validate":
-        print(f"{args.scenario}: OK ({scenario.mode} mode, sha256 {scenario.sha256()[:12]})")
+        print(f"{args.scenario}: OK ({scenario.mode} mode, sha256 {scenario.sha256[:12]})")
         print(json.dumps(scenario.params.table_units(), indent=2))
         return 0
 

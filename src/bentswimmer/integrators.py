@@ -13,8 +13,9 @@ Two methods, both for stiff systems, since the shape relaxation is stiff
 
 * ``trapezoidal_adaptive`` -- the name is kept for the scenario files; the
   solver is scipy's LSODA (Petzold 1983), which switches between Adams and
-  BDF formulas and builds its own Jacobian. It is driven one accepted step at
-  a time. scipy.integrate is imported on the first LSODA run only.
+  BDF formulas and builds its own Jacobian. It picks its own first step, so
+  H_INIT serves the NDF only. It is driven one accepted step at a time.
+  scipy.integrate is imported on the first LSODA run only.
 
 abs_tol and rel_tol are one float each, shared by every state component.
 A step that reaches a non-finite state ends the run with ``step_collapse``
@@ -78,11 +79,11 @@ _SQRT_EPS = _EPS ** 0.5
 # LSODA raises smaller relative tolerances to this floor (with a warning);
 # both methods reject them instead.
 REL_TOL_MIN = 100 * _EPS
-# step control shared by both methods, read at call time: the first step
-# [s], the step below which a run ends with step_collapse [s], and the cap
-# on accepted steps that ends a run with max_steps, so that a runaway run
-# stops (every NDF rejection shrinks the step, so rejections end in
-# step_collapse)
+# step control, read at call time: the NDF's first step [s] (LSODA picks its
+# own), and, for both methods, the step below which a run ends with
+# step_collapse [s] and the cap on accepted steps that ends a run with
+# max_steps, so that a runaway run stops (every NDF rejection shrinks the
+# step, so rejections end in step_collapse)
 H_INIT = 1e-7
 H_MIN = 1e-14
 MAX_STEPS = 5_000_000
@@ -425,7 +426,7 @@ def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
         return out
 
     t0 = run.t[0]
-    solver = LSODA(fun, t0, run.z[0], t1, first_step=min(H_INIT, t1 - t0), rtol=rtol, atol=atol)
+    solver = LSODA(fun, t0, run.z[0], t1, rtol=rtol, atol=atol)
     try:
         with warnings.catch_warnings():
             # a failed step is reported through solver.status; its text is noise

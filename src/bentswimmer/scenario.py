@@ -21,7 +21,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,8 @@ class FieldProgram:
             if not (math.isfinite(hp) and math.isfinite(hq)):
                 raise ValueError("field values must be finite")
             prev = until
+        # until, h_par and h_perp as three arrays, built once for field_at
+        object.__setattr__(self, "_columns", np.array(self.pieces).T)
 
     @property
     def horizon(self) -> float:
@@ -124,7 +126,7 @@ class FieldProgram:
     def field_at(self, t):
         """(h_par, h_perp) at time t, a float or an array of times: the first
         piece with t < until, else the last piece."""
-        until, h_par, h_perp = np.array(self.pieces).T
+        until, h_par, h_perp = self._columns
         i = np.minimum(np.searchsorted(until, t, side="right"), len(self.pieces) - 1)
         return h_par[i], h_perp[i]
 
@@ -140,10 +142,10 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario. Of trajectory, field_program, grid_n and
-    controllability, only the mode's own is read; the others keep their
-    defaults. controllability is the summary block that mode reports, built
-    at load from its own key, p_rows (_MODE_KEYS)."""
+    """A validated scenario. spec is its mode's one input, resolved at load:
+    the Trajectory, the FieldProgram, the scan's grid_n, or the controllability
+    summary block built from p_rows. sha256 is the digest of the document as
+    canonical JSON (indented by 2, keys sorted, one final newline)."""
 
     name: str
     mode: str
@@ -151,17 +153,8 @@ class Scenario:
     initial: SwimmerState
     integrator: IntegratorOptions
     outputs: OutputSpec
-    trajectory: Trajectory | None = None
-    field_program: FieldProgram | None = None
-    grid_n: int = 101
-    controllability: dict | None = None
-    raw: dict = field(repr=False, default_factory=dict)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+    spec: Trajectory | FieldProgram | int | dict
+    sha256: str
 
 
 def _require(cond: bool, path: str, message: str):
@@ -296,19 +289,19 @@ def _parse_outputs(values: dict, path: str) -> OutputSpec:
     return spec
 
 
-# each mode's own key, valid in that mode only: (key, parser, required)
+# each mode's own key, valid in that mode only: (key, parser, default or None if required)
 _MODE_KEYS = {
-    "open_loop": ("field_program", _parse_field_program, True),
-    "closed_loop": ("trajectory", _parse_trajectory, True),
-    "controllability": ("p_rows", lambda v, path: _as_integer(v, path, 1, 5), False),
-    "determinant_scan": ("grid_n", lambda v, path: _as_integer(v, path, 2, MAX_GRID_N), False),
+    "open_loop": ("field_program", _parse_field_program, None),
+    "closed_loop": ("trajectory", _parse_trajectory, None),
+    "controllability": ("p_rows", lambda v, path: _as_integer(v, path, 1, 5), 2),
+    "determinant_scan": ("grid_n", lambda v, path: _as_integer(v, path, 2, MAX_GRID_N), 101),
 }
 MODES = tuple(_MODE_KEYS)
 _TOP_KEYS = {"name", "mode", "params", "initial", "integrator", "outputs",
              *(key for key, _, _ in _MODE_KEYS.values())}
 
 
-def _controllability(initial: SwimmerState, params: SwimmerParams, p_rows: int = 2) -> dict:
+def _controllability(initial: SwimmerState, params: SwimmerParams, p_rows: int) -> dict:
     """The controllability summary block: the linearization at the rest state
     initial (linearize's rule, reported at initial), its Kalman matrix and the
     rank test on its first p_rows rows, and the position determinant in closed
@@ -360,18 +353,18 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
 
     for other, (key, _, _) in _MODE_KEYS.items():
         _require(key not in doc or other == mode, key, f"only valid in {other} mode")
-    key, parse, required = _MODE_KEYS[mode]
-    _require(key in doc or not required, key, f"required in {mode} mode")
-    own = {key: _at(key, parse, doc[key], key)} if key in doc else {}
+    key, parse, default = _MODE_KEYS[mode]
+    _require(key in doc or default is not None, key, f"required in {mode} mode")
+    spec = _at(key, parse, doc[key], key) if key in doc else default
     if mode == "closed_loop":
-        _at("initial", own[key].check_start, initial)
+        _at("initial", spec.check_start, initial)
     elif mode == "controllability":
-        own = {"controllability": _at("params", _controllability, initial, params, **own)}
+        spec = _at("params", _controllability, initial, params, spec)
     if mode in ("closed_loop", "open_loop"):
         # the run checks D at every sample, the first one included
         d = tracking_determinant(initial.alpha1, initial.alpha2, params)
         _at("params", _require_finite_d, d, initial.alpha1, initial.alpha2)
-        horizon = own[key].horizon
+        horizon = spec.horizon
         for i, t in enumerate(outputs.snapshot_times_s):
             _require(0.0 <= t <= horizon, f"outputs.snapshot_times_s[{i}]",
                      f"{t} s lies outside the run [0, {horizon}] s")
@@ -380,11 +373,10 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
         _require(isinstance(doc["name"], str), "name", "expected a string")
         name = doc["name"]
 
-    # keep an immutable snapshot for hashing and canonical serialization
-    raw = json.loads(json.dumps(doc, sort_keys=True))
-
+    canonical = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return Scenario(name=name, mode=mode, params=params, initial=initial,
-                    integrator=integrator, outputs=outputs, raw=raw, **own)
+                    integrator=integrator, outputs=outputs, spec=spec,
+                    sha256=hashlib.sha256(canonical.encode()).hexdigest())
 
 
 def load_scenario(path) -> Scenario:
@@ -492,17 +484,15 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
     summary: dict = {
         "scenario": scenario.name,
         "mode": scenario.mode,
-        "scenario_sha256": scenario.sha256(),
+        "scenario_sha256": scenario.sha256,
         "params": scenario.params.table_units(),
         "field_unit": "uT (pN per A.um)",
     }
 
     if simulation:
         # the simulators are looked up here, at call time (the tracer wraps them)
-        simulate, drive = ((simulate_closed_loop, scenario.trajectory)
-                           if scenario.mode == "closed_loop"
-                           else (simulate_open_loop, scenario.field_program))
-        record, report = _at("params", simulate, scenario.initial, drive, scenario.params,
+        simulate = simulate_closed_loop if scenario.mode == "closed_loop" else simulate_open_loop
+        record, report = _at("params", simulate, scenario.initial, scenario.spec, scenario.params,
                              scenario.integrator, samples=outputs.samples,
                              snapshot_times=tuple(snapshots))
         write_csv(record, csv_path)
@@ -522,11 +512,11 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         exit_code = _EXIT_CODES[report["termination"]]
 
     elif scenario.mode == "controllability":
-        summary.update(scenario.controllability)
+        summary.update(scenario.spec)
         exit_code = EXIT_COMPLETED
 
     else:  # determinant_scan
-        grid, values, block = _at("params", scan_determinant, scenario.params, scenario.grid_n)
+        grid, values, block = _at("params", scan_determinant, scenario.params, scenario.spec)
         write_grid(csv_path, "alpha1,alpha2,d_value", grid, values)
         summary.update(block)
         summary["csv"] = str(csv_path)

@@ -418,7 +418,8 @@ def record_run(
     and the max residual, _BATCH_STATES states at a time. A D that is not
     finite at any of those states (the kernel overflowed at these params)
     raises ValueError naming the first such shape, samples before nodes: the
-    scan's rule.
+    scan's rule. So does an infinite field at a sample, which no record or
+    summary can hold.
 
     The report is summary.json's simulation block, in its keys: termination
     (an OUTCOME_* value) and its detail; t_stop_s; min_abs_d, the smallest
@@ -451,6 +452,10 @@ def record_run(
             states = result.sample(t)
             h_par, h_perp, d, _ = fields_at(t, states)
             _require_finite_d(d, states[:, -2], states[:, -1])
+            inf = np.isinf(h_par) | np.isinf(h_perp)
+            if inf.any():
+                a1, a2 = _first_where(inf, states[:, -2], states[:, -1])
+                raise ValueError(f"the field is not finite at shape ({a1}, {a2})")
             rows = data[i:i + _BATCH_STATES]
             rows[:, 0] = t
             rows[:, 6 - states.shape[1]:6] = states

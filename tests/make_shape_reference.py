@@ -61,8 +61,7 @@ def reference_times(scenario, every: int) -> np.ndarray:
     """Every every-th sample time of the scenario's record, plus the last. As
     in the record, snapshot times are sample times only under a geometry_dir."""
     out = scenario.outputs
-    drive = scenario.trajectory or scenario.field_program
-    times = _sample_times(drive.horizon, out.samples,
+    times = _sample_times(scenario.spec.horizon, out.samples,
                           out.snapshot_times_s if out.geometry_dir else ())
     return np.unique(np.append(times[::every], times[-1]))
 
@@ -92,7 +91,7 @@ def reference(times, rows, keys) -> dict:
 
 
 def closed_loop_reference(scenario) -> dict:
-    traj, p = scenario.trajectory, scenario.params
+    traj, p = scenario.spec, scenario.params
 
     def rhs(t, z):
         s = SwimmerState(*z.tolist())
@@ -103,7 +102,7 @@ def closed_loop_reference(scenario) -> dict:
 
 
 def open_loop_reference(scenario) -> dict:
-    program, p = scenario.field_program, scenario.params
+    program, p = scenario.spec, scenario.params
 
     def rhs_from(t0):
         field = ControlField(*(float(h) for h in program.field_at(t0)))

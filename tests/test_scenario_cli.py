@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -33,7 +34,7 @@ from bentswimmer.scenario import (
     scenario_from_dict,
     simulate_open_loop,
 )
-from bentswimmer.tracking import scan_determinant
+from bentswimmer.tracking import Trajectory, scan_determinant
 
 from conftest import read_record
 from oracles import scan_values_reference
@@ -74,7 +75,7 @@ def test_load_shipped_circle_scenario(scenario_dir):
     assert echo["xi_N_s_m2"] == pytest.approx(6.2e-3)
     assert (echo["m1_A_um2"], echo["m2_A_um2"], echo["m3_A_um2"]) == (1.6, 2.4, 3.2)
     assert echo["kappa_N_um"] == pytest.approx(8.3e-7)
-    assert scn.trajectory is not None
+    assert isinstance(scn.spec, Trajectory)
     assert scn.integrator.method == "adaptive_explicit_rk45"
 
 
@@ -491,13 +492,18 @@ def test_straight_rest_controllability_scenario_loads(scenario_dir, tmp_path):
 
 
 def test_round_trip_serialization(tmp_path):
+    # sha256 is the digest of the document as canonical JSON (indented by 2,
+    # keys sorted, one final newline): a file of those bytes loads to the
+    # same scenario, and its digest is the scenario's
     doc = short_line_doc()
     scn = scenario_from_dict(doc, name="short_line")
     out = tmp_path / "scn.json"
-    out.write_text(scn.canonical_json(), encoding="utf-8")
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     again = load_scenario(out)
-    assert again.raw == scn.raw
-    assert again.sha256() == scn.sha256()
+    assert again.sha256 == scn.sha256 == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert ((again.mode, again.params, again.initial, again.integrator, again.outputs)
+            == (scn.mode, scn.params, scn.initial, scn.integrator, scn.outputs))
+    assert again.spec.horizon == scn.spec.horizon
 
 
 def test_field_program_semantics():
@@ -718,11 +724,11 @@ def test_run_open_loop_piecewise_field(tmp_path):
     assert abs(rec.column("theta")[-1]) > 1e-4
     # the pieces join without a seam: the state sampled at the boundary is
     # the end state of the first piece integrated on its own
-    first = FieldProgram(pieces=(scn.field_program.pieces[0],))
+    first = FieldProgram(pieces=(scn.spec.pieces[0],))
     alone, alone_report = simulate_open_loop(scn.initial, first, scn.params, scn.integrator,
                                              samples=2)
     t_b = alone_report["t_stop_s"]
-    both, _ = simulate_open_loop(scn.initial, scn.field_program, scn.params, scn.integrator,
+    both, _ = simulate_open_loop(scn.initial, scn.spec, scn.params, scn.integrator,
                                  samples=80, snapshot_times=(t_b,))
     at_b = both.data[both.column("t") == t_b]
     np.testing.assert_array_equal(at_b[:, 1:6], alone.data[-1:, 1:6])
@@ -771,8 +777,8 @@ def test_open_loop_library_default_is_the_ndf():
         "field_program": [{"until_t_s": 1e-4, "h_par_uT": 1e3, "h_perp_uT": 2e4}],
     }, name="pulse")
     assert scn.integrator == IntegratorOptions()
-    rec, report = simulate_open_loop(scn.initial, scn.field_program, scn.params, samples=20)
-    want, want_report = simulate_open_loop(scn.initial, scn.field_program, scn.params,
+    rec, report = simulate_open_loop(scn.initial, scn.spec, scn.params, samples=20)
+    want, want_report = simulate_open_loop(scn.initial, scn.spec, scn.params,
                                            IntegratorOptions(), samples=20)
     np.testing.assert_array_equal(rec.data, want.data)
     assert report == want_report and report["integrator"]["solver"] == "ndf"
@@ -1025,6 +1031,9 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     # D overflows at an emitted sample or an accepted node of a run
     *(("simulate", name, key, 1e160, "the tracking determinant is not finite at shape")
       for name, key in (("table1_relaxation", "m3_A_um2"), ("table1_line_ok", "eta_N_s_m2"))),
+    # LSODA's Hermite samples between its first two nodes reach about 1e142 rad,
+    # where the field overflows: the summary would hold Infinity
+    ("simulate", "table1_waypoints", "kappa_N_um", 1e160, "the field is not finite at shape"),
 ])
 def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
                                                     command, name, key, value, message):
@@ -1038,6 +1047,25 @@ def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_d
     assert captured.out == ""
     assert captured.err.startswith(f"error: params: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
+
+
+def test_infinite_field_at_a_snapshot_sample_writes_nothing(tmp_path, capsys, scenario_dir):
+    # the sample at the snapshot time holds the same overflowed shape: the
+    # run stops at params before the CSV, where it used to write the CSV and
+    # then fail in the snapshot writer with a traceback
+    doc = json.loads((scenario_dir / "table1_waypoints.json").read_text(encoding="utf-8"))
+    doc["params"]["kappa_N_um"] = 1e160
+    doc["outputs"]["snapshot_times_s"] = [1e-9]
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", str(scn), "--output-dir", str(out)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: params: the field is not finite at shape \(\S+, \S+\)\n",
+                        captured.err)
+    # only the geometry directory, made before the run, is left, and it is empty
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
 
 

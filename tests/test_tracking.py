@@ -21,7 +21,7 @@ from bentswimmer.integrators import (
 )
 from bentswimmer.model import SwimmerState
 from bentswimmer.records import CSV_COLUMNS
-from bentswimmer.scenario import load_scenario, simulate_open_loop
+from bentswimmer.scenario import load_scenario, scenario_from_dict, simulate_open_loop
 from bentswimmer.tracking import (
     EPS_D,
     OUTCOME_COMPLETED,
@@ -476,6 +476,27 @@ def test_backward_line_aborts_with_blowup(params):
     assert tail.max() >= 10.0 * np.median(h)
 
 
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
+def test_speed_does_not_move_the_abort_along_the_path(method, scenario_dir):
+    # the closed-loop shape is a function of the distance along the demand:
+    # the shipped backward line, run at 50 and at 400 um/s over the same
+    # 10 um, aborts at the same path length. Measured 1.2100292 and
+    # 1.2099618 um (NDF), 1.2100294 and 1.2099620 um (LSODA), 5.57e-5 apart
+    # relative; the bound leaves 3x
+    doc = json.loads((scenario_dir / "table1_line_blowup.json").read_text(encoding="utf-8"))
+    doc["integrator"]["method"] = method
+    reach = []
+    for speed in (50.0, 400.0):
+        doc["trajectory"].update(speed_um_s=speed, duration_s=10.0 / speed)
+        scn = scenario_from_dict(doc)
+        _, report = simulate_closed_loop(scn.initial, scn.spec, scn.params, scn.integrator,
+                                         samples=scn.outputs.samples)
+        assert report["termination"] == OUTCOME_SINGULAR, (speed, report["detail"])
+        reach.append(report["t_stop_s"] * speed)
+    print(f"{method}: abort path lengths {reach} um")
+    assert abs(reach[1] - reach[0]) <= 1.7e-4 * reach[0]
+
+
 def test_batched_feedback_fields_match_the_per_state_solve(params, monkeypatch):
     st = equilibrium_state(params)
     traj = line_trajectory((0.0, 0.0), math.pi, 50.0, 0.05)
@@ -613,12 +634,11 @@ def test_a_long_run_allocates_little_beyond_its_record(name, scenario_dir):
     # (a 16.8 MiB record) they peaked at 18.7 and 24.5 MiB (numpy 2.4), and
     # at 139.1 and 133.0 MiB when the samples went through one batch
     scn = load_scenario(scenario_dir / f"{name}.json")
-    simulate, drive = ((simulate_closed_loop, scn.trajectory) if scn.mode == "closed_loop"
-                       else (simulate_open_loop, scn.field_program))
-    simulate(scn.initial, drive, scn.params, scn.integrator, samples=2)  # LSODA's scipy import
+    simulate = simulate_closed_loop if scn.mode == "closed_loop" else simulate_open_loop
+    simulate(scn.initial, scn.spec, scn.params, scn.integrator, samples=2)  # LSODA's scipy import
     tracemalloc.start()
     try:
-        record, _ = simulate(scn.initial, drive, scn.params, scn.integrator, samples=200_000)
+        record, _ = simulate(scn.initial, scn.spec, scn.params, scn.integrator, samples=200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -702,7 +722,7 @@ def test_closed_loop_shape_matches_the_radau_reference(name, method, scenario_di
     ref = json.loads(SHAPE_REFERENCE.read_text(encoding="utf-8"))["scenarios"][name]
     scn = load_scenario(scenario_dir / f"{name}.json")
     record, report = simulate_closed_loop(
-        scn.initial, scn.trajectory, scn.params,
+        scn.initial, scn.spec, scn.params,
         dataclasses.replace(scn.integrator, method=method),
         samples=scn.outputs.samples, snapshot_times=scn.outputs.snapshot_times_s)
     assert report["termination"] == OUTCOME_COMPLETED
@@ -725,7 +745,7 @@ def test_open_loop_state_matches_the_radau_reference(path, method):
     scn = load_scenario(TESTS.parent / path)
     ref = json.loads(SHAPE_REFERENCE.read_text(encoding="utf-8"))["scenarios"][scn.name]
     record, report = simulate_open_loop(
-        scn.initial, scn.field_program, scn.params,
+        scn.initial, scn.spec, scn.params,
         dataclasses.replace(scn.integrator, method=method), samples=scn.outputs.samples)
     assert report["termination"] == OUTCOME_COMPLETED
     t = record.column("t")
