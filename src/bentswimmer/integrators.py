@@ -250,14 +250,6 @@ def _rescale(D: list[list[float]], order: int, factor: float) -> None:
         D[j] = [sum(map(mul, ru, col)) for col in cols]
 
 
-def _newton_matrix(J, c):
-    """lu_factor of I - c J, looked up at call time (the tracer wraps it)."""
-    a = [[(1.0 if i == j else 0.0) - c * v for j, v in enumerate(row)]
-         for i, row in enumerate(J)]
-    perm, _ = lu_factor(a)
-    return a, perm
-
-
 def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     """Variable-order NDF (orders 1-5) in quasi-constant step form, after
     Shampine & Reichelt 1997 and scipy's BDF solver.
@@ -323,8 +315,10 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
                 J = jacobian(t_new, y_pred, f_pred)
                 fresh = True
             while True:
-                if lu is None:
-                    lu = _newton_matrix(J, c)
+                if lu is None:  # I - c J, factored by lu_factor in place
+                    a = [[(1.0 if i == j else 0.0) - c * v for j, v in enumerate(row)]
+                         for i, row in enumerate(J)]
+                    lu = a, lu_factor(a)[0]
                 a, perm = lu
                 # simplified Newton for d = y - y_pred solving
                 # d = c f(t_new, y) - psi, from y = y_pred

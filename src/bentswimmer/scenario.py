@@ -33,7 +33,7 @@ from .controllability import (
     numeric_bent_submatrix_determinant,
     partial_controllability,
 )
-from .dynamics import _raw_fields, _raw_state_derivative
+from .dynamics import _raw_state_derivative
 from .integrators import (
     METHODS,
     STATUS_COMPLETED,
@@ -347,9 +347,9 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     integrator = _at("integrator", IntegratorOptions,
                      **_read_optional(doc, "integrator", _INTEGRATOR))
     outputs = _parse_outputs(_read_optional(doc, "outputs", _OUTPUTS), "outputs")
-    # the drag kernel at the initial shape: parameters it cannot invert
-    # (say, a segment length that underflows) fail here, not mid-run
-    _at("params", _raw_fields, initial.alpha1, initial.alpha2, params)
+    # D, through the drag kernel, at the initial shape: parameters the kernel
+    # cannot invert (say, a segment length that underflows) fail here, not mid-run
+    d = _at("params", tracking_determinant, initial.alpha1, initial.alpha2, params)
 
     for other, (key, _, _) in _MODE_KEYS.items():
         _require(key not in doc or other == mode, key, f"only valid in {other} mode")
@@ -362,7 +362,6 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
         spec = _at("params", _controllability, initial, params, spec)
     if mode in ("closed_loop", "open_loop"):
         # the run checks D at every sample, the first one included
-        d = tracking_determinant(initial.alpha1, initial.alpha2, params)
         _at("params", _require_finite_d, d, initial.alpha1, initial.alpha2)
         horizon = spec.horizon
         for i, t in enumerate(outputs.snapshot_times_s):

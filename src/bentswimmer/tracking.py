@@ -100,13 +100,17 @@ class Trajectory:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         # fail here rather than in the output path after a whole run
         times = np.array([0.0, self.horizon])
-        for name in ("f", "g", "df", "dg"):
-            try:
-                getattr(self, name)(times, np)
-            except TypeError as exc:
-                raise ValueError(
-                    f"evaluator {name} must also take (times, numpy): {exc}"
-                ) from exc
+        with np.errstate(all="ignore"):  # an overflow is reported below, not warned
+            for name in ("f", "g", "df", "dg"):
+                try:
+                    values = getattr(self, name)(times, np)
+                except TypeError as exc:
+                    raise ValueError(
+                        f"evaluator {name} must also take (times, numpy): {exc}"
+                    ) from exc
+                if not np.isfinite(values).all():
+                    raise ValueError(f"evaluator {name} is not finite at t = 0 or "
+                                     f"t = {self.horizon:g}")
 
     def start(self) -> tuple[float, float]:
         return (self.f(0.0), self.g(0.0))
@@ -186,7 +190,8 @@ def waypoint_trajectory(times, xs, ys) -> Trajectory:
         raise ValueError("waypoint times must be strictly increasing")
     if t[0] != 0.0:
         raise ValueError("waypoint times must start at 0")
-    (fx, dfx), (fy, dfy) = _clamped_spline(t, x), _clamped_spline(t, y)
+    with np.errstate(all="ignore"):  # Trajectory rejects what overflows
+        (fx, dfx), (fy, dfy) = _clamped_spline(t, x), _clamped_spline(t, y)
     return Trajectory(f=fx, g=fy, df=dfx, dg=dfy, horizon=float(t[-1]))
 
 

@@ -64,6 +64,21 @@ def short_line_doc(heading=0.0, duration=0.01):
     }
 
 
+def assert_one_error_line(captured, prefix):
+    """A config error's output, as (out, err): nothing on stdout, and on
+    stderr exactly one line that starts with prefix and holds no traceback.
+    Tests read it with capfd, so output written straight to file descriptor
+    2 counts; the suite's filterwarnings makes any warning an error."""
+    out, err = captured
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+
+
+def written_files(root):
+    return sorted(p for p in Path(root).rglob("*") if p.is_file())
+
+
 # ------------------------------------------------------------------- loading
 
 def test_load_shipped_circle_scenario(scenario_dir):
@@ -123,7 +138,7 @@ def test_validation_errors_name_the_field():
 
 
 @pytest.mark.parametrize("entry", ["abc", None, True])
-def test_snapshot_time_must_be_a_number(entry, tmp_path, capsys):
+def test_snapshot_time_must_be_a_number(entry, tmp_path, capfd):
     doc = short_line_doc()
     doc["outputs"]["snapshot_times_s"] = [0.0, entry]
     with pytest.raises(ScenarioValidationError, match=r"outputs\.snapshot_times_s\[1\]"):
@@ -131,7 +146,7 @@ def test_snapshot_time_must_be_a_number(entry, tmp_path, capsys):
     p = tmp_path / "bad_snapshot.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
-    assert "outputs.snapshot_times_s[1]" in capsys.readouterr().err
+    assert_one_error_line(capfd.readouterr(), "error: outputs.snapshot_times_s[1]: ")
 
 
 @pytest.mark.parametrize("mode,entry", [
@@ -140,7 +155,7 @@ def test_snapshot_time_must_be_a_number(entry, tmp_path, capsys):
     ("open_loop", -1e-3),
     ("open_loop", 2e-3 + 1e-9),
 ])
-def test_snapshot_time_must_lie_in_the_run(mode, entry, tmp_path, capsys):
+def test_snapshot_time_must_lie_in_the_run(mode, entry, tmp_path, capfd):
     doc = short_line_doc()  # horizon 0.01 s
     if mode == "open_loop":
         del doc["trajectory"]
@@ -152,10 +167,10 @@ def test_snapshot_time_must_lie_in_the_run(mode, entry, tmp_path, capsys):
     p = tmp_path / "bad_snapshot.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
-    assert "outputs.snapshot_times_s[1]" in capsys.readouterr().err
+    assert_one_error_line(capfd.readouterr(), "error: outputs.snapshot_times_s[1]: ")
 
 
-def test_rel_tol_below_the_floor_is_rejected(tmp_path, capsys):
+def test_rel_tol_below_the_floor_is_rejected(tmp_path, capfd):
     doc = short_line_doc()
     doc["integrator"] = {"method": "trapezoidal_adaptive", "abs_tol": 1e-9, "rel_tol": 1e-15}
     with pytest.raises(ScenarioValidationError, match=r"^integrator: rel_tol"):
@@ -163,7 +178,7 @@ def test_rel_tol_below_the_floor_is_rejected(tmp_path, capsys):
     p = tmp_path / "too_tight.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["simulate", str(p), "--output-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
-    assert "integrator: rel_tol" in capsys.readouterr().err
+    assert_one_error_line(capfd.readouterr(), "error: integrator: rel_tol")
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -174,12 +189,12 @@ def waypoint_doc():
     return doc
 
 
-def assert_cli_rejects(doc, path, tmp_path, capsys):
-    """`validate` exits 4 and its error names the field path."""
+def assert_cli_rejects(doc, path, tmp_path, capfd):
+    """`validate` exits 4 and its one error line names the field path."""
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
-    assert f"error: {path}: " in capsys.readouterr().err
+    assert_one_error_line(capfd.readouterr(), f"error: {path}: ")
 
 
 @pytest.mark.parametrize("block,value,path", [
@@ -199,13 +214,13 @@ def assert_cli_rejects(doc, path, tmp_path, capsys):
         "initial_string", "outputs",
         *(f"{block}_{kind}" for block in ("integrator", "outputs")
           for kind in ("empty_list", "zero", "false", "empty_string"))])
-def test_malformed_block_names_its_path(block, value, path, tmp_path, capsys):
+def test_malformed_block_names_its_path(block, value, path, tmp_path, capfd):
     doc = short_line_doc()
     doc[block] = value
     with pytest.raises(ScenarioValidationError,
                        match=rf"^{re.escape(path)}: (expected an object|must be one of)"):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, path, tmp_path, capsys)
+    assert_cli_rejects(doc, path, tmp_path, capfd)
 
 
 @pytest.mark.parametrize("block", ["integrator", "outputs"])
@@ -292,14 +307,14 @@ def test_every_key_table(table):
 
 @pytest.mark.parametrize("entry", [True, None, "abc"])
 @pytest.mark.parametrize("key", ["times_s", "x_um", "y_um"])
-def test_waypoint_entries_must_be_numbers(key, entry, tmp_path, capsys):
+def test_waypoint_entries_must_be_numbers(key, entry, tmp_path, capfd):
     doc = waypoint_doc()
     scenario_from_dict(doc)
     doc["trajectory"][key][1] = entry
     path = f"trajectory.{key}[1]"
     with pytest.raises(ScenarioValidationError, match=rf"^{re.escape(path)}: expected a number"):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, path, tmp_path, capsys)
+    assert_cli_rejects(doc, path, tmp_path, capfd)
 
 
 def _set(doc, path, value):
@@ -310,7 +325,7 @@ def _set(doc, path, value):
     doc[int(last) if last.isdigit() else last] = value
 
 
-def assert_numbers_must_be_finite(doc, path, tmp_path, capsys):
+def assert_numbers_must_be_finite(doc, path, tmp_path, capfd):
     """doc is valid; with NaN, an infinity or an integer too large for a float
     at path, it is rejected naming the path. json reads all of these."""
     scenario_from_dict(doc)
@@ -320,23 +335,23 @@ def assert_numbers_must_be_finite(doc, path, tmp_path, capsys):
         with pytest.raises(ScenarioValidationError, match=rf"^{re.escape(path)}: "
                            "(expected a finite number|integer too large for a float)"):
             scenario_from_dict(bad)
-        assert_cli_rejects(bad, path, tmp_path, capsys)
+        assert_cli_rejects(bad, path, tmp_path, capfd)
 
 
 @pytest.mark.parametrize("key,path", [
     ("abs_tol", "integrator"), ("rel_tol", "integrator"), ("eps_d", "eps_d"),
 ])
-def test_tolerances_must_be_finite(key, path, tmp_path, capsys):
+def test_tolerances_must_be_finite(key, path, tmp_path, capfd):
     doc = short_line_doc()
     if path == "integrator":
         doc["integrator"] = {key: 1e-9}
-        assert_numbers_must_be_finite(doc, f"integrator.{key}", tmp_path, capsys)
+        assert_numbers_must_be_finite(doc, f"integrator.{key}", tmp_path, capfd)
         return
     # the |D| floor is the constant tracking.EPS_D: the key is unknown
     doc[key] = 1e-8
     with pytest.raises(UnknownKeyError, match=rf"^<root>: unknown key\(s\) \[{key!r}\]"):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, "<root>", tmp_path, capsys)
+    assert_cli_rejects(doc, "<root>", tmp_path, capfd)
 
 
 @pytest.mark.parametrize("path", [
@@ -344,26 +359,26 @@ def test_tolerances_must_be_finite(key, path, tmp_path, capsys):
     "trajectory.x_um[1]", "outputs.snapshot_times_s[0]", "field_program[0].until_t_s",
     "field_program[0].h_perp_uT",
 ])
-def test_every_number_must_be_finite(path, tmp_path, capsys):
+def test_every_number_must_be_finite(path, tmp_path, capfd):
     doc = waypoint_doc() if path.startswith("trajectory.x_um") else short_line_doc()
     doc["outputs"]["snapshot_times_s"] = [0.0]
     if path.startswith("field_program"):
         del doc["trajectory"]
         doc["mode"] = "open_loop"
         doc["field_program"] = [{"until_t_s": 2e-3, "h_par_uT": 0.0, "h_perp_uT": 0.0}]
-    assert_numbers_must_be_finite(doc, path, tmp_path, capsys)
+    assert_numbers_must_be_finite(doc, path, tmp_path, capfd)
 
 
 @pytest.mark.parametrize("key,value", [
     ("h_init_s", 1e-7), ("h_min_s", 1e-14), ("h_max_s", 1.0), ("max_steps", 50),
 ])
-def test_step_control_keys_are_unknown(key, value, tmp_path, capsys):
+def test_step_control_keys_are_unknown(key, value, tmp_path, capfd):
     # the first step, the collapse floor and the attempt cap are constants
     doc = short_line_doc()
     doc["integrator"] = {"method": "adaptive_explicit_rk45", key: value}
     with pytest.raises(UnknownKeyError, match=rf"^integrator: unknown key\(s\) \[{key!r}\]"):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, "integrator", tmp_path, capsys)
+    assert_cli_rejects(doc, "integrator", tmp_path, capfd)
 
 
 @pytest.mark.parametrize("key,value,path", [
@@ -378,7 +393,7 @@ def test_step_control_keys_are_unknown(key, value, tmp_path, capsys):
     ("samples", 10 ** 30, "outputs.samples"),
 ], ids=["empty", "subdir", "dotdot", "absolute_csv", "absolute_geometry", "summary_is_csv",
         "geometry_is_summary", "snapshot_names_collide", "samples_too_many"])
-def test_outputs_must_be_writable_and_distinct(key, value, path, tmp_path, capsys):
+def test_outputs_must_be_writable_and_distinct(key, value, path, tmp_path, capfd):
     # each output is one plain file name under --output-dir, no two share a
     # file, and the sample count is capped; a violation writes nothing
     doc = short_line_doc()
@@ -388,7 +403,7 @@ def test_outputs_must_be_writable_and_distinct(key, value, path, tmp_path, capsy
     p.write_text(json.dumps(doc))
     code = cli_main(["simulate", str(p), "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_CONFIG_ERROR
-    assert f"error: {path}: " in capsys.readouterr().err
+    assert_one_error_line(capfd.readouterr(), f"error: {path}: ")
     assert list(tmp_path.iterdir()) == [p]
 
 
@@ -401,17 +416,17 @@ def test_outputs_must_be_writable_and_distinct(key, value, path, tmp_path, capsy
     ("controllability", "p_rows", 6),
     ("controllability", "p_rows", True),
 ])
-def test_sizes_are_bounded_integers(mode, key, value, tmp_path, capsys):
+def test_sizes_are_bounded_integers(mode, key, value, tmp_path, capfd):
     doc = {"mode": mode, "params": dict(TABLE1), "initial": dict(REST), key: 2}
     scenario_from_dict(doc)
     doc[key] = value
     with pytest.raises(ScenarioValidationError, match=rf"^{key}: expected an integer in"):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, key, tmp_path, capsys)
+    assert_cli_rejects(doc, key, tmp_path, capfd)
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "controllability", "determinant_scan"])
-def test_parameters_the_drag_kernel_cannot_invert_are_rejected(mode, tmp_path, capsys):
+def test_parameters_the_drag_kernel_cannot_invert_are_rejected(mode, tmp_path, capfd):
     # a segment length that underflows the drag matrix fails validation
     # instead of ending a run with a SingularMatrixError traceback
     doc = short_line_doc()
@@ -420,7 +435,7 @@ def test_parameters_the_drag_kernel_cannot_invert_are_rejected(mode, tmp_path, c
     doc["params"]["ell_um"] = 1e-300
     with pytest.raises(ScenarioValidationError, match=r"^params: drag matrix singular"):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, "params", tmp_path, capsys)
+    assert_cli_rejects(doc, "params", tmp_path, capfd)
 
 
 @pytest.mark.parametrize("start_x_um,duration_s", [(1e4, 0.004), (1e5, 0.1)])
@@ -453,7 +468,7 @@ MODE_KEY_VALUES = dict(MODE_KEYS.values())
     ("open_loop", "drop_field_program", "field_program"),
     ("controllability", "bend_initial", "initial"),
 ])
-def test_each_mode_key_belongs_to_its_mode(mode, change, path, tmp_path, capsys):
+def test_each_mode_key_belongs_to_its_mode(mode, change, path, tmp_path, capfd):
     # trajectory, field_program, grid_n and p_rows are each valid only in
     # their own mode, and the two simulation modes require theirs; a
     # controllability scenario linearizes at a rest state
@@ -470,7 +485,7 @@ def test_each_mode_key_belongs_to_its_mode(mode, change, path, tmp_path, capsys)
         doc["initial"]["alpha1_rad"] = 0.1
     with pytest.raises(ScenarioValidationError, match=rf"^{path}: "):
         scenario_from_dict(doc)
-    assert_cli_rejects(doc, path, tmp_path, capsys)
+    assert_cli_rejects(doc, path, tmp_path, capfd)
 
 
 def test_open_loop_requires_field_program():
@@ -906,25 +921,28 @@ def test_cli_validate_ok(scenario_dir, capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_cli_validate_config_error(tmp_path, capsys):
+def test_cli_validate_config_error(tmp_path, capfd):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
+    assert_one_error_line(capfd.readouterr(), f"error: {p}: invalid JSON at line 1, column 2: ")
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "nested_100000_deep"])
-def test_cli_unreadable_scenario_is_a_config_error(kind, tmp_path, capsys):
+def test_cli_unreadable_scenario_is_a_config_error(kind, tmp_path, capfd):
     p = tmp_path / "scn.json"
     if kind == "directory":
         p.mkdir()
     elif kind == "nested_100000_deep":
         p.write_text("[" * 100_000 + "]" * 100_000)
+    before = sorted(tmp_path.rglob("*"))
     assert cli_main(["validate", str(p)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {p}: cannot read the scenario: ")
+    assert_one_error_line(capfd.readouterr(), f"error: {p}: cannot read the scenario: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
-def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path, capsys):
+def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path, capfd):
     # the error comes before the run: nothing is written, the file is unchanged
     scn = tmp_path / "ok.json"
     scn.write_text(json.dumps(short_line_doc()))
@@ -932,13 +950,13 @@ def test_cli_output_dir_that_cannot_be_created_is_a_config_error(under, tmp_path
     blocker.write_text("keep")
     outdir = blocker / "out" if under else blocker
     assert cli_main(["simulate", str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err.startswith(f"error: --output-dir: cannot create {outdir}: ")
+    assert_one_error_line(capfd.readouterr(), f"error: --output-dir: cannot create {outdir}: ")
     assert blocker.read_text() == "keep"
     assert sorted(tmp_path.iterdir()) == [blocker, scn]
 
 
 @pytest.mark.parametrize("blocked", ["csv", "summary", "geometry_dir", "snapshot"])
-def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_path, capsys):
+def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_path, capfd):
     # a directory where the CSV, the summary or a snapshot goes, or a file
     # where the snapshots go, ends the command with one error line naming
     # the path, before the run: nothing is written, and run_scenario itself
@@ -958,8 +976,7 @@ def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_p
     with pytest.raises(OSError):
         run_scenario(load_scenario(scn), outdir)
     assert cli_main(["simulate", str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert_one_error_line(capfd.readouterr(), f"error: cannot write {path}: ")
     # only the blocking path, and for a snapshot the geom directory above it
     assert sorted(outdir.rglob("*")) == sorted({path, *path.parents} - {outdir, *outdir.parents})
     assert path.is_dir() != (blocked == "geometry_dir")
@@ -971,7 +988,7 @@ def test_cli_output_path_that_cannot_be_written_is_a_config_error(blocked, tmp_p
     ("controllability", "check-controllability", {}, "record.csv", 0, ["record.csv", "s.json"]),
 ], ids=["determinant_scan", "controllability"])
 def test_cli_output_paths_are_checked_before_the_run(mode, command, extra, blocked, code, left,
-                                                     tmp_path, capsys):
+                                                     tmp_path, capfd):
     # a scan with a directory at its summary path writes no grid CSV; a
     # controllability run writes no CSV, so a directory at that name is no
     # obstacle
@@ -982,7 +999,7 @@ def test_cli_output_paths_are_checked_before_the_run(mode, command, extra, block
     outdir = tmp_path / "out"
     (outdir / blocked).mkdir(parents=True)
     assert cli_main([command, str(scn), "--output-dir", str(outdir)]) == code
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err == ("" if code == 0 else f"error: cannot write {outdir / blocked}: Is a directory\n")
     assert sorted(p.name for p in outdir.iterdir()) == left
 
@@ -1035,7 +1052,7 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     # where the field overflows: the summary would hold Infinity
     ("simulate", "table1_waypoints", "kappa_N_um", 1e160, "the field is not finite at shape"),
 ])
-def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_dir,
+def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capfd, scenario_dir,
                                                     command, name, key, value, message):
     doc = json.loads((scenario_dir / f"{name}.json").read_text(encoding="utf-8"))
     doc["params"][key] = value
@@ -1043,14 +1060,60 @@ def test_cli_extreme_finite_params_exit_4_at_params(tmp_path, capsys, scenario_d
     scn.write_text(json.dumps(doc))
     outdir = tmp_path / "out"
     assert cli_main([command, str(scn), "--output-dir", str(outdir)]) == EXIT_CONFIG_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: params: {message}")
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
+    assert_one_error_line(capfd.readouterr(), f"error: params: {message}")
+    assert written_files(tmp_path) == [scn]
 
 
-def test_infinite_field_at_a_snapshot_sample_writes_nothing(tmp_path, capsys, scenario_dir):
+def scale_times(factor):
+    """An edit that scales every waypoint time by factor."""
+    def edit(doc):
+        doc["trajectory"]["times_s"] = [t * factor for t in doc["trajectory"]["times_s"]]
+    return edit
+
+
+def low_drag(doc):
+    doc["params"]["eta_N_s_m2"] *= 1e-3
+    doc["params"]["xi_N_s_m2"] *= 1e-3
+
+
+@pytest.mark.parametrize("command, name, edit, prefix", [
+    pytest.param("validate", "table1_line_ok", lambda d: d["trajectory"].update(speed_um=50.0),
+                 "error: trajectory: unknown key", id="trajectory_unknown_key"),
+    pytest.param("validate", "table1_relaxation", lambda d: d["field_program"][0].pop("h_perp_uT"),
+                 "error: field_program[0]: missing required key", id="piece_missing_key"),
+    # a demand whose spline coefficients or end value overflow, caught when
+    # the demand is built, before the start position is compared with it
+    *(pytest.param(command, name, edit,
+                   "error: trajectory: evaluator f is not finite at t = 0 or t = ",
+                   id=f"{kind}-{command}")
+      for kind, name, edit in (
+          ("times_x1e-300", "table1_waypoints", scale_times(1e-300)),
+          ("times_x1e300", "table1_waypoints", scale_times(1e300)),
+          ("line_speed_1e300", "table1_line_ok",
+           lambda d: d["trajectory"].update(speed_um_s=1e300, duration_s=1e10)))
+      for command in ("validate", "simulate")),
+    # both drag coefficients x1e-3 only make the run 1e3 times faster: a valid
+    # run, which prints nothing to stderr
+    pytest.param("simulate", "table1_line_ok", low_drag, None, id="line_ok_low_drag"),
+])
+def test_cli_edited_scenario_exits_4_with_one_line_or_runs_clean(
+        tmp_path, capfd, scenario_dir, command, name, edit, prefix):
+    # a shipped scenario with one edit outside its params: at exit 4, one
+    # error line naming the field and no file written
+    doc = json.loads((scenario_dir / f"{name}.json").read_text(encoding="utf-8"))
+    edit(doc)
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    code = cli_main([command, str(scn), "--output-dir", str(tmp_path / "out")])
+    if prefix is None:
+        assert code == EXIT_COMPLETED and capfd.readouterr().err == ""
+        return
+    assert code == EXIT_CONFIG_ERROR
+    assert_one_error_line(capfd.readouterr(), prefix)
+    assert written_files(tmp_path) == [scn]
+
+
+def test_infinite_field_at_a_snapshot_sample_writes_nothing(tmp_path, capfd, scenario_dir):
     # the sample at the snapshot time holds the same overflowed shape: the
     # run stops at params before the CSV, where it used to write the CSV and
     # then fail in the snapshot writer with a traceback
@@ -1061,15 +1124,15 @@ def test_infinite_field_at_a_snapshot_sample_writes_nothing(tmp_path, capsys, sc
     scn.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert cli_main(["simulate", str(scn), "--output-dir", str(out)]) == EXIT_CONFIG_ERROR
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: params: the field is not finite at shape \(\S+, \S+\)\n",
                         captured.err)
     # only the geometry directory, made before the run, is left, and it is empty
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn]
+    assert written_files(tmp_path) == [scn]
 
 
-def test_validate_reports_a_non_finite_start_d_as_the_run_does(tmp_path, capsys, scenario_dir):
+def test_validate_reports_a_non_finite_start_d_as_the_run_does(tmp_path, capfd, scenario_dir):
     # D at the initial shape is checked at load, so validate exits 4 with the
     # line simulate prints, where it used to report the scenario valid
     doc = json.loads((scenario_dir / "table1_relaxation.json").read_text(encoding="utf-8"))
@@ -1079,14 +1142,14 @@ def test_validate_reports_a_non_finite_start_d_as_the_run_does(tmp_path, capsys,
     want = ("error: params: the tracking determinant is not finite at shape "
             "(0.3, 1.4471975511965978)\n")
     assert cli_main(["validate", str(scn)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr() == ("", want)
+    assert capfd.readouterr() == ("", want)
     out = tmp_path / "out"
     assert cli_main(["simulate", str(scn), "--output-dir", str(out)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr() == ("", want)
+    assert capfd.readouterr() == ("", want)
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_singular_drag_scan_names_the_first_shape_at_any_batch(tmp_path, capsys, scenario_dir,
+def test_singular_drag_scan_names_the_first_shape_at_any_batch(tmp_path, capfd, scenario_dir,
                                                                monkeypatch):
     # the batches run in row-major order, so the drag guard names the first
     # singular shape of the per-row loop, whatever the batch size
@@ -1101,7 +1164,7 @@ def test_singular_drag_scan_names_the_first_shape_at_any_batch(tmp_path, capsys,
         out = tmp_path / f"out{batch}"
         code = cli_main(["scan-determinant", str(scn), "--output-dir", str(out)])
         assert code == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == f"error: params: {first.value}\n"
+        assert capfd.readouterr().err == f"error: params: {first.value}\n"
         assert not any(out.iterdir())
 
 
@@ -1147,10 +1210,12 @@ def test_cli_repeated_calls_in_one_process_match_fresh_ones(tmp_path, scenario_d
     assert cli._build_parser.cache_info().currsize == 1
 
 
-def test_cli_mode_mismatch(tmp_path):
+def test_cli_mode_mismatch(tmp_path, capfd):
     p = tmp_path / "line.json"
     p.write_text(json.dumps(short_line_doc()))
     assert cli_main(["scan-determinant", str(p)]) == EXIT_CONFIG_ERROR
+    assert_one_error_line(capfd.readouterr(),
+                          "error: scan-determinant expects a scenario in mode determinant_scan")
 
 
 def test_cli_check_controllability_output(tmp_path, capsys):
@@ -1168,6 +1233,40 @@ def test_cli_check_controllability_output(tmp_path, capsys):
     assert "partially controllable: True" in out
     assert "ratio numeric/closed" in out
     assert "A =" in out and "B =" in out and "K =" in out
+
+
+def test_cli_check_controllability_straight_rest_shape(scenario_dir, tmp_path, capsys):
+    # at the straight rest shape the first Kalman row vanishes, so the rank
+    # test fails and the CLI says why
+    code = cli_main(["check-controllability", str(scenario_dir / "straight_controllability.json"),
+                     "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "partially controllable: False" in out
+    assert "first Kalman row is identically zero (straight rest shape)" in out
+
+
+@pytest.mark.parametrize("command, kind", [("validate", "nested_100000_deep"),
+                                           ("simulate", "relaxation_m3_1e160")])
+def test_cli_module_meets_bad_input_in_its_own_process(command, kind, tmp_path, scenario_dir):
+    # a fresh interpreter has its own recursion limit, and prints warnings
+    # and tracebacks to stderr, where no test harness catches them
+    scn = tmp_path / "scn.json"
+    if kind == "nested_100000_deep":
+        scn.write_text("[" * 100_000 + "]" * 100_000)
+        prefix = f"error: {scn}: cannot read the scenario: "
+    else:
+        doc = json.loads((scenario_dir / "table1_relaxation.json").read_text(encoding="utf-8"))
+        doc["params"]["m3_A_um2"] = 1e160
+        scn.write_text(json.dumps(doc))
+        prefix = "error: params: the tracking determinant is not finite at shape"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bentswimmer", command, str(scn), "--output-dir",
+         str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=Path(bentswimmer.__file__).parents[1])
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert_one_error_line((proc.stdout, proc.stderr), prefix)
+    assert written_files(tmp_path) == [scn]
 
 
 def test_cli_module_invocation(tmp_path, scenario_dir):

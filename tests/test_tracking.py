@@ -423,17 +423,16 @@ def test_initial_position_mismatch_rejected(params):
         simulate_closed_loop(st, traj, params)
 
 
-@pytest.mark.parametrize("traj", [
-    line_trajectory((math.nan, 0.0), 0.0, 1.0, 0.01),
-    line_trajectory((0.0, 0.0), math.nan, 1.0, 0.01),
-    circle_trajectory((-1.0, 0.0), math.nan, 20.0, 0.01),
+@pytest.mark.parametrize("build", [
+    lambda: line_trajectory((math.nan, 0.0), 0.0, 1.0, 0.01),
+    lambda: line_trajectory((0.0, 0.0), math.nan, 1.0, 0.01),
+    lambda: circle_trajectory((-1.0, 0.0), math.nan, 20.0, 0.01),
 ], ids=["nan_start", "nan_heading", "nan_radius"])
-def test_non_finite_trajectory_start_rejected(traj, params):
-    # a NaN start is no distance from any initial position: it is rejected,
-    # not run with NaN positions in every row
-    st = equilibrium_state(params)
-    with pytest.raises(ValueError, match="must equal the trajectory start"):
-        simulate_closed_loop(st, traj, params)
+def test_non_finite_trajectory_start_rejected(build):
+    # a NaN start is rejected when the demand is built, not run with NaN
+    # positions in every row or blamed on the initial position
+    with pytest.raises(ValueError, match="is not finite"):
+        build()
 
 
 def test_negative_zero_snapshot_time_samples_the_start():
@@ -495,6 +494,22 @@ def test_speed_does_not_move_the_abort_along_the_path(method, scenario_dir):
         reach.append(report["t_stop_s"] * speed)
     print(f"{method}: abort path lengths {reach} um")
     assert abs(reach[1] - reach[0]) <= 1.7e-4 * reach[0]
+
+
+@pytest.mark.xfail(strict=True, reason="trial-state termination (ROADMAP known defect): "
+                   "LSODA's first trial state leaves the shape square")
+def test_lsoda_completes_a_slow_circle(scenario_dir):
+    # table1_circle at 1e-3 rad/s, a 6,283 s horizon: LSODA picks its first
+    # step from the span, its first trial state leaves the shape square, and
+    # the guard ends the run at t = 0 after 3 evaluations. Started at 1e-7 s,
+    # the same run completed in 756 steps
+    doc = json.loads((scenario_dir / "table1_circle.json").read_text(encoding="utf-8"))
+    doc["integrator"]["method"] = METHOD_TRAPEZOIDAL
+    doc["trajectory"]["angular_rate_rad_s"] = 1e-3
+    scn = scenario_from_dict(doc)
+    _, report = simulate_closed_loop(scn.initial, scn.spec, scn.params, scn.integrator,
+                                     samples=20)
+    assert report["termination"] == OUTCOME_COMPLETED, report["detail"]
 
 
 def test_batched_feedback_fields_match_the_per_state_solve(params, monkeypatch):
