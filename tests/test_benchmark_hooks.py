@@ -2,12 +2,15 @@
 
 Its traced run wraps module attributes that callers look up, and its
 microbenchmarks call kernel entry points directly. A refactor that drops or
-renames one of those names must fail here, not crash the benchmark.
+renames one of those names must fail here, not crash the benchmark. So must
+one that keeps a name but stops calling through it: the hook then reads 0
+while every case stays correct.
 """
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bentswimmer
 import bentswimmer.cli
@@ -40,6 +43,42 @@ def test_tracer_targets_install_and_restore():
             assert getattr(owner, attr) is not original, attr
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, attr
+
+
+# Per workload, the hooks its cases must pass through: a `.calls` name reads
+# the boundary's count, a `.self_s` name its self time, and
+# `controllability.self_s` the controllability layer's self time.
+LIVE_HOOKS = {
+    "track": ["tracking.rhs.calls", "dynamics.raw_fields.calls",
+              "linalg.lu_factor.newton.calls", "linalg.lu_solve.newton.calls",
+              "integrators.sample.calls", "tracking.post.self_s"],
+    "stiff": ["scenario.rhs.calls", "scenario.simulate_open_loop.self_s",
+              "tracking.rhs.calls", "tracking.tracking_determinant.calls",
+              "integrators.sample.calls"],
+    "sweep": ["tracking.scan_determinant.self_s", "tracking.tracking_determinant.calls",
+              "controllability.self_s"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LIVE_HOOKS))
+def test_each_workloads_live_hooks_read_nonzero(workload, tmp_path):
+    tracer_module, cases = _load("tracer"), _load("cases")
+    case_list = cases.generate(workload, 1)
+    paths = cases.write(case_list, tmp_path / "cases")
+    tracer = tracer_module.Tracer()
+    with tracer.installed(bentswimmer):
+        for case, path in zip(case_list, paths):
+            bentswimmer.cli.main([case["command"], str(path), "--output-dir",
+                                  str(tmp_path / case["name"])])
+
+    def value(name):
+        if name == "controllability.self_s":
+            return tracer.layer_self()["controllability"]
+        hook, kind = name.rsplit(".", 1)
+        calls, _, self_s = tracer.totals(hook)
+        return calls if kind == "calls" else self_s
+
+    assert [name for name in LIVE_HOOKS[workload] if not value(name)] == []
 
 
 def test_microbenchmarks_run():

@@ -591,7 +591,8 @@ def test_n_evals_counts_every_rhs_call(method):
 def test_scipy_integrate_loaded_by_stiff_runs_only():
     # LSODA's import costs ~0.7 s cold and ~47 MiB of peak memory, so
     # nothing else may pay it: the NDF, scans, controllability, scenario
-    # loading and waypoint splines need no scipy module at all
+    # loading (every shipped file) and waypoint splines need no scipy module
+    # at all
     script = """
 import sys
 import bentswimmer
@@ -610,7 +611,8 @@ waypoints = waypoint_trajectory([0.0, 0.0005, 0.001], [0.0, 0.02, 0.05], [0.0, 0
 def run(traj, method):
     return simulate_closed_loop(equilibrium_state(p), traj, p,
                                 IntegratorOptions(method=method), samples=5)
-load_scenario(sys.argv[1])
+for path in sys.argv[1:]:
+    load_scenario(path)
 run(line, "adaptive_explicit_rk45")
 print(run(waypoints, "adaptive_explicit_rk45")[1]["termination"])
 scan_determinant(p, 5)
@@ -621,7 +623,7 @@ print("scipy.integrate" in sys.modules)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(root / "scenarios" / "table1_waypoints.json")],
+        [sys.executable, "-c", script, *map(str, sorted((root / "scenarios").glob("*.json")))],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == ["completed", "[]", "True"]
 
