@@ -18,8 +18,9 @@ Two methods, both for stiff systems, since the shape relaxation is stiff
   scipy.integrate is imported on the first LSODA run only.
 
 abs_tol and rel_tol are one float each, shared by every state component.
-A step that reaches a non-finite state ends the run with ``step_collapse``
-in both methods; neither error test rejects NaN by itself.
+A step that reaches a non-finite state, or one shorter than H_MIN times
+max(|t0|, |t1|), ends the run with ``step_collapse`` in both methods;
+neither error test rejects NaN by itself.
 
 The right-hand side is ``rhs(t, z) -> list[float]`` over plain float lists.
 integrate() keeps one run contract for both methods: a node is kept only
@@ -80,10 +81,9 @@ _SQRT_EPS = _EPS ** 0.5
 # both methods reject them instead.
 REL_TOL_MIN = 100 * _EPS
 # step control, read at call time: the NDF's first step [s] (LSODA picks its
-# own), and, for both methods, the step below which a run ends with
-# step_collapse [s] and the cap on accepted steps that ends a run with
-# max_steps, so that a runaway run stops (every NDF rejection shrinks the
-# step, so rejections end in step_collapse)
+# own); for both methods, the step floor as a fraction of max(|t0|, |t1|),
+# also the NDF's endpoint guard, and the cap on accepted steps that ends a
+# runaway run with max_steps (each NDF rejection shrinks h toward the floor)
 H_INIT = 1e-7
 H_MIN = 1e-14
 MAX_STEPS = 5_000_000
@@ -290,12 +290,12 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     n_equal = 0  # steps taken at this h and order
     J = lu = None
     fresh = False  # J was evaluated during the current step
-    t_snap = 1e-14 * max(1.0, abs(t1))  # float-residue guard at the endpoint
-    while t1 - t > t_snap:
+    h_min = H_MIN * max(abs(t), abs(t1))  # the step floor and the endpoint guard
+    while t1 - t > h_min:
         if len(run.t) > MAX_STEPS:
             return STATUS_MAX_STEPS
         t_new = t + h
-        if t1 - t_new <= t_snap:  # the last step ends on t1
+        if t1 - t_new <= h_min:  # the last step ends on t1
             t_new = t1
             if t1 - t != h:
                 _rescale(D, order, (t1 - t) / h)
@@ -396,7 +396,7 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
         h *= factor
         _rescale(D, order, factor)
         n_equal = 0
-        if h < H_MIN and t1 - t > t_snap:  # the step onto t1 may be shorter
+        if h < h_min and t1 - t > h_min:  # the step onto t1 may be shorter
             return STATUS_STEP_COLLAPSE
     return STATUS_COMPLETED
 
@@ -419,8 +419,8 @@ def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
         nev += 1
         return out
 
-    t0 = run.t[0]
-    solver = LSODA(fun, t0, run.z[0], t1, rtol=rtol, atol=atol)
+    h_min = H_MIN * max(abs(run.t[0]), abs(t1))
+    solver = LSODA(fun, run.t[0], run.z[0], t1, rtol=rtol, atol=atol)
     try:
         with warnings.catch_warnings():
             # a failed step is reported through solver.status; its text is noise
@@ -429,12 +429,12 @@ def _integrate_lsoda(run: _Run, t1, atol, rtol) -> str:
                 if len(run.t) > MAX_STEPS:
                     return STATUS_MAX_STEPS
                 solver.step()
-                # scipy's LSODA ignores its min_step, so H_MIN is checked here
-                # (only the step that ends the span may be shorter), and its
-                # error test passes NaN, so a non-finite state fails too
+                # scipy's LSODA ignores its min_step, so the floor is checked
+                # here (only the step that ends the span may be shorter), and
+                # its error test passes NaN, so a non-finite state fails too
                 if (
                     solver.status == "failed"
-                    or (solver.status == "running" and solver.step_size < H_MIN)
+                    or (solver.status == "running" and solver.step_size < h_min)
                     or not np.isfinite(solver.y).all()
                 ):
                     return STATUS_STEP_COLLAPSE

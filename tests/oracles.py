@@ -307,11 +307,11 @@ def ndf_reference(run, t1, atol, rtol) -> str:
     """integrators._integrate_ndf written with one resize block per case: a
     Newton failure halves h and drops the LU, a failed error test shrinks h
     and keeps it, and the order/step choice after order + 1 equal steps
-    rescales and drops it, each with its own H_MIN test. The helpers are the
-    frozen copies above, with a newton function and the generic LU solve;
-    the constants, step control and exception classes are the module's own,
-    looked up at call time. The float operations must be the production
-    step's, in the same order."""
+    rescales and drops it, each with its own step-floor test. The helpers
+    are the frozen copies above, with a newton function and the generic LU
+    solve; the constants, step control and exception classes are the
+    module's own, looked up at call time. The float operations must be the
+    production step's, in the same order."""
     from bentswimmer import integrators as ig
 
     rhs = run.slope
@@ -362,12 +362,12 @@ def ndf_reference(run, t1, atol, rtol) -> str:
     n_equal = 0
     J = lu = None
     fresh = False
-    t_snap = 1e-14 * max(1.0, abs(t1))
-    while t1 - t > t_snap:
+    h_min = ig.H_MIN * max(abs(t), abs(t1))
+    while t1 - t > h_min:
         if len(run.t) > ig.MAX_STEPS:
             return ig.STATUS_MAX_STEPS
         t_new = t + h
-        if t1 - t_new <= t_snap:
+        if t1 - t_new <= h_min:
             t_new = t1
             if t1 - t != h:
                 ndf_rescale(D, order, (t1 - t) / h)
@@ -403,7 +403,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
             ndf_rescale(D, order, 0.5)
             n_equal = 0
             lu = None
-            if h < ig.H_MIN:
+            if h < h_min:
                 return ig.STATUS_STEP_COLLAPSE
             continue
         if not all(map(math.isfinite, y_new)):
@@ -417,7 +417,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
             h *= factor
             ndf_rescale(D, order, factor)
             n_equal = 0
-            if h < ig.H_MIN:
+            if h < h_min:
                 return ig.STATUS_STEP_COLLAPSE
             continue
         run.keep(t_new, y_new)
@@ -443,7 +443,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
         ndf_rescale(D, order, factor)
         n_equal = 0
         lu = None
-        if h < ig.H_MIN and t1 - t > t_snap:
+        if h < h_min and t1 - t > h_min:
             return ig.STATUS_STEP_COLLAPSE
     return ig.STATUS_COMPLETED
 

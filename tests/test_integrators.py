@@ -386,8 +386,9 @@ def test_rescale_matches_the_full_sums_bit_for_bit(order):
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_outside_domain_everywhere_past_the_start(method):
-    # the NDF halves h per rejected attempt until h < H_MIN
-    # (1e-7 / 2^24 < 1e-14); LSODA ends at its first probe
+    # the NDF halves h per rejected attempt until h is below the floor,
+    # H_MIN times the 1 s span (1e-7 / 2^24 < 1e-14 s); LSODA ends at its
+    # first probe
     def rhs(t, z):
         if t > 0.0:
             raise OutsideDomain(f"t = {t}")
@@ -533,7 +534,8 @@ def test_signal_at_the_first_slope_keeps_the_start_alone(method):
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_TRAPEZOIDAL])
 def test_step_collapse_reported(method, monkeypatch):
-    # force h below H_MIN via an error estimate that never passes
+    # force h below the floor (H_MIN times the 1 s span) via an error
+    # estimate that never passes
     def rhs(t, z):
         return [1e12 * math.sin(1e9 * t)]
 

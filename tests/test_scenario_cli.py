@@ -743,15 +743,10 @@ def test_run_open_loop_piecewise_field(tmp_path):
     np.testing.assert_array_equal(at_b[:, 1:6], alone.data[-1:, 1:6])
 
 
-# Short spans, as drag x1e-12 makes of table1_relaxation's 5e-4 s: both
-# methods miss item 14's time-scale symmetry (ROADMAP) through an absolute
-# constant in seconds
-@pytest.mark.parametrize("method", [
-    "adaptive_explicit_rk45",
-    pytest.param("trapezoidal_adaptive", marks=pytest.mark.xfail(
-        strict=True, reason="LSODA's first step, about 3.2e-5 of a 1e-10 s span, "
-        "is below the absolute H_MIN, so the run ends in step_collapse at t = 0")),
-])
+# Short spans, as drag x1e-12 makes of table1_relaxation's 5e-4 s: the step
+# floor and the NDF's endpoint guard are fractions of the span, so no
+# constant in seconds ends such a run early
+@pytest.mark.parametrize("method", ["adaptive_explicit_rk45", "trapezoidal_adaptive"])
 def test_a_1e_10_s_first_piece_completes(method, tmp_path):
     doc = json.loads((Path(__file__).parent / "stiff_program0.json").read_text(encoding="utf-8"))
     doc["integrator"]["method"] = method
@@ -761,8 +756,6 @@ def test_a_1e_10_s_first_piece_completes(method, tmp_path):
     assert summary["t_stop_s"] == doc["field_program"][-1]["until_t_s"]
 
 
-@pytest.mark.xfail(strict=True, reason="the NDF's endpoint guard t_snap is at least 1e-14 s, "
-                   "so a 5e-15 s span completes at t = 0 after 0 steps")
 def test_a_5e_15_s_relaxation_reaches_its_horizon(scenario_dir, tmp_path):
     doc = json.loads((scenario_dir / "table1_relaxation.json").read_text(encoding="utf-8"))
     doc["integrator"]["method"] = "adaptive_explicit_rk45"
