@@ -36,8 +36,7 @@ was too long, so the step is rejected and halved instead.
 All arithmetic is deterministic: identical inputs give bit-identical output.
 The NDF step is one straight-line loop whose float operations, in order, are
 those of the reference step loop and its helpers in tests/oracles.py, bit for
-bit. Its remaining sums are builtin sum() calls, which add left to right from
-0.0 on CPython 3.11; 3.12's compensated float sum may change their bits.
+bit. Its sums are math.fsum calls, correctly rounded on every interpreter.
 """
 from __future__ import annotations
 
@@ -68,10 +67,11 @@ STATUS_MAX_STEPS = "max_steps"
 # constants kappa_k gamma_k + 1/(k + 1).
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
+_NEWTON_TOL = 0.01  # Newton stops at this fraction of the error test
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _KAPPA = (0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0)
-_GAMMA = tuple(sum([1.0 / j for j in range(1, k + 1)]) for k in range(_MAX_ORDER + 1))
+_GAMMA = tuple(math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(_MAX_ORDER + 1))
 _ALPHA = tuple((1.0 - kp) * g for kp, g in zip(_KAPPA, _GAMMA))
 _ERROR_CONST = tuple(kp * g + 1.0 / (k + 1) for k, (kp, g) in enumerate(zip(_KAPPA, _GAMMA)))
 _EPS = sys.float_info.epsilon
@@ -241,13 +241,13 @@ def _rescale(D: list[list[float]], order: int, factor: float) -> None:
     """Rewrite the differences D[0..order] in place for a step multiplied by
     factor: D[j] <- sum_i (R U)[i][j] D[i]. Column 0 of R U is the unit
     vector, so D[0] stays. U is upper triangular: column j stops at row j,
-    since its exact zeros below leave every partial sum as it is."""
+    since its exact zeros below add nothing to its sums."""
     r = _r_matrix(order, factor)
     cols = list(zip(*D[:order + 1]))
     for j, u in enumerate(_U_COLS[order][1:], 1):
         u = u[:j + 1]
-        ru = [sum(map(mul, row, u)) for row in r]
-        D[j] = [sum(map(mul, ru, col)) for col in cols]
+        ru = [math.fsum(map(mul, row, u)) for row in r]
+        D[j] = [math.fsum(map(mul, ru, col)) for col in cols]
 
 
 def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
@@ -258,8 +258,9 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     to the current step; a step change rescales them (_rescale). The
     corrector is a simplified Newton iteration on I - c J, with J from
     forward differences through rhs, kept until Newton fails to converge
-    with it. The error norm is the RMS of the error over
-    abs_tol + rel_tol |z|.
+    with it. The error norm is the RMS of the error over abs_tol + rel_tol |z|;
+    Newton stops once its predicted remaining correction is below
+    _NEWTON_TOL of that norm's unit, or 10 eps / rel_tol where that is larger.
 
     A predictor, Newton iterate or Jacobian probe is a trial state:
     OutsideDomain there rejects the step and halves h, like a Newton
@@ -269,8 +270,8 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
     t, z0, f = run.t[0], run.z[0], run.f[0]
     n = len(z0)
     sqrt_n = math.sqrt(n)  # an RMS norm is hypot(*v) / sqrt_n
-    hypot, isfinite, inf = math.hypot, math.isfinite, math.inf
-    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    fsum, hypot, isfinite, inf = math.fsum, math.hypot, math.isfinite, math.inf
+    newton_tol = max(10 * _EPS / rtol, _NEWTON_TOL)
 
     def jacobian(t, y, f):
         """Forward differences through rhs at (t, y), whose slope is f."""
@@ -302,11 +303,11 @@ def _integrate_ndf(run: _Run, t1, atol, rtol) -> str:
                 h = t1 - t
                 n_equal = 0
                 lu = None
-        y_pred = list(map(sum, zip(*D[:order + 1])))
+        y_pred = list(map(fsum, zip(*D[:order + 1])))
         scale = [atol + rtol * abs(v) for v in y_pred]
         alpha = _ALPHA[order]
         gamma = _GAMMA[1:order + 1]
-        psi = [sum(map(mul, gamma, col)) / alpha for col in zip(*D[1:order + 1])]
+        psi = [fsum(map(mul, gamma, col)) / alpha for col in zip(*D[1:order + 1])]
         c = h / alpha
         converged = False
         try:

@@ -237,10 +237,10 @@ def ndf_rescale(D: list[list[float]], order: int, factor: float) -> None:
     sum over every term, the zeros of U included."""
     r = ndf_r_matrix(order, factor)
     u_cols = list(zip(*ndf_r_matrix(order, 1.0)))
-    ru_cols = [[sum(map(mul, row, col)) for row in r] for col in u_cols[1:]]
+    ru_cols = [[math.fsum(map(mul, row, col)) for row in r] for col in u_cols[1:]]
     cols = list(zip(*D[:order + 1]))
     for j, ru in enumerate(ru_cols, 1):
-        D[j] = [sum(map(mul, ru, col)) for col in cols]
+        D[j] = [math.fsum(map(mul, ru, col)) for col in cols]
 
 
 def lu_factor_reference(a: list[list[float]]) -> tuple[list[int], float]:
@@ -317,7 +317,7 @@ def ndf_reference(run, t1, atol, rtol) -> str:
     rhs = run.slope
     t, z0, f = run.t[0], run.z[0], run.f[0]
     n = len(z0)
-    newton_tol = max(10 * ig._EPS / rtol, min(0.03, rtol ** 0.5))
+    newton_tol = max(10 * ig._EPS / rtol, ig._NEWTON_TOL)
 
     def jacobian(t, y, f):
         cols = []
@@ -374,11 +374,11 @@ def ndf_reference(run, t1, atol, rtol) -> str:
                 h = t1 - t
                 n_equal = 0
                 lu = None
-        y_pred = [sum(col) for col in zip(*D[:order + 1])]
+        y_pred = [math.fsum(col) for col in zip(*D[:order + 1])]
         scale = [atol + rtol * abs(v) for v in y_pred]
         alpha = ig._ALPHA[order]
         gamma = ig._GAMMA[1:order + 1]
-        psi = [sum(map(mul, gamma, col)) / alpha for col in zip(*D[1:order + 1])]
+        psi = [math.fsum(map(mul, gamma, col)) / alpha for col in zip(*D[1:order + 1])]
         c = h / alpha
         converged = False
         try:

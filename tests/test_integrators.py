@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -311,6 +312,47 @@ def test_ndf_matches_the_reference_step_loop(case, monkeypatch):
         for name in ("t", "z", "f"):
             a, b = getattr(g, name), getattr(w, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compensated_sum(iterable, /, start=0):
+    """sum() as CPython 3.12 adds floats: Neumaier's compensated sum, with
+    the compensation added once at the end; other items add as before."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if isinstance(x, float) and isinstance(total, (int, float)):
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_ndf_bytes_do_not_depend_on_how_sum_adds_floats(scenario_dir, monkeypatch):
+    # the NDF's sums are math.fsum, correctly rounded: a closed loop keeps its
+    # bytes when builtin sum() compensates, as on CPython 3.12. With builtin
+    # sum() in the step, the compensated one moved table1_circle by 2.7e-10
+    # rad. _GAMMA is built at import: each entry is its float terms' exact
+    # sum, rounded once
+    import builtins
+    from bentswimmer.scenario import scenario_from_dict
+    from bentswimmer.tracking import simulate_closed_loop
+
+    assert integrators._GAMMA == tuple(
+        float(sum(Fraction(1.0 / j) for j in range(1, k + 1))) for k in range(6))
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0 != sum([1.0, 1e100, 1.0, -1e100])
+    doc = json.loads((scenario_dir / "table1_circle.json").read_text(encoding="utf-8"))
+    assert doc["integrator"]["method"] == METHOD_RK45  # the NDF
+    scn = scenario_from_dict(doc)
+    runs = []
+    for add in (sum, compensated_sum):
+        monkeypatch.setattr(builtins, "sum", add)
+        runs.append(simulate_closed_loop(scn.initial, scn.spec, scn.params, scn.integrator,
+                                         samples=scn.outputs.samples))
+    monkeypatch.undo()
+    (record, report), (record_c, report_c) = runs
+    assert report_c == report
+    assert record_c.data.tobytes() == record.data.tobytes()
 
 
 def test_newton_solves_go_through_the_module_globals(monkeypatch):

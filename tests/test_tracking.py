@@ -14,6 +14,7 @@ from bentswimmer.dynamics import control_vector_fields, equilibrium_state, state
 from bentswimmer.integrators import (
     METHOD_RK45,
     METHOD_TRAPEZOIDAL,
+    REL_TOL_MIN,
     STATUS_COMPLETED,
     IntegrationResult,
     IntegratorOptions,
@@ -496,6 +497,45 @@ def test_speed_does_not_move_the_abort_along_the_path(method, scenario_dir):
     assert abs(reach[1] - reach[0]) <= 1.7e-4 * reach[0]
 
 
+def circle_run_counts(scenario_dir, rate=None, **tolerances):
+    """(accepted, rejected) steps of the shipped circle under the NDF, at its
+    own or the given angular rate and tolerances."""
+    doc = json.loads((scenario_dir / "table1_circle.json").read_text(encoding="utf-8"))
+    assert doc["integrator"]["method"] == METHOD_RK45  # the NDF
+    doc["integrator"].update(tolerances)
+    if rate is not None:
+        doc["trajectory"]["angular_rate_rad_s"] = rate
+    scn = scenario_from_dict(doc)
+    _, report = simulate_closed_loop(scn.initial, scn.spec, scn.params, scn.integrator,
+                                     samples=20)
+    assert report["termination"] == OUTCOME_COMPLETED, (rate, report["detail"])
+    return report["integrator"]["n_steps"], report["integrator"]["n_rejected"]
+
+
+def test_speed_does_not_move_the_ndf_steps_along_the_circle(scenario_dir):
+    # a Stokes swimmer traces the same shapes at any speed along the path, so
+    # the NDF should take about as many steps at any rate. Measured 599/9,
+    # 590/8 and 593/12 accepted/rejected at 20, 1 and 0.01 rad/s: within a
+    # factor of 1.015 and at most 2.0% rejected; the bounds leave 3x or more.
+    # When Newton stopped at sqrt(rel_tol) of the error test, 0.01 rad/s took
+    # 23,892 steps and 16,870 rejections
+    counts = {rate: circle_run_counts(scenario_dir, rate) for rate in (20.0, 1.0, 0.01)}
+    print(f"NDF circle steps by rate: {counts}")
+    base = counts[20.0][0]
+    for rate, (steps, rejected) in counts.items():
+        assert steps <= 1.05 * base and base <= 1.05 * steps, rate
+        assert rejected <= 0.06 * steps, rate
+
+
+def test_ndf_newton_stop_keeps_its_rounding_floor(scenario_dir):
+    # at rel_tol = REL_TOL_MIN the Newton stop is its rounding floor, 10 eps /
+    # rel_tol = 0.1 of the error test: the circle takes 4,314 steps, and
+    # 9,974 with the stop at integrators._NEWTON_TOL (0.01) there
+    steps, _ = circle_run_counts(scenario_dir, rel_tol=REL_TOL_MIN, abs_tol=1e-14)
+    print(f"NDF circle steps at REL_TOL_MIN: {steps}")
+    assert steps <= 4_750
+
+
 @pytest.mark.xfail(strict=True, reason="trial-state termination (ROADMAP known defect): "
                    "LSODA's first trial state leaves the shape square")
 def test_lsoda_completes_a_slow_circle(scenario_dir):
@@ -755,8 +795,8 @@ def test_closed_loop_shape_matches_the_radau_reference(name, method, scenario_di
 def test_open_loop_state_matches_the_radau_reference(path, method):
     # at the scenario's own tolerances, under either method, every open-loop
     # component stays near a Radau run at rtol 1e-12 (make_shape_reference.py):
-    # measured at most 1.1e-7 um and 2.7e-9 rad, so 1e-6 um and 1e-7 rad
-    # leave over 9x and 36x
+    # measured at most 1.1e-7 um and 4.0e-9 rad, so 1e-6 um and 1e-7 rad
+    # leave over 9x and 24x
     scn = load_scenario(TESTS.parent / path)
     ref = json.loads(SHAPE_REFERENCE.read_text(encoding="utf-8"))["scenarios"][scn.name]
     record, report = simulate_open_loop(
